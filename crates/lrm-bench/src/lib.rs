@@ -1,12 +1,10 @@
 //! Zero-dependency benchmark harness for the lrm codecs.
 //!
-//! `crates/bench` (a separate, excluded workspace) carries the Criterion
-//! harness for online environments; this crate is what offline builds
-//! and CI run. It times the three paper codecs — SZ (block-relative
-//! 1e-5), ZFP (fixed-precision 16), FPC (level 20) — over the dataset
-//! registry with warmup and median-of-k, and serializes the results as
-//! a small JSON document (`BENCH_*.json`) so the perf trajectory is
-//! recorded in-repo, not asserted in prose.
+//! It times the three paper codecs — SZ (block-relative 1e-5), ZFP
+//! (fixed-precision 16), FPC (level 20) — over the dataset registry with
+//! warmup and median-of-k, and serializes the results as a small JSON
+//! document (`BENCH_*.json`) so the perf trajectory is recorded in-repo,
+//! not asserted in prose.
 //!
 //! Everything here is std-only: timing via `std::time::Instant`, JSON
 //! via the hand-rolled writer/parser in [`json`].

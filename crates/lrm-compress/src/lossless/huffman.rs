@@ -15,7 +15,7 @@
 //! * codes are pre-reversed once so each symbol is emitted with a single
 //!   `write_bits` call instead of a per-bit loop (the wire stays MSB-first
 //!   within each code, as before);
-//! * decode uses a primary [`TABLE_BITS`]-bit lookup table — one peek,
+//! * decode uses a primary `TABLE_BITS`-bit lookup table — one peek,
 //!   one table load, one consume per symbol — falling back to the
 //!   canonical per-length walk only for codes longer than the table or
 //!   for corrupt (non-canonical) shipped tables.

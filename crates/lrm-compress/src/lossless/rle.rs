@@ -41,7 +41,7 @@ pub fn rle_encode_zeros(symbols: &[u64]) -> Vec<u8> {
 }
 
 /// Inverse of [`rle_encode_zeros`]. Returns `None` on corrupt input,
-/// including a declared symbol count above [`MAX_DECODED_SYMBOLS`].
+/// including a declared symbol count above `MAX_DECODED_SYMBOLS`.
 pub fn rle_decode_zeros(data: &[u8]) -> Option<Vec<u64>> {
     let mut pos = 0;
     let total = decode_uvarint(data, &mut pos)? as usize;

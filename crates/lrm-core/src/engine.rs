@@ -25,8 +25,7 @@
 //!   bytes are **identical for any thread count**.
 //! * `chunks(1)` (or a field below [`PipelineBuilder::min_chunk_len`],
 //!   or a non-3-D field) takes the serial path and emits exactly the
-//!   version-0 single-chunk artifact stream — byte-for-byte what the
-//!   deprecated free functions produce.
+//!   version-0 single-chunk artifact stream of [`crate::pipeline`].
 //!
 //! ```
 //! use lrm_core::{LossyCodec, Pipeline, ReducedModelKind};
@@ -50,8 +49,8 @@
 
 use crate::codec::LossyCodec;
 use crate::pipeline::{
-    model_tag, precondition_impl, reconstruct_impl, CompressionReport, PipelineConfig,
-    PreconditionedArtifact, ReducedModelKind,
+    precondition_impl, reconstruct_impl, CompressionReport, PipelineConfig, PreconditionedArtifact,
+    ReducedModelKind,
 };
 use lrm_compress::{DecodeError, DecodeResult, Shape};
 use lrm_datasets::Field;
@@ -203,8 +202,7 @@ impl Pipeline {
         PipelineBuilder::default()
     }
 
-    /// A serial pipeline over an existing [`PipelineConfig`] — the
-    /// one-line migration path from the deprecated free functions.
+    /// A serial pipeline over an existing [`PipelineConfig`].
     pub fn from_config(cfg: PipelineConfig) -> Pipeline {
         PipelineBuilder::from_config(cfg).build()
     }
@@ -314,7 +312,7 @@ impl Pipeline {
                 (z0, precondition_impl(&slab, None, cfg))
             });
 
-        let tag = model_tag(self.cfg.model).0;
+        let tag = self.cfg.model.tag().0;
         let mut container = ChunkedArtifact::new([nx as u32, ny as u32, nz as u32]);
         let mut reports = Vec::with_capacity(parts.len());
         let mut agg = CompressionReport {

@@ -19,7 +19,7 @@
 //! overflow before anything is sized from them.
 
 use crate::codec::LossyCodec;
-use crate::pipeline::{model_tag, ReducedModelKind};
+use crate::pipeline::ReducedModelKind;
 use lrm_compress::{DecodeError, DecodeResult, Shape};
 
 /// Exact length of the encoded record.
@@ -44,7 +44,7 @@ pub(crate) fn encode_meta(
     aux_shape: Shape,
     scan_1d: bool,
 ) -> Vec<u8> {
-    let (tag, param) = model_tag(model);
+    let (tag, param) = model.tag();
     let mut out = Vec::with_capacity(META_LEN);
     out.push(tag);
     out.extend_from_slice(&param.to_le_bytes());

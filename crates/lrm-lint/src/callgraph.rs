@@ -7,11 +7,11 @@
 //! `self.run()` from `Job::run()` — so two blocklists keep the graph
 //! honest:
 //!
-//! * [`METHOD_BLOCKLIST`] drops method calls (`.name(`) whose names are
+//! * `METHOD_BLOCKLIST` drops method calls (`.name(`) whose names are
 //!   ubiquitous std/container vocabulary (`lock`, `push`, `read`, …):
 //!   resolving those to same-named workspace fns would wire unrelated
 //!   code together.
-//! * [`PATH_BLOCKLIST`] drops names that are overwhelmingly
+//! * `PATH_BLOCKLIST` drops names that are overwhelmingly
 //!   constructors or std free functions in any position (`new`, `from`,
 //!   `take`, …).
 //!
@@ -42,7 +42,7 @@ const METHOD_BLOCKLIST: &[&str] = &[
     "recv", "round", "send", "set_len", "split", "sqrt", "floor", "take", "trim", "unwrap", "wait",
     "write",
     // workspace-specific aliases that must not become edges:
-    // `stream.shutdown()` is not `Client::shutdown`, `job.run()` /
+    // `stream.shutdown()` is not `Connection::shutdown`, `job.run()` /
     // `loop.run()` is not `EventLoop::run`, `header.parse()` is
     // generic, `reader.finish()` is not `Stager::finish`
     "shutdown", "run", "parse", "finish",
@@ -222,8 +222,9 @@ pub(crate) fn enclosing_fn_index(sf: &SourceFile, ln: usize) -> Option<usize> {
 }
 
 /// Path components under which decode-named helpers are exempt from
-/// registry drift (test/bench scaffolding is not a decode surface).
-const EXEMPT_COMPONENTS: &[&str] = &["tests", "benches", "examples", "fixtures"];
+/// registry drift (test/bench scaffolding, including the standalone
+/// `perfbench` package, is not a decode surface).
+const EXEMPT_COMPONENTS: &[&str] = &["tests", "benches", "examples", "fixtures", "perfbench"];
 
 /// `unregistered-decode-path`: a non-test fn named `decode*` / `read_*`
 /// / `parse*` that takes `&[u8]` in a file not registered `[decode]`.

@@ -16,10 +16,6 @@
 //! match on `Busy`/`TooLarge`/`Timeout` rather than string-compare
 //! messages.
 //!
-//! The old connect-per-request [`Client`] remains as a deprecated shim
-//! that opens one [`Connection`] per call, so existing code keeps
-//! compiling while it migrates.
-//!
 //! The response-reading path is decode-hardened (registered under
 //! `[decode]` in `lint.toml`): headers and payloads are parsed with the
 //! typed [`DecodeError`] machinery and nothing here panics on a hostile
@@ -34,8 +30,7 @@ use lrm_compress::{DecodeError, Shape};
 
 use crate::protocol::{
     CompressRequest, CompressStreamMeta, FieldStatsReply, Frame, FrameHeader, Request, Response,
-    SelectReply, SelectRequest, ServerErrorKind, WireReport, HEADER_LEN, HEADER_V2_LEN,
-    PROTOCOL_V1,
+    SelectReply, SelectRequest, ServerErrorKind, WireReport, CONNECTION_REQUEST_ID, HEADER_LEN,
 };
 
 /// Hard ceiling on a response payload the client will buffer; a header
@@ -149,7 +144,7 @@ impl Connection {
     /// requests can be pipelined before the first [`Connection::wait`].
     pub fn send(&mut self, request: &Request) -> ClientResult<RequestHandle> {
         let id = self.fresh_id();
-        self.stream.write_all(&request.to_frame_v2(id))?;
+        self.stream.write_all(&request.to_frame(id))?;
         Ok(RequestHandle { id })
     }
 
@@ -163,11 +158,10 @@ impl Connection {
             }
             let (header, payload) = read_frame(&mut self.stream)?;
             let response = Response::decode(header.kind, &payload)?;
-            // A v1-framed response carries no id; the server only sends
-            // one when answering before it knows the request id (e.g. a
-            // Busy verdict at accept time), so it addresses whichever
-            // request is being waited on.
-            let id = if header.version == PROTOCOL_V1 {
+            // A connection-level reply (e.g. a Busy verdict at accept
+            // time) answers before the server knows any request id, so
+            // it addresses whichever request is being waited on.
+            let id = if header.request_id == CONNECTION_REQUEST_ID {
                 handle.id
             } else {
                 header.request_id
@@ -282,18 +276,19 @@ impl Connection {
         chunk_bytes: usize,
     ) -> ClientResult<RequestHandle> {
         let id = self.fresh_id();
-        self.stream.write_all(&begin.to_frame_v2(id))?;
+        self.stream.write_all(&begin.to_frame(id))?;
         for chunk in bytes.chunks(chunk_bytes.max(1)) {
             let frame = Request::StreamChunk {
                 bytes: chunk.to_vec(),
             }
-            .to_frame_v2(id);
+            .to_frame(id);
             self.stream.write_all(&frame)?;
         }
-        self.stream.write_all(&Request::StreamEnd.to_frame_v2(id))?;
+        self.stream.write_all(&Request::StreamEnd.to_frame(id))?;
         Ok(RequestHandle { id })
     }
 
+    /// The next request id, skipping [`CONNECTION_REQUEST_ID`] on wrap.
     fn fresh_id(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
@@ -301,21 +296,11 @@ impl Connection {
     }
 }
 
-/// Reads one complete response frame (either header version) from the
-/// socket.
+/// Reads one complete response frame from the socket.
 fn read_frame(stream: &mut TcpStream) -> ClientResult<(FrameHeader, Vec<u8>)> {
-    let mut prefix = [0u8; HEADER_LEN];
-    stream.read_exact(&mut prefix)?;
-    let header = match Frame::parse_header_prefix(&prefix)? {
-        Some(h) => h,
-        None => {
-            // A v2 header: the request id is still on the wire.
-            let mut id = [0u8; HEADER_V2_LEN - HEADER_LEN];
-            stream.read_exact(&mut id)?;
-            let full: Vec<u8> = prefix.iter().chain(id.iter()).copied().collect();
-            Frame::parse_header(&full)?
-        }
-    };
+    let mut head = [0u8; HEADER_LEN];
+    stream.read_exact(&mut head)?;
+    let header = Frame::parse_header(&head)?;
     if header.payload_len > MAX_RESPONSE_PAYLOAD {
         return Err(ClientError::Decode(DecodeError::Corrupt {
             what: "response length exceeds the client's buffer ceiling",
@@ -343,84 +328,6 @@ fn resolve(addr: impl ToSocketAddrs) -> ClientResult<SocketAddr> {
     addr.to_socket_addrs()?
         .next()
         .ok_or_else(|| ClientError::Io(std::io::Error::other("address resolved to nothing")))
-}
-
-/// A blocking protocol client bound to one server address.
-///
-/// Deprecated shim over [`Connection`]: every call opens a fresh
-/// session, issues one request, and closes — the old
-/// connect-per-request behavior. New code should hold a [`Connection`]
-/// and pipeline over it.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `Connection` for persistent, pipelined sessions"
-)]
-#[derive(Debug, Clone)]
-pub struct Client {
-    addr: SocketAddr,
-    timeout: Duration,
-}
-
-#[allow(deprecated)]
-impl Client {
-    /// Creates a client for `addr` with a 30 s per-call timeout.
-    pub fn new(addr: impl ToSocketAddrs) -> ClientResult<Client> {
-        Ok(Client {
-            addr: resolve(addr)?,
-            timeout: Duration::from_secs(30),
-        })
-    }
-
-    /// Overrides the per-call socket timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Client {
-        self.timeout = timeout;
-        self
-    }
-
-    /// The server address this client dials.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    fn session(&self) -> ClientResult<Connection> {
-        Connection::open_with_timeout(self.addr, self.timeout)
-    }
-
-    /// Sends one request frame and reads the one response frame over a
-    /// fresh connection.
-    pub fn call(&self, request: &Request) -> ClientResult<Response> {
-        self.session()?.call(request)
-    }
-
-    /// Liveness probe; returns the echoed bytes.
-    pub fn ping(&self, echo: &[u8]) -> ClientResult<Vec<u8>> {
-        self.session()?.ping(echo)
-    }
-
-    /// Compresses a field; returns the size report and artifact bytes.
-    pub fn compress(&self, request: CompressRequest) -> ClientResult<(WireReport, Vec<u8>)> {
-        self.session()?.compress(request)
-    }
-
-    /// Reconstructs a field from artifact bytes.
-    pub fn decompress(&self, artifact: &[u8]) -> ClientResult<(Shape, Vec<f64>)> {
-        self.session()?.decompress(artifact)
-    }
-
-    /// Summary statistics for a field.
-    pub fn field_stats(&self, shape: Shape, data: &[f64]) -> ClientResult<FieldStatsReply> {
-        self.session()?.field_stats(shape, data)
-    }
-
-    /// Runs model selection on a field.
-    pub fn select_model(&self, request: SelectRequest) -> ClientResult<SelectReply> {
-        self.session()?.select_model(request)
-    }
-
-    /// Asks the server to drain and stop.
-    pub fn shutdown(&self) -> ClientResult<()> {
-        self.session()?.shutdown()
-    }
 }
 
 fn unexpected(response: &Response) -> ClientError {
@@ -453,8 +360,8 @@ mod tests {
 
     #[test]
     fn request_ids_are_fresh_and_nonzero() {
-        // `fresh_id` must never hand out 0 (the v1 implicit id) even
-        // after wrapping.
+        // `fresh_id` must never hand out 0 (the connection-level reply
+        // id) even after wrapping.
         let mut next = u64::MAX;
         let wrapped = {
             let id = next;

@@ -1,32 +1,31 @@
 //! The framed wire protocol spoken by `lrm-server` (LRMP).
 //!
-//! Every message — request or response — travels as one **frame**. Two
-//! header layouts are live; the version field at offset 4 selects one:
+//! Every message — request or response — travels as one **frame**
+//! behind a fixed 24-byte header:
 //!
-//! | offset | size | v1 field | v2 field |
-//! |-------:|-----:|----------|----------|
-//! | 0      | 4    | magic `"LRMP"` | magic `"LRMP"` |
-//! | 4      | 2    | version `1`, `u16` LE | version `2`, `u16` LE |
-//! | 6      | 1    | message kind | message kind |
-//! | 7      | 1    | reserved (`0`) | reserved (`0`) |
-//! | 8      | 8    | payload length, `u64` LE | payload length, `u64` LE |
-//! | 16     | 8    | — payload starts | request id, `u64` LE |
-//! | 24     | —    | | payload |
+//! | offset | size | field |
+//! |-------:|-----:|-------|
+//! | 0      | 4    | magic `"LRMP"` |
+//! | 4      | 2    | version `2`, `u16` LE |
+//! | 6      | 1    | message kind |
+//! | 7      | 1    | reserved (`0`) |
+//! | 8      | 8    | payload length, `u64` LE |
+//! | 16     | 8    | request id, `u64` LE |
+//! | 24     | —    | payload |
 //!
-//! v2 is a strict additive extension: the only layout change is the
-//! request id between the fixed header and the payload, and every v1
-//! payload decodes unchanged under v2 framing. The request id lets a
-//! client pipeline many requests over one persistent connection — the
-//! server tags each response frame with the id of the request it
-//! answers, and responses may arrive **out of order**. v1 frames carry
-//! an implicit id of `0` and keep their one-request-per-connection
-//! semantics (the server closes the connection after answering), so
-//! existing v1 tooling keeps working against a v2 server.
+//! Any other version is rejected as [`DecodeError::UnsupportedVersion`].
+//! The request id lets a client pipeline many requests over one
+//! persistent connection — the server tags each response frame with the
+//! id of the request it answers, and responses may arrive **out of
+//! order**. Clients never issue id [`CONNECTION_REQUEST_ID`] (`0`): the
+//! server uses it for connection-level replies sent before any request
+//! id is known (a bad header, a header timeout, a `max_connections`
+//! refusal).
 //!
 //! Request kinds occupy `0x00..0x80`, success responses `0x80..0xE0`,
 //! and typed error responses `0xE0..`. The payload layout per kind is
 //! documented on [`Request`] and [`Response`]. The `0x06..0x0A` request
-//! kinds are the v2 chunk-streaming family: a `CompressStreamBegin` (or
+//! kinds are the chunk-streaming family: a `CompressStreamBegin` (or
 //! `DecompressStreamBegin`) frame opens a stream under its request id,
 //! any number of `StreamChunk` frames append bytes to it, and
 //! `StreamEnd` closes it; the server starts compressing completed
@@ -46,20 +45,17 @@ use lrm_core::{CompressionReport, LossyCodec, ReducedModelKind};
 /// Magic bytes opening every frame.
 pub const MAGIC: &[u8; 4] = b"LRMP";
 
-/// The original protocol version: 16-byte header, no request id, one
-/// request per connection.
-pub const PROTOCOL_V1: u16 = 1;
-
-/// The pipelined protocol version: 24-byte header whose last 8 bytes
-/// are a `u64` LE request id. Decoders accept v1 and v2 and reject
-/// anything else rather than guessing at the layout.
+/// The protocol version every frame carries. Decoders reject any other
+/// value rather than guessing at the layout.
 pub const PROTOCOL_V2: u16 = 2;
 
-/// Bytes before the payload starts in a v1 frame.
-pub const HEADER_LEN: usize = 16;
+/// Bytes before the payload starts.
+pub const HEADER_LEN: usize = 24;
 
-/// Bytes before the payload starts in a v2 frame (v1 header + id).
-pub const HEADER_V2_LEN: usize = 24;
+/// The request id of connection-level replies. Clients never issue it,
+/// so a response carrying it answers whichever request the client is
+/// waiting on.
+pub const CONNECTION_REQUEST_ID: u64 = 0;
 
 /// Request kinds (`0x00..0x80`).
 pub const REQ_PING: u8 = 0x00;
@@ -108,62 +104,33 @@ pub const RESP_ERR_MALFORMED: u8 = 0xE3;
 /// The request decoded but execution failed.
 pub const RESP_ERR_INTERNAL: u8 = 0xE4;
 
-/// A parsed frame header, version-agnostic: v1 headers surface with
-/// `request_id == 0`.
+/// A parsed frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// Wire version of the frame ([`PROTOCOL_V1`] or [`PROTOCOL_V2`]).
-    pub version: u16,
     /// Message kind byte.
     pub kind: u8,
-    /// Request id tagging the frame (implicit `0` for v1 frames).
+    /// Request id tagging the frame.
     pub request_id: u64,
     /// Payload length in bytes.
     pub payload_len: u64,
 }
 
-impl FrameHeader {
-    /// Header size in bytes for this frame's version.
-    pub fn header_len(&self) -> usize {
-        if self.version == PROTOCOL_V2 {
-            HEADER_V2_LEN
-        } else {
-            HEADER_LEN
-        }
-    }
-}
-
-/// One decoded frame: version, kind, request id, raw payload.
+/// One decoded frame: kind, request id, raw payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// Wire version the frame arrived under.
-    pub version: u16,
     /// Message kind byte (one of the `REQ_*`/`RESP_*` constants once
     /// interpreted; raw here).
     pub kind: u8,
-    /// Request id (implicit `0` for v1 frames).
+    /// Request id tagging the frame.
     pub request_id: u64,
     /// Payload bytes, exactly as framed.
     pub payload: Vec<u8>,
 }
 
 impl Frame {
-    /// Serializes a v1 frame: 16-byte header + payload.
-    pub fn encode(kind: u8, payload: &[u8]) -> Vec<u8> {
+    /// Serializes a frame: 24-byte header (with request id) + payload.
+    pub fn encode(kind: u8, request_id: u64, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&PROTOCOL_V1.to_le_bytes());
-        out.push(kind);
-        out.push(0);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(payload);
-        out
-    }
-
-    /// Serializes a v2 frame: 24-byte header (with request id) +
-    /// payload.
-    pub fn encode_v2(kind: u8, request_id: u64, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_V2_LEN + payload.len());
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&PROTOCOL_V2.to_le_bytes());
         out.push(kind);
@@ -175,11 +142,11 @@ impl Frame {
     }
 
     /// Incremental header parse for the streaming socket reader:
-    /// `Ok(Some(header))` once the full (version-dependent) header is
-    /// present, `Ok(None)` when `b` is a consistent prefix that needs
-    /// more bytes, and a typed [`DecodeError`] the moment the bytes can
-    /// no longer open a valid frame. Validates eagerly, so garbage is
-    /// rejected after as few bytes as possible.
+    /// `Ok(Some(header))` once the full header is present, `Ok(None)`
+    /// when `b` is a consistent prefix that needs more bytes, and a
+    /// typed [`DecodeError`] the moment the bytes can no longer open a
+    /// valid frame. Validates eagerly, so garbage is rejected after as
+    /// few bytes as possible.
     pub fn parse_header_prefix(b: &[u8]) -> DecodeResult<Option<FrameHeader>> {
         let probe = b.len().min(4);
         if b.get(..probe) != MAGIC.get(..probe) {
@@ -194,7 +161,7 @@ impl Frame {
         else {
             return Ok(None);
         };
-        if version != PROTOCOL_V1 && version != PROTOCOL_V2 {
+        if version != PROTOCOL_V2 {
             return Err(DecodeError::UnsupportedVersion {
                 found: version.min(u8::MAX as u16) as u8,
                 supported: PROTOCOL_V2 as u8,
@@ -207,12 +174,7 @@ impl Frame {
                 });
             }
         }
-        let need = if version == PROTOCOL_V2 {
-            HEADER_V2_LEN
-        } else {
-            HEADER_LEN
-        };
-        if b.len() < need {
+        if b.len() < HEADER_LEN {
             return Ok(None);
         }
         let kind = *b
@@ -225,27 +187,23 @@ impl Frame {
             .ok_or(DecodeError::Truncated {
                 what: "frame length",
             })?;
-        let request_id = if version == PROTOCOL_V2 {
-            b.get(16..24)
-                .and_then(|s| s.try_into().ok())
-                .map(u64::from_le_bytes)
-                .ok_or(DecodeError::Truncated {
-                    what: "frame request id",
-                })?
-        } else {
-            0
-        };
+        let request_id = b
+            .get(16..24)
+            .and_then(|s| s.try_into().ok())
+            .map(u64::from_le_bytes)
+            .ok_or(DecodeError::Truncated {
+                what: "frame request id",
+            })?;
         Ok(Some(FrameHeader {
-            version,
             kind,
             request_id,
             payload_len,
         }))
     }
 
-    /// Parses the fixed header of an exact buffer, either version.
-    /// Truncation is a typed error (unlike [`Frame::parse_header_prefix`],
-    /// which reports it as "need more bytes").
+    /// Parses the fixed header of an exact buffer. Truncation is a typed
+    /// error (unlike [`Frame::parse_header_prefix`], which reports it as
+    /// "need more bytes").
     pub fn parse_header(b: &[u8]) -> DecodeResult<FrameHeader> {
         Frame::parse_header_prefix(b)?.ok_or(DecodeError::Truncated {
             what: "frame header",
@@ -255,30 +213,24 @@ impl Frame {
     /// Parses one complete frame from an exact byte buffer: header,
     /// payload, and nothing after it. Every structural defect — bad
     /// magic, unknown version, truncation, trailing bytes — is a typed
-    /// [`DecodeError`]; this never panics. Accepts v1 and v2 framing.
+    /// [`DecodeError`]; this never panics.
     pub fn from_bytes(b: &[u8]) -> DecodeResult<Frame> {
         let header = Frame::parse_header(b)?;
         let len = usize::try_from(header.payload_len).map_err(|_| DecodeError::Corrupt {
             what: "frame length exceeds address space",
         })?;
-        let total = header
-            .header_len()
-            .checked_add(len)
-            .ok_or(DecodeError::Corrupt {
-                what: "frame length overflow",
-            })?;
-        let payload = b
-            .get(header.header_len()..total)
-            .ok_or(DecodeError::Truncated {
-                what: "frame payload",
-            })?;
+        let total = HEADER_LEN.checked_add(len).ok_or(DecodeError::Corrupt {
+            what: "frame length overflow",
+        })?;
+        let payload = b.get(HEADER_LEN..total).ok_or(DecodeError::Truncated {
+            what: "frame payload",
+        })?;
         if b.len() != total {
             return Err(DecodeError::Corrupt {
                 what: "frame trailing bytes",
             });
         }
         Ok(Frame {
-            version: header.version,
             kind: header.kind,
             request_id: header.request_id,
             payload: payload.to_vec(),
@@ -425,26 +377,9 @@ fn encode_samples(out: &mut Vec<u8>, data: &[f64]) {
 // Reduced-model wire tags
 // ---------------------------------------------------------------------------
 
-/// Serializes a model as `(tag, param)` — the same numbering the
-/// artifact metadata uses, so tooling sees one vocabulary.
-pub fn model_to_tag(model: ReducedModelKind) -> (u8, u32) {
-    match model {
-        ReducedModelKind::Direct => (0, 0),
-        ReducedModelKind::OneBase => (1, 0),
-        ReducedModelKind::MultiBase(gz) => (2, gz as u32),
-        ReducedModelKind::DuoModel => (3, 0),
-        ReducedModelKind::Pca => (4, 0),
-        ReducedModelKind::Svd => (5, 0),
-        ReducedModelKind::Wavelet => (6, 0),
-        ReducedModelKind::PcaBlocked(b) => (7, b as u32),
-        ReducedModelKind::SvdBlocked(b) => (8, b as u32),
-        ReducedModelKind::SvdRandomized => (9, 0),
-    }
-}
-
-/// Inverse of [`model_to_tag`]. `DuoModel` (tag 3) is rejected: it needs
-/// an auxiliary coarse field no request carries, and accepting it would
-/// put a panic within reach of the wire.
+/// Inverse of [`ReducedModelKind::tag`]. `DuoModel` (tag 3) is rejected:
+/// it needs an auxiliary coarse field no request carries, and accepting
+/// it would put a panic within reach of the wire.
 pub fn model_from_tag(tag: u8, param: u32) -> DecodeResult<ReducedModelKind> {
     match tag {
         0 => Ok(ReducedModelKind::Direct),
@@ -472,9 +407,8 @@ pub fn model_from_tag(tag: u8, param: u32) -> DecodeResult<ReducedModelKind> {
 
 /// A compression job: model + dual-bound codecs + the field itself.
 ///
-/// Payload layout: model tag `u8`, model param `u32`, orig codec (9 B),
-/// delta codec (9 B), `scan_1d` `u8`, chunk count `u16`, shape 3 ×
-/// `u32`, then `shape.len()` LE `f64` samples.
+/// Payload layout: the [`CompressStreamMeta`] layout, then `shape.len()`
+/// LE `f64` samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompressRequest {
     /// The reduced model to precondition with.
@@ -535,6 +469,66 @@ pub struct CompressStreamMeta {
     pub shape: Shape,
 }
 
+impl CompressRequest {
+    /// Joins stream metadata and the field samples into one request.
+    pub(crate) fn from_meta(meta: CompressStreamMeta, data: Vec<f64>) -> Self {
+        Self {
+            model: meta.model,
+            orig: meta.orig,
+            delta: meta.delta,
+            scan_1d: meta.scan_1d,
+            chunks: meta.chunks,
+            shape: meta.shape,
+            data,
+        }
+    }
+
+    /// Everything this request carries except the samples.
+    pub(crate) fn meta(&self) -> CompressStreamMeta {
+        CompressStreamMeta {
+            model: self.model,
+            orig: self.orig,
+            delta: self.delta,
+            scan_1d: self.scan_1d,
+            chunks: self.chunks,
+            shape: self.shape,
+        }
+    }
+}
+
+/// Writes the compress metadata layout shared by [`Request::Compress`]
+/// and [`Request::CompressStreamBegin`].
+fn encode_compress_meta(out: &mut Vec<u8>, m: &CompressStreamMeta) {
+    let (tag, param) = m.model.tag();
+    out.push(tag);
+    out.extend_from_slice(&param.to_le_bytes());
+    out.extend_from_slice(&m.orig.to_bytes());
+    out.extend_from_slice(&m.delta.to_bytes());
+    out.push(m.scan_1d as u8);
+    out.extend_from_slice(&m.chunks.to_le_bytes());
+    encode_shape(out, m.shape);
+}
+
+/// Inverse of [`encode_compress_meta`].
+fn decode_compress_meta(r: &mut Reader<'_>) -> DecodeResult<CompressStreamMeta> {
+    let tag = r.u8("compress model tag")?;
+    let param = r.u32("compress model param")?;
+    let model = model_from_tag(tag, param)?;
+    let orig = LossyCodec::from_bytes(r.take(9, "compress orig codec")?)?;
+    let delta = LossyCodec::from_bytes(r.take(9, "compress delta codec")?)?;
+    let scan_1d = r.u8("compress scan_1d flag")? != 0;
+    let chunks = r.u16("compress chunk count")?;
+    let shape = decode_shape(r)?;
+    Ok(CompressStreamMeta {
+        model,
+        orig,
+        delta,
+        scan_1d,
+        chunks,
+        shape,
+    })
+}
+
 /// A decoded client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -563,7 +557,7 @@ pub enum Request {
     /// Drain in-flight requests and stop the server. Empty payload.
     Shutdown,
     /// Open a chunk-streamed compress under this frame's request id
-    /// (v2 only; see [`CompressStreamMeta`]).
+    /// (see [`CompressStreamMeta`]).
     CompressStreamBegin(CompressStreamMeta),
     /// Append raw bytes to the open stream with this frame's request
     /// id: field samples (LE `f64` bytes) for a compress stream,
@@ -605,14 +599,7 @@ impl Request {
         match self {
             Request::Ping { echo } => out.extend_from_slice(echo),
             Request::Compress(c) => {
-                let (tag, param) = model_to_tag(c.model);
-                out.push(tag);
-                out.extend_from_slice(&param.to_le_bytes());
-                out.extend_from_slice(&c.orig.to_bytes());
-                out.extend_from_slice(&c.delta.to_bytes());
-                out.push(c.scan_1d as u8);
-                out.extend_from_slice(&c.chunks.to_le_bytes());
-                encode_shape(&mut out, c.shape);
+                encode_compress_meta(&mut out, &c.meta());
                 encode_samples(&mut out, &c.data);
             }
             Request::Decompress { artifact } => out.extend_from_slice(artifact),
@@ -628,16 +615,7 @@ impl Request {
                 encode_samples(&mut out, &s.data);
             }
             Request::Shutdown => {}
-            Request::CompressStreamBegin(m) => {
-                let (tag, param) = model_to_tag(m.model);
-                out.push(tag);
-                out.extend_from_slice(&param.to_le_bytes());
-                out.extend_from_slice(&m.orig.to_bytes());
-                out.extend_from_slice(&m.delta.to_bytes());
-                out.push(m.scan_1d as u8);
-                out.extend_from_slice(&m.chunks.to_le_bytes());
-                encode_shape(&mut out, m.shape);
-            }
+            Request::CompressStreamBegin(m) => encode_compress_meta(&mut out, m),
             Request::StreamChunk { bytes } => out.extend_from_slice(bytes),
             Request::StreamEnd => {}
             Request::DecompressStreamBegin => {}
@@ -645,14 +623,9 @@ impl Request {
         out
     }
 
-    /// Serializes into one complete v1 frame (implicit request id 0).
-    pub fn to_frame(&self) -> Vec<u8> {
-        Frame::encode(self.kind(), &self.encode_payload())
-    }
-
-    /// Serializes into one complete v2 frame tagged with `request_id`.
-    pub fn to_frame_v2(&self, request_id: u64) -> Vec<u8> {
-        Frame::encode_v2(self.kind(), request_id, &self.encode_payload())
+    /// Serializes into one complete frame tagged with `request_id`.
+    pub fn to_frame(&self, request_id: u64) -> Vec<u8> {
+        Frame::encode(self.kind(), request_id, &self.encode_payload())
     }
 
     /// Decodes a request from a frame's kind byte and payload. Every
@@ -665,25 +638,10 @@ impl Request {
                 echo: r.rest().to_vec(),
             }),
             REQ_COMPRESS => {
-                let tag = r.u8("compress model tag")?;
-                let param = r.u32("compress model param")?;
-                let model = model_from_tag(tag, param)?;
-                let orig = LossyCodec::from_bytes(r.take(9, "compress orig codec")?)?;
-                let delta = LossyCodec::from_bytes(r.take(9, "compress delta codec")?)?;
-                let scan_1d = r.u8("compress scan_1d flag")? != 0;
-                let chunks = r.u16("compress chunk count")?;
-                let shape = decode_shape(&mut r)?;
-                let data = decode_samples(&mut r, shape)?;
+                let meta = decode_compress_meta(&mut r)?;
+                let data = decode_samples(&mut r, meta.shape)?;
                 r.finish("compress trailing bytes")?;
-                Ok(Request::Compress(CompressRequest {
-                    model,
-                    orig,
-                    delta,
-                    scan_1d,
-                    chunks,
-                    shape,
-                    data,
-                }))
+                Ok(Request::Compress(CompressRequest::from_meta(meta, data)))
             }
             REQ_DECOMPRESS => Ok(Request::Decompress {
                 artifact: r.rest().to_vec(),
@@ -714,23 +672,9 @@ impl Request {
                 Ok(Request::Shutdown)
             }
             REQ_COMPRESS_STREAM_BEGIN => {
-                let tag = r.u8("stream model tag")?;
-                let param = r.u32("stream model param")?;
-                let model = model_from_tag(tag, param)?;
-                let orig = LossyCodec::from_bytes(r.take(9, "stream orig codec")?)?;
-                let delta = LossyCodec::from_bytes(r.take(9, "stream delta codec")?)?;
-                let scan_1d = r.u8("stream scan_1d flag")? != 0;
-                let chunks = r.u16("stream chunk count")?;
-                let shape = decode_shape(&mut r)?;
+                let meta = decode_compress_meta(&mut r)?;
                 r.finish("stream-begin trailing bytes")?;
-                Ok(Request::CompressStreamBegin(CompressStreamMeta {
-                    model,
-                    orig,
-                    delta,
-                    scan_1d,
-                    chunks,
-                    shape,
-                }))
+                Ok(Request::CompressStreamBegin(meta))
             }
             REQ_STREAM_CHUNK => Ok(Request::StreamChunk {
                 bytes: r.rest().to_vec(),
@@ -943,7 +887,7 @@ impl Response {
                 }
             }
             Response::Selected(s) => {
-                let (tag, param) = model_to_tag(s.winner);
+                let (tag, param) = s.winner.tag();
                 out.push(tag);
                 out.extend_from_slice(&param.to_le_bytes());
                 out.push(s.sampled as u8);
@@ -951,7 +895,7 @@ impl Response {
                     &(s.trials.len().min(u16::MAX as usize) as u16).to_le_bytes(),
                 );
                 for t in s.trials.iter().take(u16::MAX as usize) {
-                    let (tag, param) = model_to_tag(t.model);
+                    let (tag, param) = t.model.tag();
                     out.push(tag);
                     out.extend_from_slice(&param.to_le_bytes());
                     out.extend_from_slice(&t.raw_bytes.to_le_bytes());
@@ -964,14 +908,9 @@ impl Response {
         out
     }
 
-    /// Serializes into one complete v1 frame (implicit request id 0).
-    pub fn to_frame(&self) -> Vec<u8> {
-        Frame::encode(self.kind(), &self.encode_payload())
-    }
-
-    /// Serializes into one complete v2 frame tagged with `request_id`.
-    pub fn to_frame_v2(&self, request_id: u64) -> Vec<u8> {
-        Frame::encode_v2(self.kind(), request_id, &self.encode_payload())
+    /// Serializes into one complete frame tagged with `request_id`.
+    pub fn to_frame(&self, request_id: u64) -> Vec<u8> {
+        Frame::encode(self.kind(), request_id, &self.encode_payload())
     }
 
     /// Decodes a response from a frame's kind byte and payload. Every
@@ -1079,9 +1018,9 @@ mod tests {
 
     #[test]
     fn frame_roundtrips() {
-        let bytes = Frame::encode(REQ_PING, b"hello");
+        let bytes = Frame::encode(REQ_PING, 0, b"hello");
+        assert_eq!(bytes.len(), HEADER_LEN + 5);
         let f = Frame::from_bytes(&bytes).expect("frame");
-        assert_eq!(f.version, PROTOCOL_V1);
         assert_eq!(f.kind, REQ_PING);
         assert_eq!(f.request_id, 0);
         assert_eq!(f.payload, b"hello");
@@ -1089,9 +1028,10 @@ mod tests {
 
     #[test]
     fn v2_frame_roundtrips_with_request_id() {
-        let bytes = Frame::encode_v2(REQ_PING, 0xDEAD_BEEF_0042, b"hello");
+        let bytes = Frame::encode(REQ_PING, 0xDEAD_BEEF_0042, b"hello");
+        assert_eq!(&bytes[..4], MAGIC);
+        assert_eq!(&bytes[4..6], &PROTOCOL_V2.to_le_bytes());
         let f = Frame::from_bytes(&bytes).expect("frame");
-        assert_eq!(f.version, PROTOCOL_V2);
         assert_eq!(f.kind, REQ_PING);
         assert_eq!(f.request_id, 0xDEAD_BEEF_0042);
         assert_eq!(f.payload, b"hello");
@@ -1099,41 +1039,33 @@ mod tests {
 
     #[test]
     fn header_prefix_parses_incrementally() {
-        let bytes = Frame::encode_v2(REQ_STREAM_CHUNK, 7, &[1, 2, 3]);
+        let bytes = Frame::encode(REQ_STREAM_CHUNK, 7, &[1, 2, 3]);
         // Consistent prefixes ask for more bytes rather than erroring.
-        for cut in 0..HEADER_V2_LEN {
+        for cut in 0..HEADER_LEN {
             assert_eq!(
                 Frame::parse_header_prefix(&bytes[..cut]).expect("prefix"),
                 None,
                 "cut {cut}"
             );
         }
-        let header = Frame::parse_header_prefix(&bytes[..HEADER_V2_LEN])
+        let header = Frame::parse_header_prefix(&bytes[..HEADER_LEN])
             .expect("header")
             .expect("complete");
-        assert_eq!(header.version, PROTOCOL_V2);
         assert_eq!(header.kind, REQ_STREAM_CHUNK);
         assert_eq!(header.request_id, 7);
         assert_eq!(header.payload_len, 3);
-        assert_eq!(header.header_len(), HEADER_V2_LEN);
-
-        // A v1 header completes at 16 bytes with the implicit id.
-        let v1 = Frame::encode(REQ_PING, b"x");
-        let header = Frame::parse_header_prefix(&v1[..HEADER_LEN])
-            .expect("header")
-            .expect("complete");
-        assert_eq!(header.version, PROTOCOL_V1);
-        assert_eq!(header.request_id, 0);
-        assert_eq!(header.header_len(), HEADER_LEN);
 
         // Bad magic is rejected from the very first divergent byte.
         assert!(Frame::parse_header_prefix(b"X").is_err());
         assert!(Frame::parse_header_prefix(b"LRMX").is_err());
-        // An unknown version is rejected as soon as it is visible.
-        assert!(matches!(
-            Frame::parse_header_prefix(&[b'L', b'R', b'M', b'P', 9, 0]),
-            Err(DecodeError::UnsupportedVersion { .. })
-        ));
+        // Any other version, including the retired 16-byte version 1, is
+        // rejected as soon as it is visible.
+        for version in [1u8, 9] {
+            assert!(matches!(
+                Frame::parse_header_prefix(&[b'L', b'R', b'M', b'P', version, 0]),
+                Err(DecodeError::UnsupportedVersion { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1173,12 +1105,7 @@ mod tests {
             Request::DecompressStreamBegin,
         ];
         for req in requests {
-            // v1 framing (implicit id 0)…
-            let frame = Frame::from_bytes(&req.to_frame()).expect("frame");
-            let back = Request::decode(frame.kind, &frame.payload).expect("request");
-            assert_eq!(req, back);
-            // …and v2 framing with a pipelined request id.
-            let frame = Frame::from_bytes(&req.to_frame_v2(31)).expect("v2 frame");
+            let frame = Frame::from_bytes(&req.to_frame(31)).expect("frame");
             assert_eq!(frame.request_id, 31);
             let back = Request::decode(frame.kind, &frame.payload).expect("request");
             assert_eq!(req, back);
@@ -1232,10 +1159,7 @@ mod tests {
             },
         ];
         for resp in responses {
-            let frame = Frame::from_bytes(&resp.to_frame()).expect("frame");
-            let back = Response::decode(frame.kind, &frame.payload).expect("response");
-            assert_eq!(resp, back);
-            let frame = Frame::from_bytes(&resp.to_frame_v2(99)).expect("v2 frame");
+            let frame = Frame::from_bytes(&resp.to_frame(99)).expect("frame");
             assert_eq!(frame.request_id, 99);
             let back = Response::decode(frame.kind, &frame.payload).expect("response");
             assert_eq!(resp, back);
@@ -1250,7 +1174,7 @@ mod tests {
             shape: Shape::d1(3),
             data: vec![f64::NAN, -0.0, f64::INFINITY],
         };
-        let frame = Frame::from_bytes(&req.to_frame()).expect("frame");
+        let frame = Frame::from_bytes(&req.to_frame(1)).expect("frame");
         let Request::FieldStats { data, .. } =
             Request::decode(frame.kind, &frame.payload).expect("request")
         else {
@@ -1263,7 +1187,7 @@ mod tests {
 
     #[test]
     fn corrupt_frames_are_typed_errors() {
-        let good = sample_compress().to_frame();
+        let good = sample_compress().to_frame(5);
         // Bad magic.
         let mut bad = good.clone();
         bad[0] = b'X';
@@ -1296,41 +1220,19 @@ mod tests {
         for cut in 0..good.len() {
             assert!(Frame::from_bytes(&good[..cut]).is_err(), "cut {cut}");
         }
-        // The same holds under v2 framing.
-        let good = sample_compress().to_frame_v2(5);
-        for cut in 0..good.len() {
-            assert!(Frame::from_bytes(&good[..cut]).is_err(), "v2 cut {cut}");
-        }
-        let mut bad = good.clone();
-        bad[7] = 0x40;
-        assert!(matches!(
-            Frame::from_bytes(&bad),
-            Err(DecodeError::Corrupt { .. })
-        ));
     }
 
     #[test]
     fn shape_data_mismatch_is_rejected() {
         // Claim 1000 samples but ship 12.
-        let mut payload = Request::Ping { echo: vec![] }.encode_payload();
-        payload.clear();
-        let c = sample_compress();
-        let Request::Compress(c) = c else {
+        let Request::Compress(c) = sample_compress() else {
             unreachable!()
         };
-        let (tag, param) = model_to_tag(c.model);
-        payload.push(tag);
-        payload.extend_from_slice(&param.to_le_bytes());
-        payload.extend_from_slice(&c.orig.to_bytes());
-        payload.extend_from_slice(&c.delta.to_bytes());
-        payload.push(1);
-        payload.extend_from_slice(&4u16.to_le_bytes());
-        for d in [10u32, 10, 10] {
-            payload.extend_from_slice(&d.to_le_bytes());
-        }
-        for v in &c.data {
-            payload.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        let mut meta = c.meta();
+        meta.shape = Shape::d3(10, 10, 10);
+        let mut payload = Vec::new();
+        encode_compress_meta(&mut payload, &meta);
+        encode_samples(&mut payload, &c.data);
         assert!(Request::decode(REQ_COMPRESS, &payload).is_err());
     }
 
@@ -1339,7 +1241,7 @@ mod tests {
         assert!(model_from_tag(3, 0).is_err());
         for tag in [0u8, 1, 2, 4, 5, 6, 7, 8, 9] {
             let model = model_from_tag(tag, 2).expect("tag");
-            assert_eq!(model_to_tag(model).0, tag);
+            assert_eq!(model.tag().0, tag);
         }
         assert!(matches!(
             model_from_tag(42, 0),

@@ -48,7 +48,7 @@ fn sample_requests(rng: &mut Rng64) -> Vec<Request> {
             data,
         }),
         Request::Shutdown,
-        // The v2 chunk-streaming kinds.
+        // The chunk-streaming kinds.
         Request::CompressStreamBegin(CompressStreamMeta {
             model: ReducedModelKind::OneBase,
             orig: LossyCodec::SzRel(1e-5),
@@ -114,10 +114,6 @@ fn sample_responses(rng: &mut Rng64) -> Vec<Response> {
     ]
 }
 
-fn rng_id(rng: &mut Rng64) -> u64 {
-    rng.next_u64()
-}
-
 fn flip_bytes(rng: &mut Rng64, stream: &mut [u8]) {
     if stream.is_empty() {
         return;
@@ -142,32 +138,28 @@ fn decode_fully(bytes: &[u8]) {
 fn frame_prefix_truncation_is_always_an_error() {
     let mut rng = Rng64::new(21);
     for req in sample_requests(&mut rng) {
-        // Both framings of every kind: v1 (16-byte header) and v2
-        // (24-byte header with a request id).
-        for bytes in [req.to_frame(), req.to_frame_v2(0x1122_3344_5566_7788)] {
-            for cut in 0..bytes.len() {
-                assert!(
-                    Frame::from_bytes(&bytes[..cut]).is_err(),
-                    "{:?}: frame prefix of {cut}/{} bytes decoded Ok",
-                    req.kind(),
-                    bytes.len()
-                );
-            }
-            assert!(Frame::from_bytes(&bytes).is_ok());
+        let bytes = req.to_frame(0x1122_3344_5566_7788);
+        for cut in 0..bytes.len() {
+            assert!(
+                Frame::from_bytes(&bytes[..cut]).is_err(),
+                "{:?}: frame prefix of {cut}/{} bytes decoded Ok",
+                req.kind(),
+                bytes.len()
+            );
         }
+        assert!(Frame::from_bytes(&bytes).is_ok());
     }
     for resp in sample_responses(&mut rng) {
-        for bytes in [resp.to_frame(), resp.to_frame_v2(u64::MAX)] {
-            for cut in 0..bytes.len() {
-                assert!(
-                    Frame::from_bytes(&bytes[..cut]).is_err(),
-                    "{:?}: frame prefix of {cut}/{} bytes decoded Ok",
-                    resp.kind(),
-                    bytes.len()
-                );
-            }
-            assert!(Frame::from_bytes(&bytes).is_ok());
+        let bytes = resp.to_frame(u64::MAX);
+        for cut in 0..bytes.len() {
+            assert!(
+                Frame::from_bytes(&bytes[..cut]).is_err(),
+                "{:?}: frame prefix of {cut}/{} bytes decoded Ok",
+                resp.kind(),
+                bytes.len()
+            );
         }
+        assert!(Frame::from_bytes(&bytes).is_ok());
     }
 }
 
@@ -203,7 +195,7 @@ fn request_byte_flips_never_panic() {
     let mut rng = Rng64::new(23);
     let frames: Vec<Vec<u8>> = sample_requests(&mut rng)
         .iter()
-        .flat_map(|r| [r.to_frame(), r.to_frame_v2(rng_id(&mut rng))])
+        .map(|r| r.to_frame(rng.next_u64()))
         .collect();
     let mut trials = 0;
     while trials < FLIP_TRIALS {
@@ -221,7 +213,7 @@ fn response_byte_flips_never_panic() {
     let mut rng = Rng64::new(24);
     let frames: Vec<Vec<u8>> = sample_responses(&mut rng)
         .iter()
-        .flat_map(|r| [r.to_frame(), r.to_frame_v2(rng_id(&mut rng))])
+        .map(|r| r.to_frame(rng.next_u64()))
         .collect();
     let mut trials = 0;
     while trials < FLIP_TRIALS {
@@ -249,11 +241,7 @@ fn garbage_streams_never_panic() {
         decode_fully(&stream);
     }
     // Valid header claiming a huge payload over a short buffer.
-    let mut huge = Frame::encode(0x01, &[]);
-    huge[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-    assert!(Frame::from_bytes(&huge).is_err());
-    // The same attack under a v2 header.
-    let mut huge = Frame::encode_v2(0x06, u64::MAX, &[]);
+    let mut huge = Frame::encode(0x06, u64::MAX, &[]);
     huge[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
     assert!(Frame::from_bytes(&huge).is_err());
 }

@@ -2,15 +2,11 @@
 //!
 //! Covers the acceptance criteria for the serving layer: ≥ 4 concurrent
 //! client threads round-tripping Heat3d/Laplace fields within the
-//! requested error bound, a typed `Busy` frame once `max_inflight` is
-//! exceeded (not a hang or a drop), a `Timeout` frame when the deadline
-//! elapses mid-request, a `TooLarge` frame for oversized payloads, and
-//! shutdown draining in-flight requests before `serve()` returns.
-//!
-//! The PR 5 era tests deliberately keep driving the deprecated
-//! connect-per-request `Client` shim: they double as the backwards
-//! compatibility suite for it, alongside the raw v1-frame test.
-#![allow(deprecated)]
+//! requested error bound, a typed `Busy` frame once `max_inflight` or
+//! `max_connections` is exceeded (not a hang or a drop), a `Timeout`
+//! frame when the deadline elapses mid-request, a `TooLarge` frame for
+//! oversized payloads, and shutdown draining in-flight requests before
+//! `serve()` returns.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -18,10 +14,12 @@ use std::time::Duration;
 
 use lrm_core::{LossyCodec, PipelineConfig, ReducedModelKind};
 use lrm_datasets::{generate, DatasetKind, SizeClass};
-use lrm_server::protocol::{RESP_COMPRESSED, RESP_ERR_MALFORMED, RESP_ERR_TIMEOUT, RESP_PONG};
+use lrm_server::protocol::{
+    MAGIC, REQ_PING, RESP_COMPRESSED, RESP_ERR_MALFORMED, RESP_ERR_TIMEOUT, RESP_PONG,
+};
 use lrm_server::{
-    Client, ClientError, CompressRequest, CompressStreamMeta, Connection, Frame, Request, Response,
-    SelectRequest, Server, ServerConfig, ServerErrorKind, ServerStats, PROTOCOL_V1, PROTOCOL_V2,
+    ClientError, CompressRequest, CompressStreamMeta, Connection, Frame, Request, Response,
+    SelectRequest, Server, ServerConfig, ServerErrorKind, ServerStats,
 };
 
 fn start(config: ServerConfig) -> (SocketAddr, std::thread::JoinHandle<ServerStats>) {
@@ -29,6 +27,13 @@ fn start(config: ServerConfig) -> (SocketAddr, std::thread::JoinHandle<ServerSta
     let addr = server.local_addr().expect("local addr");
     let handle = std::thread::spawn(move || server.serve().expect("serve"));
     (addr, handle)
+}
+
+fn shutdown(addr: SocketAddr) {
+    Connection::open(addr)
+        .expect("open")
+        .shutdown()
+        .expect("shutdown");
 }
 
 fn compress_request(field: &lrm_datasets::Field, model: ReducedModelKind) -> CompressRequest {
@@ -44,14 +49,14 @@ fn compress_request(field: &lrm_datasets::Field, model: ReducedModelKind) -> Com
 }
 
 /// Writes a ping frame in two halves with a pause in between, keeping a
-/// worker (or the queue) occupied for `hold`; returns the response
-/// frame kind. This is how the tests pin down Busy/drain behavior
-/// deterministically.
+/// worker (or the queue) occupied for `hold`, then half-closes; returns
+/// the response frame kind. This is how the tests pin down Busy/drain
+/// behavior deterministically.
 fn slow_ping(addr: SocketAddr, hold: Duration) -> Option<u8> {
     let frame = Request::Ping {
         echo: vec![0xAB; 64],
     }
-    .to_frame();
+    .to_frame(1);
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -60,13 +65,16 @@ fn slow_ping(addr: SocketAddr, hold: Duration) -> Option<u8> {
     stream.write_all(&frame[..split]).expect("first half");
     std::thread::sleep(hold);
     // Best-effort: when the hold outlives the server's deadline the
-    // server has already replied and closed, and this write may fail.
+    // server has already replied and closed, and these may fail.
     let _ = stream.write_all(&frame[split..]);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
     read_response_kind(&mut stream)
 }
 
-/// Reads whatever single response frame the server sends and returns
-/// its kind byte.
+/// Reads the single response frame the server sends before the
+/// connection closes and returns its kind byte. A connection stays open
+/// after answering a well-framed request, so the caller half-closes
+/// first.
 fn read_response_kind(stream: &mut TcpStream) -> Option<u8> {
     let mut bytes = Vec::new();
     stream.read_to_end(&mut bytes).ok()?;
@@ -95,14 +103,14 @@ fn concurrent_clients_roundtrip_within_bound() {
     std::thread::scope(|s| {
         for (field, model) in &jobs {
             s.spawn(move || {
-                let client = Client::new(addr).expect("client");
-                let (report, artifact) = client
+                let mut conn = Connection::open(addr).expect("open");
+                let (report, artifact) = conn
                     .compress(compress_request(field, *model))
                     .expect("compress");
                 assert_eq!(report.raw_bytes as usize, field.len() * 8);
                 assert!(report.ratio() > 1.0, "{}: no compression", field.name);
 
-                let (shape, data) = client.decompress(&artifact).expect("decompress");
+                let (shape, data) = conn.decompress(&artifact).expect("decompress");
                 assert_eq!(shape, field.shape);
                 assert_eq!(data.len(), field.len());
                 // Dual-bound SZ: rep at rel 1e-5, delta at rel 1e-3 of
@@ -125,8 +133,7 @@ fn concurrent_clients_roundtrip_within_bound() {
         }
     });
 
-    let client = Client::new(addr).expect("client");
-    client.shutdown().expect("shutdown");
+    shutdown(addr);
     let stats = handle.join().expect("join");
     // 6 compress + 6 decompress + 1 shutdown.
     assert_eq!(stats.served, 13);
@@ -140,9 +147,9 @@ fn stats_and_selection_are_served() {
         ..ServerConfig::default()
     });
     let field = generate(DatasetKind::Heat3d, SizeClass::Tiny).full;
-    let client = Client::new(addr).expect("client");
+    let mut conn = Connection::open(addr).expect("open");
 
-    let stats = client.field_stats(field.shape, &field.data).expect("stats");
+    let stats = conn.field_stats(field.shape, &field.data).expect("stats");
     assert_eq!(stats.count as usize, field.len());
     let (lo, hi) = field.min_max();
     assert_eq!(stats.min, lo);
@@ -150,7 +157,7 @@ fn stats_and_selection_are_served() {
     assert!(stats.byte_entropy > 0.0 && stats.byte_entropy <= 8.0);
 
     let (orig, delta) = lrm_core::sz_paper_bounds();
-    let reply = client
+    let reply = conn
         .select_model(SelectRequest {
             exhaustive: false,
             orig,
@@ -177,7 +184,7 @@ fn stats_and_selection_are_served() {
     assert_eq!(reply.winner, local.winner);
     assert_eq!(reply.sampled, local.sampled);
 
-    client.shutdown().expect("shutdown");
+    conn.shutdown().expect("shutdown");
     handle.join().expect("join");
 }
 
@@ -195,8 +202,8 @@ fn over_inflight_request_gets_typed_busy_frame() {
     std::thread::sleep(Duration::from_millis(300));
 
     // The next request must be refused with Busy — not hang, not drop.
-    let client = Client::new(addr).expect("client");
-    match client.ping(b"over capacity") {
+    let mut conn = Connection::open(addr).expect("open");
+    match conn.ping(b"over capacity") {
         Err(ClientError::Server {
             kind: ServerErrorKind::Busy,
             ..
@@ -210,7 +217,7 @@ fn over_inflight_request_gets_typed_busy_frame() {
     // Wait for the slot to free, then shut down.
     let mut acked = false;
     for _ in 0..100 {
-        if client.shutdown().is_ok() {
+        if conn.shutdown().is_ok() {
             acked = true;
             break;
         }
@@ -236,8 +243,7 @@ fn shutdown_drains_inflight_requests() {
     std::thread::sleep(Duration::from_millis(300));
 
     // ...while worker 2 acks a shutdown request.
-    let client = Client::new(addr).expect("client");
-    client.shutdown().expect("shutdown ack");
+    shutdown(addr);
 
     // The in-flight ping must still be answered before serve() returns.
     assert_eq!(holder.join().expect("holder"), Some(RESP_PONG));
@@ -258,8 +264,7 @@ fn deadline_overrun_gets_typed_timeout_frame() {
     let kind = slow_ping(addr, Duration::from_millis(1200));
     assert_eq!(kind, Some(RESP_ERR_TIMEOUT));
 
-    let client = Client::new(addr).expect("client");
-    client.shutdown().expect("shutdown");
+    shutdown(addr);
     handle.join().expect("join");
 }
 
@@ -271,18 +276,18 @@ fn oversized_payload_gets_typed_too_large_frame() {
         ..ServerConfig::default()
     });
 
-    let client = Client::new(addr).expect("client");
-    match client.ping(&vec![7u8; 4096]) {
+    let mut conn = Connection::open(addr).expect("open");
+    match conn.ping(&vec![7u8; 4096]) {
         Err(ClientError::Server {
             kind: ServerErrorKind::TooLarge,
             ..
         }) => {}
         other => panic!("expected TooLarge frame, got {other:?}"),
     }
-    // A small request still succeeds afterwards.
-    assert_eq!(client.ping(b"ok").expect("ping"), b"ok");
+    // A small request on the same connection still succeeds afterwards.
+    assert_eq!(conn.ping(b"ok").expect("ping"), b"ok");
 
-    client.shutdown().expect("shutdown");
+    conn.shutdown().expect("shutdown");
     handle.join().expect("join");
 }
 
@@ -293,22 +298,23 @@ fn hostile_bytes_get_typed_malformed_frame() {
         ..ServerConfig::default()
     });
 
-    // Garbage that is not even a frame header.
+    // Garbage that is not even a frame header. The framing is lost, so
+    // the server answers once and closes without waiting for the peer
+    // to half-close.
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(b"GET / HTTP/1.1\r\n\r\n").expect("write");
+    assert_eq!(read_response_kind(&mut stream), Some(RESP_ERR_MALFORMED));
+
+    // A well-framed payload that fails request decoding (bad codec tag).
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let frame = Frame::encode(0x01, 1, &[0xFF; 40]);
+    stream.write_all(&frame).expect("write");
     stream
         .shutdown(std::net::Shutdown::Write)
         .expect("half-close");
     assert_eq!(read_response_kind(&mut stream), Some(RESP_ERR_MALFORMED));
 
-    // A well-framed payload that fails request decoding (bad codec tag).
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let frame = Frame::encode(0x01, &[0xFF; 40]);
-    stream.write_all(&frame).expect("write");
-    assert_eq!(read_response_kind(&mut stream), Some(RESP_ERR_MALFORMED));
-
-    let client = Client::new(addr).expect("client");
-    client.shutdown().expect("shutdown");
+    shutdown(addr);
     handle.join().expect("join");
 }
 
@@ -366,47 +372,62 @@ fn pipelined_responses_match_request_ids_out_of_order() {
 }
 
 #[test]
-fn v1_frames_still_roundtrip_on_v2_server() {
+fn v1_header_gets_connection_level_malformed_frame() {
     let (addr, handle) = start(ServerConfig {
         threads: 1,
         ..ServerConfig::default()
     });
 
-    // A legacy v1 client: 16-byte headers, no request id, one request
-    // per connection. The v2 server must answer with a v1 frame and
-    // close after the response.
+    // A retired version-1 ping: 16-byte header, no request id.
+    let mut v1 = MAGIC.to_vec();
+    v1.extend_from_slice(&1u16.to_le_bytes());
+    v1.extend_from_slice(&[REQ_PING, 0]);
+    v1.extend_from_slice(&6u64.to_le_bytes());
+    v1.extend_from_slice(b"legacy");
     let mut stream = TcpStream::connect(addr).expect("connect");
-    let ping = Request::Ping {
-        echo: b"legacy".to_vec(),
-    };
-    stream.write_all(&ping.to_frame()).expect("write v1 ping");
+    stream.write_all(&v1).expect("write v1 ping");
+    // The header cannot be framed, so the reply carries request id 0
+    // and the server closes the connection after it.
     let mut bytes = Vec::new();
     stream.read_to_end(&mut bytes).expect("read to close");
-    let frame = Frame::from_bytes(&bytes).expect("exactly one v1 frame");
-    assert_eq!(frame.version, PROTOCOL_V1);
+    let frame = Frame::from_bytes(&bytes).expect("exactly one frame");
+    assert_eq!(frame.kind, RESP_ERR_MALFORMED);
     assert_eq!(frame.request_id, 0);
-    assert_eq!(frame.kind, RESP_PONG);
-    match Response::decode(frame.kind, &frame.payload).expect("decode pong") {
-        Response::Pong { echo } => assert_eq!(echo, b"legacy"),
-        other => panic!("expected Pong, got {other:?}"),
+
+    // The server keeps serving.
+    let mut conn = Connection::open(addr).expect("open");
+    assert_eq!(conn.ping(b"alive").expect("ping"), b"alive");
+    conn.shutdown().expect("shutdown");
+    handle.join().expect("join");
+}
+
+#[test]
+fn over_max_connections_gets_busy_through_request_id_zero() {
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        max_connections: 1,
+        ..ServerConfig::default()
+    });
+
+    // The ping round trip proves the first connection is registered.
+    let mut held = Connection::open(addr).expect("open");
+    assert_eq!(held.ping(b"first").expect("ping"), b"first");
+
+    // The refusal is sent at accept time under request id 0; `wait`
+    // hands it to the request being waited on.
+    let mut refused = Connection::open(addr).expect("open");
+    match refused.ping(b"second") {
+        Err(ClientError::Server {
+            kind: ServerErrorKind::Busy,
+            ..
+        }) => {}
+        other => panic!("expected Busy frame, got {other:?}"),
     }
 
-    // A structured v1 request (compress) round-trips the same way.
-    let field = generate(DatasetKind::Laplace, SizeClass::Tiny).full;
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let req = Request::Compress(compress_request(&field, ReducedModelKind::Direct));
-    stream
-        .write_all(&req.to_frame())
-        .expect("write v1 compress");
-    let mut bytes = Vec::new();
-    stream.read_to_end(&mut bytes).expect("read to close");
-    let frame = Frame::from_bytes(&bytes).expect("exactly one v1 frame");
-    assert_eq!(frame.version, PROTOCOL_V1);
-    assert_eq!(frame.kind, RESP_COMPRESSED);
-
-    let client = Client::new(addr).expect("client");
-    client.shutdown().expect("shutdown");
-    handle.join().expect("join");
+    held.shutdown().expect("shutdown");
+    let stats = handle.join().expect("join");
+    assert_eq!(stats.rejected_busy, 1);
+    assert_eq!(stats.connections, 2);
 }
 
 #[test]
@@ -437,7 +458,7 @@ fn shutdown_drains_inflight_streaming_request() {
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("timeout");
     stream
-        .write_all(&Request::CompressStreamBegin(meta).to_frame_v2(id))
+        .write_all(&Request::CompressStreamBegin(meta).to_frame(id))
         .expect("begin");
     let split = bytes.len() / 3;
     stream
@@ -445,14 +466,13 @@ fn shutdown_drains_inflight_streaming_request() {
             &Request::StreamChunk {
                 bytes: bytes[..split].to_vec(),
             }
-            .to_frame_v2(id),
+            .to_frame(id),
         )
         .expect("first chunk");
     std::thread::sleep(Duration::from_millis(300));
 
     // ...let a shutdown land mid-stream...
-    let client = Client::new(addr).expect("client");
-    client.shutdown().expect("shutdown ack");
+    shutdown(addr);
 
     // ...then finish the upload. The drain must keep accepting the
     // stream's remaining frames and answer before serve() returns.
@@ -461,16 +481,15 @@ fn shutdown_drains_inflight_streaming_request() {
             &Request::StreamChunk {
                 bytes: bytes[split..].to_vec(),
             }
-            .to_frame_v2(id),
+            .to_frame(id),
         )
         .expect("second chunk");
     stream
-        .write_all(&Request::StreamEnd.to_frame_v2(id))
+        .write_all(&Request::StreamEnd.to_frame(id))
         .expect("end");
     let mut reply = Vec::new();
     stream.read_to_end(&mut reply).expect("read to close");
-    let frame = Frame::from_bytes(&reply).expect("one v2 response frame");
-    assert_eq!(frame.version, PROTOCOL_V2);
+    let frame = Frame::from_bytes(&reply).expect("one response frame");
     assert_eq!(frame.request_id, id);
     assert_eq!(frame.kind, RESP_COMPRESSED);
 

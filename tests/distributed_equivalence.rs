@@ -2,12 +2,8 @@
 //! identical to the serial computation, and the staged pipeline must
 //! produce the same artifacts as inline compression.
 
-// These tests deliberately stay on the deprecated free-function API: they
-// are the compile-time proof that pre-0.2 call sites still work through
-// the shims.
-#![allow(deprecated)]
 use lrm::core::parallel_one_base::distributed_one_base;
-use lrm::core::{precondition_and_compress, PipelineConfig, ReducedModelKind};
+use lrm::core::{Pipeline, PipelineConfig, ReducedModelKind};
 use lrm::datasets::{generate, DatasetKind, Field, SizeClass};
 use lrm::io::StagingPipeline;
 
@@ -44,13 +40,13 @@ fn distributed_delta_is_grid_invariant() {
 fn staged_compression_equals_inline_compression() {
     let field = generate(DatasetKind::Laplace, SizeClass::Tiny).full;
     let shape = field.shape;
-    let cfg = PipelineConfig::sz(ReducedModelKind::OneBase);
+    let pipeline = Pipeline::from_config(PipelineConfig::sz(ReducedModelKind::OneBase));
 
-    let inline = precondition_and_compress(&field, &cfg);
+    let inline = pipeline.compress(&field);
 
     let staging = StagingPipeline::start(2, move |name, data| {
         let f = Field::new(name.to_string(), data.to_vec(), shape);
-        precondition_and_compress(&f, &cfg).bytes
+        pipeline.compress(&f).bytes
     });
     staging.submit("snap", field.data.clone());
     let results = staging.finish();
@@ -63,10 +59,10 @@ fn staged_compression_equals_inline_compression() {
 fn staging_handles_many_snapshots_under_load() {
     let field = generate(DatasetKind::Wave, SizeClass::Tiny).full;
     let shape = field.shape;
-    let cfg = PipelineConfig::sz(ReducedModelKind::Direct);
+    let pipeline = Pipeline::from_config(PipelineConfig::sz(ReducedModelKind::Direct));
     let staging = StagingPipeline::start(4, move |name, data| {
         let f = Field::new(name.to_string(), data.to_vec(), shape);
-        precondition_and_compress(&f, &cfg).bytes
+        pipeline.compress(&f).bytes
     });
     for i in 0..32 {
         staging.submit(format!("s{i}"), field.data.clone());

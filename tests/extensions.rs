@@ -1,14 +1,8 @@
 //! Integration tests for the beyond-the-paper extensions, exercised
 //! through the public umbrella API exactly as a downstream user would.
 
-// These tests deliberately stay on the deprecated free-function API: they
-// are the compile-time proof that pre-0.2 call sites still work through
-// the shims.
-#![allow(deprecated)]
 use lrm::core::temporal::{compress_series, reconstruct_series};
-use lrm::core::{
-    precondition_and_compress, reconstruct, sz_paper_bounds, PipelineConfig, ReducedModelKind,
-};
+use lrm::core::{sz_paper_bounds, Pipeline, PipelineConfig, ReducedModelKind};
 use lrm::datasets::heat3d::Heat3d;
 use lrm::datasets::heat3d_dist::solve_distributed;
 use lrm::datasets::{generate, snapshots, DatasetKind, SizeClass};
@@ -25,9 +19,9 @@ fn blocked_and_randomized_svd_models_work_through_the_pipeline() {
         ReducedModelKind::SvdBlocked(4),
         ReducedModelKind::SvdRandomized,
     ] {
-        let cfg = PipelineConfig::sz(model).with_scan_1d(true);
-        let art = precondition_and_compress(&field, &cfg);
-        let (rec, shape) = reconstruct(&art.bytes);
+        let pipeline = Pipeline::from_config(PipelineConfig::sz(model).with_scan_1d(true));
+        let art = pipeline.compress(&field);
+        let (rec, shape) = pipeline.reconstruct(&art.bytes).expect("decode");
         assert_eq!(shape, field.shape, "{model:?}");
         assert!(
             nrmse(&field.data, &rec) < 0.05,
@@ -81,9 +75,9 @@ fn distributed_heat3d_feeds_the_pipeline_identically() {
     };
     let serial = cfg.solve();
     let dist = solve_distributed(&cfg, 4);
-    let p = PipelineConfig::sz(ReducedModelKind::OneBase).with_scan_1d(true);
-    let a = precondition_and_compress(&serial, &p);
-    let b = precondition_and_compress(&dist, &p);
+    let p = Pipeline::from_config(PipelineConfig::sz(ReducedModelKind::OneBase).with_scan_1d(true));
+    let a = p.compress(&serial);
+    let b = p.compress(&dist);
     // Same bits in, same artifact payload out.
     assert_eq!(a.report.total_bytes(), b.report.total_bytes());
 }
@@ -105,15 +99,16 @@ fn artifacts_survive_a_disk_round_trip() {
     let _ = std::fs::remove_dir_all(&dir);
     let store = DiskStore::open(&dir).expect("open");
     let fields = snapshots(DatasetKind::Laplace, 3, SizeClass::Tiny);
-    let cfg = PipelineConfig::sz(ReducedModelKind::OneBase).with_scan_1d(true);
+    let pipeline =
+        Pipeline::from_config(PipelineConfig::sz(ReducedModelKind::OneBase).with_scan_1d(true));
     for f in &fields {
-        let art = precondition_and_compress(f, &cfg);
+        let art = pipeline.compress(f);
         store.write(&f.name, &art.bytes).expect("persist");
     }
     assert_eq!(store.list().expect("list").len(), 3);
     for f in &fields {
         let bytes = store.read(&f.name).expect("read");
-        let (rec, _) = reconstruct(&bytes);
+        let (rec, _) = pipeline.reconstruct(&bytes).expect("decode");
         assert!(nrmse(&f.data, &rec) < 0.01, "{}", f.name);
     }
 }

@@ -2,14 +2,7 @@
 //! codec — generate, precondition, serialize, reconstruct, and check the
 //! error and size accounting end to end.
 
-// These tests deliberately stay on the deprecated free-function API: they
-// are the compile-time proof that pre-0.2 call sites still work through
-// the shims.
-#![allow(deprecated)]
-use lrm::core::{
-    precondition_and_compress, precondition_and_compress_with_aux, reconstruct, PipelineConfig,
-    ReducedModelKind,
-};
+use lrm::core::{Pipeline, PipelineConfig, ReducedModelKind};
 use lrm::datasets::{generate, DatasetKind, SizeClass};
 use lrm::io::Artifact;
 use lrm::stats::{nrmse, Summary};
@@ -17,17 +10,18 @@ use lrm::stats::{nrmse, Summary};
 fn roundtrip_ok(cfg: &PipelineConfig, kind: DatasetKind) {
     let pair = generate(kind, SizeClass::Tiny);
     let field = &pair.full;
+    let pipeline = Pipeline::from_config(*cfg);
     let art = if cfg.model == ReducedModelKind::DuoModel {
-        precondition_and_compress_with_aux(field, &pair.reduced, cfg)
+        pipeline.compress_with_aux(field, &pair.reduced)
     } else {
-        precondition_and_compress(field, cfg)
+        pipeline.compress(field)
     };
     // The artifact parses as a generic container, too.
     let parsed = Artifact::from_bytes(&art.bytes).expect("artifact parses");
     assert!(parsed.get("meta").is_some());
     assert!(parsed.get("delta").is_some());
 
-    let (rec, shape) = reconstruct(&art.bytes);
+    let (rec, shape) = pipeline.reconstruct(&art.bytes).expect("decode");
     assert_eq!(shape, field.shape, "{kind:?}/{:?}", cfg.model);
     assert_eq!(rec.len(), field.len());
     // Normalized error must be small; exact bounds are codec-specific and
@@ -89,8 +83,9 @@ fn reconstruction_preserves_summary_statistics() {
     // Requirement 2 of Section II-B: analytical features survive. Check
     // mean/range drift of a full preconditioned roundtrip.
     let field = generate(DatasetKind::SedovPres, SizeClass::Tiny).full;
-    let art = precondition_and_compress(&field, &PipelineConfig::sz(ReducedModelKind::Pca));
-    let (rec, _) = reconstruct(&art.bytes);
+    let pipeline = Pipeline::from_config(PipelineConfig::sz(ReducedModelKind::Pca));
+    let art = pipeline.compress(&field);
+    let (rec, _) = pipeline.reconstruct(&art.bytes).expect("decode");
     let a = Summary::of(&field.data);
     let b = Summary::of(&rec);
     let range = a.range().max(1e-12);
@@ -104,12 +99,14 @@ fn preconditioned_artifacts_are_portable_bytes() {
     // Serialize on one "machine", reconstruct on "another": only the raw
     // bytes cross the boundary.
     let field = generate(DatasetKind::Laplace, SizeClass::Tiny).full;
-    let art = precondition_and_compress(
-        &field,
-        &PipelineConfig::sz(ReducedModelKind::OneBase).with_scan_1d(true),
-    );
+    let art =
+        Pipeline::from_config(PipelineConfig::sz(ReducedModelKind::OneBase).with_scan_1d(true))
+            .compress(&field);
     let wire: Vec<u8> = art.bytes.clone();
-    let (rec, shape) = reconstruct(&wire);
+    let (rec, shape) = Pipeline::builder()
+        .build()
+        .reconstruct(&wire)
+        .expect("decode");
     assert_eq!(shape, field.shape);
     assert_eq!(rec.len(), field.len());
 }

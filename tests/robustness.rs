@@ -1,15 +1,21 @@
 //! Robustness integration tests: corrupt inputs, adversarial fields, and
 //! failure-injection around the pipeline's parsing layers.
 
-// These tests deliberately stay on the deprecated free-function API: they
-// are the compile-time proof that pre-0.2 call sites still work through
-// the shims.
-#![allow(deprecated)]
-use lrm::core::Pipeline;
-use lrm::core::{precondition_and_compress, reconstruct, PipelineConfig, ReducedModelKind};
+use lrm::core::{Pipeline, PipelineConfig, PreconditionedArtifact, ReducedModelKind};
 use lrm::datasets::Field;
 use lrm::io::Artifact;
 use lrm_compress::Shape;
+
+fn compress(field: &Field, cfg: &PipelineConfig) -> PreconditionedArtifact {
+    Pipeline::from_config(*cfg).compress(field)
+}
+
+fn reconstruct(bytes: &[u8]) -> (Vec<f64>, Shape) {
+    Pipeline::builder()
+        .build()
+        .reconstruct(bytes)
+        .expect("decode")
+}
 
 fn sample_field() -> Field {
     let shape = Shape::d2(16, 12);
@@ -21,27 +27,22 @@ fn sample_field() -> Field {
 
 #[test]
 fn reconstruct_rejects_corrupt_magic() {
-    let art = precondition_and_compress(
+    let art = compress(
         &sample_field(),
         &PipelineConfig::sz(ReducedModelKind::OneBase),
     );
     let mut bytes = art.bytes.clone();
     bytes[0] ^= 0xFF;
-    // The modern API reports corruption as a typed error...
     let p = Pipeline::builder().build();
     assert!(
         p.reconstruct(&bytes).is_err(),
         "corrupt magic must not decode silently"
     );
-    // ...while the deprecated shim keeps its documented panic contract.
-    let r = std::panic::catch_unwind(|| reconstruct(&bytes));
-    assert!(r.is_err(), "deprecated shim must keep panicking");
 }
 
 #[test]
 fn reconstruct_rejects_truncated_artifacts() {
-    let art =
-        precondition_and_compress(&sample_field(), &PipelineConfig::sz(ReducedModelKind::Pca));
+    let art = compress(&sample_field(), &PipelineConfig::sz(ReducedModelKind::Pca));
     let p = Pipeline::builder().build();
     // Every strict prefix of the stream must decode to Err, never panic.
     for cut in 0..art.bytes.len() {
@@ -55,8 +56,7 @@ fn reconstruct_rejects_truncated_artifacts() {
 #[test]
 fn artifact_sections_are_inspectable_without_reconstruction() {
     // A storage layer can account sizes without touching codec state.
-    let art =
-        precondition_and_compress(&sample_field(), &PipelineConfig::zfp(ReducedModelKind::Svd));
+    let art = compress(&sample_field(), &PipelineConfig::zfp(ReducedModelKind::Svd));
     let parsed = Artifact::from_bytes(&art.bytes).expect("parse");
     let rep = parsed.get("rep").expect("rep").len();
     let delta = parsed.get("delta").expect("delta").len();
@@ -97,7 +97,7 @@ fn adversarial_fields_roundtrip() {
             PipelineConfig::sz(ReducedModelKind::OneBase),
             PipelineConfig::sz(ReducedModelKind::Pca),
         ] {
-            let art = precondition_and_compress(&f, &cfg);
+            let art = compress(&f, &cfg);
             let (rec, _) = reconstruct(&art.bytes);
             assert_eq!(rec.len(), f.len(), "{name}/{:?}", cfg.model);
             let max = f.data.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
@@ -120,7 +120,7 @@ fn empty_and_single_point_fields() {
         PipelineConfig::sz(ReducedModelKind::Pca),
         PipelineConfig::sz(ReducedModelKind::Wavelet),
     ] {
-        let art = precondition_and_compress(&one, &cfg);
+        let art = compress(&one, &cfg);
         let (rec, _) = reconstruct(&art.bytes);
         assert_eq!(rec.len(), 1);
         assert!((rec[0] - 5.5).abs() < 1e-3, "{:?}: {}", cfg.model, rec[0]);
@@ -134,7 +134,7 @@ fn nan_inputs_do_not_poison_neighbors() {
     data[20] = f64::NAN;
     let f = Field::new("nan", data.clone(), shape);
     let cfg = PipelineConfig::sz(ReducedModelKind::Direct);
-    let art = precondition_and_compress(&f, &cfg);
+    let art = compress(&f, &cfg);
     let (rec, _) = reconstruct(&art.bytes);
     for (i, (a, b)) in data.iter().zip(&rec).enumerate() {
         if i == 20 {
