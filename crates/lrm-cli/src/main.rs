@@ -8,8 +8,12 @@
 //!   fig1 table2 fig3 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table4
 //!   select   (the model-selection extension)
 //!   chunked  (chunk-parallel engine: per-chunk and aggregate ratios)
+//!   verify   (reconstruction error against the configured bound)
 //!   all      (everything, in paper order)
 //! ```
+//!
+//! `chunked` and `verify` print self-checks; when one reads `false` the
+//! process exits 1 after printing (so does `all`). Usage errors exit 2.
 
 use lrm_cli::experiments::{
     characteristics, dimred, end_to_end, overhead, projection, rate_distortion,
@@ -513,7 +517,8 @@ fn run_temporal(size: SizeClass, outputs: usize) {
     println!("per-snapshot bytes: {:?}\n", series.snapshot_bytes);
 }
 
-fn run_verify(size: SizeClass) {
+/// Prints the bound-verification table; returns whether every row holds.
+fn run_verify(size: SizeClass) -> bool {
     use lrm_core::{Pipeline, PipelineConfig, ReducedModelKind};
     use lrm_datasets::{generate, DatasetKind};
     use lrm_stats::{Bound, BoundReport};
@@ -522,6 +527,7 @@ fn run_verify(size: SizeClass) {
         "{:<14} {:<10} {:>10} {:>12} {:>12} {:>8}",
         "dataset", "model", "violations", "worst util", "mean util", "holds"
     );
+    let mut all_hold = true;
     for kind in DatasetKind::ALL {
         let field = generate(kind, size).full;
         for model in [ReducedModelKind::Direct, ReducedModelKind::OneBase] {
@@ -544,6 +550,7 @@ fn run_verify(size: SizeClass) {
             }
             let envelope = (hi - lo).max(1e-12) * 2e-3;
             let report = BoundReport::check(&field.data, &rec, Bound::Absolute(envelope));
+            all_hold &= report.holds();
             println!(
                 "{:<14} {:<10} {:>10} {:>12.4} {:>12.4} {:>8}",
                 kind.name(),
@@ -556,12 +563,16 @@ fn run_verify(size: SizeClass) {
         }
     }
     println!();
+    all_hold
 }
 
-fn run_chunked(size: SizeClass, threads: usize, chunks: usize) {
+/// Prints per-chunk and aggregate ratios; returns whether every
+/// determinism self-check holds.
+fn run_chunked(size: SizeClass, threads: usize, chunks: usize) -> bool {
     use lrm_core::{Pipeline, ReducedModelKind};
     use lrm_datasets::{generate, DatasetKind};
     println!("== Chunk-parallel engine: per-chunk and aggregate ratios ==");
+    let mut all_hold = true;
     let field = generate(DatasetKind::Heat3d, size).full;
     println!(
         "field {} ({} values), chunks={chunks}, threads={}",
@@ -624,18 +635,20 @@ fn run_chunked(size: SizeClass, threads: usize, chunks: usize) {
             .chunks(1)
             .build()
             .compress(&field);
+        let threads_match = run.bytes == single.bytes;
+        let serial_match = one_chunk.bytes == serial.bytes;
+        all_hold &= threads_match && serial_match;
         println!(
-            "  threads={} matches threads=1: {}; chunks=1 matches serial: {}",
+            "  threads={} matches threads=1: {threads_match}; chunks=1 matches serial: {serial_match}",
             if threads == 0 {
                 "auto".to_string()
             } else {
                 threads.to_string()
             },
-            run.bytes == single.bytes,
-            one_chunk.bytes == serial.bytes
         );
     }
     println!();
+    all_hold
 }
 
 fn main() {
@@ -648,7 +661,9 @@ fn main() {
         _ => {}
     }
     let args = parse_args();
-    let run = |name: &str| match name {
+    // Cleared when a `chunked` or `verify` self-check reads false.
+    let mut held = true;
+    let mut run = |name: &str| match name {
         "fig1" => run_fig1(args.size),
         "table2" => run_table2(args.size),
         "fig3" => run_fig3(args.size, args.outputs),
@@ -677,9 +692,9 @@ fn main() {
         "fig12" => run_fig12(args.size),
         "table4" => run_table4(args.size, args.procs),
         "select" => run_select(args.size),
-        "chunked" => run_chunked(args.size, args.threads, args.chunks),
+        "chunked" => held &= run_chunked(args.size, args.threads, args.chunks),
         "dist" => run_dist(args.size),
-        "verify" => run_verify(args.size),
+        "verify" => held &= run_verify(args.size),
         "temporal" => run_temporal(args.size, args.outputs),
         "bench" => run_bench(args.size),
         other => {
@@ -697,5 +712,9 @@ fn main() {
         }
     } else {
         run(&args.experiment);
+    }
+    if !held {
+        eprintln!("self-check failed: see the rows printed false above");
+        std::process::exit(1);
     }
 }

@@ -236,9 +236,10 @@ pub fn svd_reconstruct(
 
 /// Randomized-SVD preconditioning (extension): like
 /// [`svd_precondition`] but the decomposition is the
-/// Halko–Martinsson–Tropp sketch, replacing the `O(mn²)` Jacobi sweep
-/// with `O(mn(k+p))`. The representation format is identical, so
-/// [`svd_reconstruct`] decodes it.
+/// Halko–Martinsson–Tropp sketch: `O(mn(k+p))` passes over the matrix
+/// instead of the exact SVD's `O(mn²)` QR and `O(n³)`-per-sweep Jacobi.
+/// The representation format is identical, so [`svd_reconstruct`]
+/// decodes it.
 pub fn svd_randomized_precondition(
     field: &Field,
     energy_fraction: f64,

@@ -6,15 +6,15 @@
 //!
 //! The field's matrix view is cut into row blocks; PCA/SVD is fitted per
 //! block, and the blocks are processed **in parallel on the workspace
-//! worker pool**. Two effects reduce overhead:
-//!
-//! * the SVD's `O(m²n)` term becomes `O(m²n / B)` across `B` blocks, and
-//! * blocks run concurrently, so wall-clock shrinks by up to the core
-//!   count even where total work is unchanged (PCA).
+//! worker pool**, so wall-clock shrinks by up to the core count. Total
+//! work does not shrink: an m×n SVD costs `O(m·n²)` once for its QR plus
+//! `O(n³)` per Jacobi sweep, and `B` row blocks split the first term but
+//! each pays the second (as each pays PCA's `O(n³)` eigensolve).
 //!
 //! The quality trade-off (each block fits its own basis, so `k` per block
-//! may exceed the global `k`) is measured by the `ablation_partitioned`
-//! bench and recorded in EXPERIMENTS.md.
+//! may exceed the global `k`) was measured by the since-removed
+//! `ablation_partitioned` bench; its numbers in EXPERIMENTS.md predate
+//! the SVD's QR step.
 
 use crate::codec::LossyCodec;
 use crate::dimred::DimRedOutput;

@@ -36,16 +36,19 @@ pub fn symmetric_eigen(a: &Matrix) -> EigenDecomposition {
         }
     }
 
-    let mut m = a.clone();
-    let mut v = Matrix::identity(n);
+    // Row-major working copies of `a` and of the accumulated rotations,
+    // walked as slices: per-element `get`/`set` costs twice as much in
+    // builds with debug assertions.
+    let mut m = a.as_slice().to_vec();
+    let mut v = Matrix::identity(n).into_vec();
     let max_sweeps = 64;
     let tol = 1e-14 * scale;
 
     for _sweep in 0..max_sweeps {
         let mut off = 0.0f64;
-        for r in 0..n {
-            for c in (r + 1)..n {
-                off += m.get(r, c) * m.get(r, c);
+        for (r, row) in m.chunks_exact(n.max(1)).enumerate() {
+            for &x in &row[r + 1..] {
+                off += x * x;
             }
         }
         if off.sqrt() <= tol {
@@ -53,44 +56,44 @@ pub fn symmetric_eigen(a: &Matrix) -> EigenDecomposition {
         }
         for p in 0..n {
             for q in (p + 1)..n {
-                let apq = m.get(p, q);
+                let apq = m[p * n + q];
                 if apq.abs() <= tol / (n as f64) {
                     continue;
                 }
-                let app = m.get(p, p);
-                let aqq = m.get(q, q);
+                let app = m[p * n + p];
+                let aqq = m[q * n + q];
                 // Rotation angle: tan(2θ) = 2 a_pq / (a_pp - a_qq).
                 let theta = 0.5 * (2.0 * apq).atan2(app - aqq);
                 let (s, c) = theta.sin_cos();
-                // Apply Jᵀ M J on rows/cols p and q.
-                for k in 0..n {
-                    let mkp = m.get(k, p);
-                    let mkq = m.get(k, q);
-                    m.set(k, p, c * mkp + s * mkq);
-                    m.set(k, q, -s * mkp + c * mkq);
+                // Apply Jᵀ M J: columns p and q, then rows p and q.
+                rotate_cols(&mut m, n, p, q, c, s);
+                let (upper, lower) = m.split_at_mut(q * n);
+                let row_p = &mut upper[p * n..(p + 1) * n];
+                for (x, y) in row_p.iter_mut().zip(&mut lower[..n]) {
+                    let (mpk, mqk) = (*x, *y);
+                    *x = c * mpk + s * mqk;
+                    *y = -s * mpk + c * mqk;
                 }
-                for k in 0..n {
-                    let mpk = m.get(p, k);
-                    let mqk = m.get(q, k);
-                    m.set(p, k, c * mpk + s * mqk);
-                    m.set(q, k, -s * mpk + c * mqk);
-                }
-                for k in 0..n {
-                    let vkp = v.get(k, p);
-                    let vkq = v.get(k, q);
-                    v.set(k, p, c * vkp + s * vkq);
-                    v.set(k, q, -s * vkp + c * vkq);
-                }
+                rotate_cols(&mut v, n, p, q, c, s);
             }
         }
     }
 
     // Extract eigenpairs and sort by descending eigenvalue.
-    let mut pairs: Vec<(f64, usize)> = (0..n).map(|i| (m.get(i, i), i)).collect();
+    let mut pairs: Vec<(f64, usize)> = (0..n).map(|i| (m[i * n + i], i)).collect();
     pairs.sort_by(|a, b| b.0.total_cmp(&a.0));
     let values: Vec<f64> = pairs.iter().map(|&(l, _)| l).collect();
-    let vectors = Matrix::from_fn(n, n, |r, c| v.get(r, pairs[c].1));
+    let vectors = Matrix::from_fn(n, n, |r, c| v[r * n + pairs[c].1]);
     EigenDecomposition { values, vectors }
+}
+
+/// Rotates columns `p` and `q` of the row-major `a` with `n` columns.
+fn rotate_cols(a: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
+    for row in a.chunks_exact_mut(n) {
+        let (akp, akq) = (row[p], row[q]);
+        row[p] = c * akp + s * akq;
+        row[q] = -s * akp + c * akq;
+    }
 }
 
 #[cfg(test)]

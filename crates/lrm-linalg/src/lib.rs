@@ -5,8 +5,8 @@
 //! * a dense [`Matrix`] with parallel products,
 //! * a symmetric eigensolver ([`eigen::symmetric_eigen`], cyclic Jacobi)
 //!   for PCA's covariance matrices,
-//! * a singular value decomposition ([`svd::svd`], one-sided Jacobi) for
-//!   the SVD preconditioner,
+//! * a singular value decomposition ([`svd::svd`], Householder QR, then
+//!   one-sided Jacobi on R) for the SVD preconditioner,
 //! * [`pca::Pca`] tying them together with the 95 %-variance component
 //!   rule the paper uses to select `k`.
 

@@ -35,7 +35,7 @@ impl Pca {
             .collect();
         // Covariance = Xcᵀ Xc / (m - 1)   (population form for m == 1).
         let denom = (m.max(2) - 1) as f64;
-        let mut cov = Matrix::zeros(n, n);
+        let mut upper = vec![0.0; n * n];
         for r in 0..m {
             let row = data.row(r);
             for i in 0..n {
@@ -43,12 +43,13 @@ impl Pca {
                 if di == 0.0 {
                     continue;
                 }
-                for j in i..n {
-                    let v = cov.get(i, j) + di * (row[j] - means[j]);
-                    cov.set(i, j, v);
+                let acc = &mut upper[i * n + i..(i + 1) * n];
+                for ((a, &x), &mu) in acc.iter_mut().zip(&row[i..]).zip(&means[i..]) {
+                    *a += di * (x - mu);
                 }
             }
         }
+        let mut cov = Matrix::from_vec(n, n, upper);
         for i in 0..n {
             for j in i..n {
                 let v = cov.get(i, j) / denom;

@@ -4,8 +4,9 @@
 //! a randomized range sketch computes only the `k` needed triplets:
 //! sample `Ω ~ N(0,1)^{n×(k+p)}`, form `Y = (A Aᵀ)^q A Ω`, orthonormalize
 //! `Y = QR`, decompose the small `B = Qᵀ A`, and lift `U = Q U_B`. For
-//! the tall-skinny matrices the preconditioners produce, this replaces
-//! the `O(m n²)` one-sided Jacobi with `O(m n (k+p))`.
+//! the tall-skinny matrices the preconditioners produce, each pass over
+//! `A` costs `O(m n (k+p))`, against the exact [`svd`]'s `O(m n²)` QR plus
+//! `O(n³)` per Jacobi sweep; which is cheaper depends on the shape.
 
 use crate::matrix::Matrix;
 use crate::qr::qr;

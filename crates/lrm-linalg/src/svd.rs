@@ -1,10 +1,20 @@
-//! Singular value decomposition by one-sided Jacobi.
+//! Singular value decomposition: Householder QR, then one-sided Jacobi
+//! on `R`.
 //!
 //! The SVD preconditioner (Section V-A2 of the paper) retains the `k`
 //! largest singular values together with the matching `k` columns of `U`
-//! and rows of `Vᵀ`. One-sided Jacobi orthogonalizes the columns of `A`
-//! in place; it is accurate for the tall skinny matrices our reshaped
-//! fields produce (rows = ny·nz, cols = nx).
+//! and rows of `Vᵀ`. Our reshaped fields are tall and skinny (rows =
+//! ny·nz, cols = nx), so [`svd`] works in three steps on column-major
+//! copies, where every column is contiguous:
+//!
+//! 1. a Householder QR `A = Q·R` (a wide matrix is transposed first),
+//!    `O(m·n²)` once;
+//! 2. one-sided Jacobi on the n×n `R`, rotating its columns into
+//!    `U_R·diag(σ)` and accumulating `V`, `O(n³)` per sweep;
+//! 3. `U = Q·[U_R; 0]` by applying the stored reflectors, `O(m·n²)` once.
+//!
+//! `RᵀR = AᵀA`, so the sweeps see the column products that Jacobi on `A`
+//! itself would see, at `O(n³)` instead of `O(m·n²)` per sweep.
 
 use crate::matrix::Matrix;
 
@@ -74,7 +84,8 @@ impl Svd {
     }
 }
 
-/// Computes the thin SVD of `a` by one-sided Jacobi.
+/// Computes the thin SVD of `a`: Householder QR, then one-sided Jacobi
+/// on `R`.
 pub fn svd(a: &Matrix) -> Svd {
     if a.rows() < a.cols() {
         // Work on the transpose and swap the factors back.
@@ -86,24 +97,113 @@ pub fn svd(a: &Matrix) -> Svd {
         };
     }
     let (m, n) = (a.rows(), a.cols());
-    let mut w = a.clone(); // columns will be orthogonalized in place
-    let mut v = Matrix::identity(n);
+    // Column-major copy of A: column j is `qr[j * m..(j + 1) * m]`.
+    let mut qr = a.transpose().into_vec();
+    let taus = householder_qr(&mut qr, m, n);
+
+    // R, column-major; Jacobi rotates it into `U_R · diag(σ)`.
+    let mut w = vec![0.0; n * n];
+    for j in 0..n {
+        w[j * n..=j * n + j].copy_from_slice(&qr[j * m..=j * m + j]);
+    }
+    let mut v = Matrix::identity(n).into_vec();
+    orthogonalize_columns(&mut w, &mut v, n);
+
+    // Column norms are the singular values.
+    let mut triplets: Vec<(f64, usize)> = (0..n)
+        .map(|c| {
+            let norm2: f64 = w[c * n..(c + 1) * n].iter().map(|x| x * x).sum();
+            (norm2.sqrt(), c)
+        })
+        .collect();
+    triplets.sort_by(|a, b| b.0.total_cmp(&a.0));
+
+    // U = Q · [U_R; 0], column by column; a zero σ leaves its column zero.
+    let mut u = vec![0.0; n * m];
+    for (t, &(s, c)) in triplets.iter().enumerate() {
+        if s > 0.0 {
+            let u_col = &mut u[t * m..(t + 1) * m];
+            for (x, &y) in u_col.iter_mut().zip(&w[c * n..(c + 1) * n]) {
+                *x = y / s;
+            }
+            for (j, &tau) in taus.iter().enumerate().rev() {
+                if tau != 0.0 {
+                    reflect(&qr[j * m + j + 1..(j + 1) * m], tau, &mut u_col[j..]);
+                }
+            }
+        }
+    }
+    let sigma: Vec<f64> = triplets.iter().map(|&(s, _)| s).collect();
+    let u = Matrix::from_vec(n, m, u).transpose();
+    let vv = Matrix::from_fn(n, n, |r, c| v[triplets[c].1 * n + r]);
+    Svd { u, sigma, v: vv }
+}
+
+/// Householder QR of the `m`×`n` column-major `a` (`m >= n`), in place.
+/// On return the upper triangle holds `R`, and the entries below the
+/// diagonal of column `j` hold the tail of reflector `j`'s vector
+/// `v_j = [1; tail]`. Returns the `τ_j` of `H_j = I − τ_j·v_j·v_jᵀ`, with
+/// `Q = H_0·H_1⋯H_{n−1}`; `τ_j = 0` marks a column that was already zero
+/// below the diagonal.
+///
+/// [`crate::qr::qr`] (modified Gram–Schmidt) is not used here: it zeroes
+/// any direction below 1e-10 of its column's norm, which moves the small
+/// singular values, and it is slower on square matrices.
+fn householder_qr(a: &mut [f64], m: usize, n: usize) -> Vec<f64> {
+    let mut taus = vec![0.0; n];
+    for (j, tau) in taus.iter_mut().enumerate() {
+        let (done, rest) = a.split_at_mut((j + 1) * m);
+        let x = &mut done[j * m + j..];
+        let tail2: f64 = x[1..].iter().map(|t| t * t).sum();
+        if tail2 == 0.0 {
+            continue;
+        }
+        let alpha = x[0];
+        let beta = -alpha.signum() * (alpha * alpha + tail2).sqrt();
+        let pivot = alpha - beta;
+        for t in &mut x[1..] {
+            *t /= pivot;
+        }
+        x[0] = beta;
+        *tau = (beta - alpha) / beta;
+        for col in rest.chunks_exact_mut(m) {
+            reflect(&x[1..], *tau, &mut col[j..]);
+        }
+    }
+    taus
+}
+
+/// `y ← (I − τ·v·vᵀ)·y` with `v = [1; tail]`.
+fn reflect(tail: &[f64], tau: f64, y: &mut [f64]) {
+    let Some((y0, ys)) = y.split_first_mut() else {
+        return;
+    };
+    let dot = *y0 + tail.iter().zip(ys.iter()).map(|(v, y)| v * y).sum::<f64>();
+    let scaled = tau * dot;
+    *y0 -= scaled;
+    for (y, &v) in ys.iter_mut().zip(tail) {
+        *y -= scaled * v;
+    }
+}
+
+/// One-sided Jacobi: rotates pairs of columns of the n×n column-major
+/// `w` until every pair is orthogonal to working precision, applying the
+/// same rotations to the columns of the n×n column-major `v`.
+fn orthogonalize_columns(w: &mut [f64], v: &mut [f64], n: usize) {
     let eps = 1e-15;
     let max_sweeps = 60;
-
     for _ in 0..max_sweeps {
         let mut rotated = false;
         for p in 0..n {
             for q in (p + 1)..n {
+                let (wp, wq) = column_pair(w, n, p, q);
                 let mut alpha = 0.0;
                 let mut beta = 0.0;
                 let mut gamma = 0.0;
-                for r in 0..m {
-                    let wp = w.get(r, p);
-                    let wq = w.get(r, q);
-                    alpha += wp * wp;
-                    beta += wq * wq;
-                    gamma += wp * wq;
+                for (&xp, &xq) in wp.iter().zip(wq.iter()) {
+                    alpha += xp * xp;
+                    beta += xq * xq;
+                    gamma += xp * xq;
                 }
                 if gamma.abs() <= eps * (alpha * beta).sqrt() || gamma == 0.0 {
                     continue;
@@ -113,48 +213,31 @@ pub fn svd(a: &Matrix) -> Svd {
                 let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = c * t;
-                for r in 0..m {
-                    let wp = w.get(r, p);
-                    let wq = w.get(r, q);
-                    w.set(r, p, c * wp - s * wq);
-                    w.set(r, q, s * wp + c * wq);
-                }
-                for r in 0..n {
-                    let vp = v.get(r, p);
-                    let vq = v.get(r, q);
-                    v.set(r, p, c * vp - s * vq);
-                    v.set(r, q, s * vp + c * vq);
-                }
+                rotate(wp, wq, c, s);
+                let (vp, vq) = column_pair(v, n, p, q);
+                rotate(vp, vq, c, s);
             }
         }
         if !rotated {
             break;
         }
     }
+}
 
-    // Column norms are the singular values.
-    let mut triplets: Vec<(f64, usize)> = (0..n)
-        .map(|c| {
-            let norm: f64 = (0..m)
-                .map(|r| w.get(r, c) * w.get(r, c))
-                .sum::<f64>()
-                .sqrt();
-            (norm, c)
-        })
-        .collect();
-    triplets.sort_by(|a, b| b.0.total_cmp(&a.0));
+/// Mutable borrows of columns `p < q` of a column-major buffer whose
+/// columns hold `len` values each.
+fn column_pair(data: &mut [f64], len: usize, p: usize, q: usize) -> (&mut [f64], &mut [f64]) {
+    let (left, right) = data.split_at_mut(q * len);
+    (&mut left[p * len..(p + 1) * len], &mut right[..len])
+}
 
-    let sigma: Vec<f64> = triplets.iter().map(|&(s, _)| s).collect();
-    let u = Matrix::from_fn(m, n, |r, c| {
-        let (s, col) = triplets[c];
-        if s > 0.0 {
-            w.get(r, col) / s
-        } else {
-            0.0
-        }
-    });
-    let vv = Matrix::from_fn(n, n, |r, c| v.get(r, triplets[c].1));
-    Svd { u, sigma, v: vv }
+/// Applies the plane rotation `[c -s; s c]` to the column pair `(xp, xq)`.
+fn rotate(xp: &mut [f64], xq: &mut [f64], c: f64, s: f64) {
+    for (a, b) in xp.iter_mut().zip(xq.iter_mut()) {
+        let (x, y) = (*a, *b);
+        *a = c * x - s * y;
+        *b = s * x + c * y;
+    }
 }
 
 #[cfg(test)]
