@@ -237,8 +237,15 @@ pub fn measure_serve_conns(config: &BenchConfig, conns: usize) -> BenchResult {
         echo: vec![0x5A; 16],
     };
     let (ping_total, compress_total) = if config.quick { (512, 32) } else { (2048, 96) };
-    let ping_rps = sweep_round(addr, conns, ping_total, &ping);
-    let compress_rps = sweep_round(addr, conns, compress_total, &compress);
+    // Both rounds ride the same sessions: a second set opened for the
+    // compress round could be refused while the server is still
+    // reaping the first.
+    let mut sessions: Vec<Connection> = (0..conns.max(1))
+        .map(|_| Connection::open(addr).expect("connect"))
+        .collect();
+    let ping_rps = sweep_round(&mut sessions, ping_total, &ping);
+    let compress_rps = sweep_round(&mut sessions, compress_total, &compress);
+    drop(sessions);
 
     Connection::open(addr)
         .expect("connect")
@@ -255,42 +262,32 @@ pub fn measure_serve_conns(config: &BenchConfig, conns: usize) -> BenchResult {
     }
 }
 
-/// Drives at least `total` copies of `request` through `conns`
-/// persistent sessions and returns requests per second. Sessions are
-/// opened untimed; the clock covers only the request traffic. Each
-/// driver thread owns a share of the sessions and pipelines batches of
-/// up to 16 requests per session (send all, then wait all), so many
-/// requests ride each socket round trip without exceeding the server's
-/// per-connection depth.
+/// Drives at least `total` copies of `request` through the open
+/// `sessions` and returns requests per second; the clock covers only
+/// the request traffic. Up to 8 driver threads each own a share of the
+/// sessions and pipeline batches of up to 16 requests per session (send
+/// all, then wait all), so many requests ride each socket round trip
+/// without exceeding the server's per-connection depth.
 fn sweep_round(
-    addr: std::net::SocketAddr,
-    conns: usize,
+    sessions: &mut [lrm_server::Connection],
     total: usize,
     request: &lrm_server::Request,
 ) -> f64 {
-    use lrm_server::Connection;
     use std::sync::Barrier;
 
-    let conns = conns.max(1);
-    let threads = conns.min(8);
-    let mut share = vec![conns / threads; threads];
-    for slot in share.iter_mut().take(conns % threads) {
-        *slot += 1;
-    }
+    let conns = sessions.len().max(1);
     let per_conn = total.div_ceil(conns).max(1);
-    let barrier = Barrier::new(threads + 1);
+    let shares: Vec<_> = sessions.chunks_mut(conns.div_ceil(8)).collect();
+    let barrier = Barrier::new(shares.len() + 1);
 
     let elapsed = std::thread::scope(|scope| {
         let barrier = &barrier;
-        let drivers: Vec<_> = share
-            .iter()
-            .map(|&count| {
+        let drivers: Vec<_> = shares
+            .into_iter()
+            .map(|share| {
                 scope.spawn(move || {
-                    let mut sessions: Vec<Connection> = (0..count)
-                        .map(|_| Connection::open(addr).expect("connect"))
-                        .collect();
                     barrier.wait();
-                    for session in &mut sessions {
+                    for session in share {
                         let mut remaining = per_conn;
                         while remaining > 0 {
                             let batch = remaining.min(16);

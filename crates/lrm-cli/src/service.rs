@@ -26,7 +26,7 @@ fn parse_size(s: &str) -> Option<SizeClass> {
 
 /// Parses a model name as the CLI spells it: `direct`, `one-base`,
 /// `multi-base:N`, `pca`, `svd`, `wavelet`, `pca-blocked:N`,
-/// `svd-blocked:N`, `svd-randomized`.
+/// `svd-blocked:N`.
 fn parse_model(s: &str) -> Option<ReducedModelKind> {
     let (name, param) = match s.split_once(':') {
         Some((n, p)) => (n, p.parse::<usize>().ok()?.max(1)),
@@ -41,7 +41,6 @@ fn parse_model(s: &str) -> Option<ReducedModelKind> {
         "wavelet" => Some(ReducedModelKind::Wavelet),
         "pca-blocked" => Some(ReducedModelKind::PcaBlocked(param.max(2))),
         "svd-blocked" => Some(ReducedModelKind::SvdBlocked(param.max(2))),
-        "svd-randomized" => Some(ReducedModelKind::SvdRandomized),
         _ => None,
     }
 }

@@ -14,6 +14,17 @@
 //!   lossy-compressed, `σ` and `V_k` stored raw.
 //! * **Wavelet** — thresholded 2-D Haar coefficients stored as a sparse
 //!   matrix (lossless; its sparsity *is* the reduction).
+//!
+//! This module owns the PCA and SVD representation of one matrix, its
+//! *body*: `k`, the raw small factors (means and basis, or `σ` and
+//! `V_k`), then the length-prefixed lossy stream. `fit_pca`/`fit_svd`
+//! write a body and `rebuild_pca`/`rebuild_svd` read one back. The
+//! whole-field models write `m, n` before it; [`crate::partitioned`]
+//! writes one body per row block, after the block's row count.
+//!
+//! Every decoder checks the header against the delta before sizing
+//! anything from it: `m·n` must equal the delta's length, and `k` may
+//! not exceed `n` (PCA) or `min(m, n)` (SVD).
 
 use crate::codec::LossyCodec;
 use lrm_compress::{DecodeError, DecodeResult, Shape};
@@ -31,16 +42,11 @@ pub struct DimRedOutput {
     pub k: usize,
 }
 
-fn field_matrix(field: &Field) -> (Matrix, usize, usize) {
-    let (m, n) = field.matrix_dims();
-    (Matrix::from_vec(m, n, field.data.clone()), m, n)
-}
-
-fn put_u32(out: &mut Vec<u8>, v: usize) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: usize) {
     out.extend_from_slice(&(v as u32).to_le_bytes());
 }
 
-fn get_u32(b: &[u8], pos: &mut usize) -> DecodeResult<usize> {
+pub(crate) fn get_u32(b: &[u8], pos: &mut usize) -> DecodeResult<usize> {
     let s = b
         .get(*pos..pos.saturating_add(4))
         .ok_or(DecodeError::Truncated {
@@ -71,6 +77,189 @@ fn get_f64s(b: &[u8], pos: &mut usize, count: usize) -> DecodeResult<Vec<f64>> {
         .collect())
 }
 
+/// Appends `bytes` behind a `u32` length prefix.
+fn put_stream(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_u32(out, bytes.len());
+    out.extend_from_slice(bytes);
+}
+
+/// Reads a `u32`-length-prefixed byte stream.
+pub(crate) fn get_stream<'b>(
+    b: &'b [u8],
+    pos: &mut usize,
+    what: &'static str,
+) -> DecodeResult<&'b [u8]> {
+    let len = get_u32(b, pos)?;
+    let s = b
+        .get(*pos..pos.saturating_add(len))
+        .ok_or(DecodeError::Truncated { what })?;
+    *pos += len;
+    Ok(s)
+}
+
+/// Reads a whole-field `m, n` header and checks it against the length
+/// of the delta the base is added to.
+fn get_dims(b: &[u8], pos: &mut usize, len: usize) -> DecodeResult<(usize, usize)> {
+    let m = get_u32(b, pos)?;
+    let n = get_u32(b, pos)?;
+    if m.checked_mul(n) != Some(len) {
+        return Err(DecodeError::Corrupt {
+            what: "reduced-model extents do not match the delta",
+        });
+    }
+    Ok((m, n))
+}
+
+/// Reads a rank `k` and checks it against its ceiling `max`.
+fn get_k(b: &[u8], pos: &mut usize, max: usize) -> DecodeResult<usize> {
+    let k = get_u32(b, pos)?;
+    if k > max {
+        return Err(DecodeError::Corrupt {
+            what: "reduced-model rank exceeds the matrix",
+        });
+    }
+    Ok(k)
+}
+
+fn minus(a: &[f64], b: &[f64]) -> Vec<f64> {
+    a.iter().zip(b).map(|(x, y)| x - y).collect()
+}
+
+pub(crate) fn plus(a: &[f64], b: &[f64]) -> Vec<f64> {
+    a.iter().zip(b).map(|(x, y)| x + y).collect()
+}
+
+/// One matrix's fitted PCA or SVD representation.
+pub(crate) struct Factors {
+    /// `k`, the raw small factors, then the length-prefixed lossy
+    /// stream: everything after the caller's header.
+    pub body: Vec<u8>,
+    /// The base rebuilt from the *decoded* stream, as the decoder will,
+    /// row-major `m × n`.
+    pub approx: Vec<f64>,
+    /// Retained components.
+    pub k: usize,
+}
+
+/// Fits PCA to `mat`, keeping `k` components by the `variance_fraction`
+/// rule; the `m × k` scores go through `codec`.
+pub(crate) fn fit_pca(mat: &Matrix, variance_fraction: f64, codec: &LossyCodec) -> Factors {
+    let (m, n) = (mat.rows(), mat.cols());
+    let pca = Pca::fit(mat);
+    let k = pca.components_for_variance(variance_fraction).max(1).min(n);
+    let shape = Shape::d2(k, m); // row-major m rows of k scores
+    let stream = codec.compress(pca.transform(mat, k).as_slice(), shape);
+    let basis = pca.components.take_cols(k);
+    let mut body = Vec::new();
+    put_u32(&mut body, k);
+    put_f64s(&mut body, &pca.means);
+    put_f64s(&mut body, basis.as_slice());
+    put_stream(&mut body, &stream);
+    let scores = Matrix::from_vec(m, k, codec.decompress_own(&stream, shape));
+    Factors {
+        body,
+        approx: pca_base(&scores, &basis, &pca.means),
+        k,
+    }
+}
+
+/// Decodes a [`fit_pca`] body at `pos` into the `m × n` base.
+pub(crate) fn rebuild_pca(
+    b: &[u8],
+    pos: &mut usize,
+    m: usize,
+    n: usize,
+    codec: &LossyCodec,
+) -> DecodeResult<Vec<f64>> {
+    let k = get_k(b, pos, n)?;
+    let means = get_f64s(b, pos, n)?;
+    let basis = Matrix::from_vec(n, k, get_f64s(b, pos, n.saturating_mul(k))?);
+    let stream = get_stream(b, pos, "pca score stream")?;
+    let scores = Matrix::from_vec(m, k, codec.decompress(stream, Shape::d2(k, m))?);
+    Ok(pca_base(&scores, &basis, &means))
+}
+
+/// `scores · basisᵀ` plus the column means.
+fn pca_base(scores: &Matrix, basis: &Matrix, means: &[f64]) -> Vec<f64> {
+    let mut approx = scores.matmul(&basis.transpose()).into_vec();
+    for row in approx.chunks_exact_mut(means.len().max(1)) {
+        for (v, mean) in row.iter_mut().zip(means) {
+            *v += mean;
+        }
+    }
+    approx
+}
+
+/// Fits a truncated SVD to `mat`, keeping the top-k singular triplets by
+/// the `energy_fraction` singular-value-sum rule; `U_k` goes through
+/// `codec`.
+pub(crate) fn fit_svd(mat: &Matrix, energy_fraction: f64, codec: &LossyCodec) -> Factors {
+    let (m, n) = (mat.rows(), mat.cols());
+    let dec = svd(mat);
+    let k = dec.rank_for_energy(energy_fraction).max(1).min(n.min(m));
+    let sigma = &dec.sigma[..k];
+    let vk = dec.v.take_cols(k);
+    let shape = Shape::d2(k, m);
+    let stream = codec.compress(dec.u.take_cols(k).as_slice(), shape);
+    let mut body = Vec::new();
+    put_u32(&mut body, k);
+    put_f64s(&mut body, sigma);
+    put_f64s(&mut body, vk.as_slice());
+    put_stream(&mut body, &stream);
+    Factors {
+        body,
+        approx: svd_base(codec.decompress_own(&stream, shape), m, sigma, &vk),
+        k,
+    }
+}
+
+/// Decodes a [`fit_svd`] body at `pos` into the `m × n` base.
+pub(crate) fn rebuild_svd(
+    b: &[u8],
+    pos: &mut usize,
+    m: usize,
+    n: usize,
+    codec: &LossyCodec,
+) -> DecodeResult<Vec<f64>> {
+    let k = get_k(b, pos, m.min(n))?;
+    let sigma = get_f64s(b, pos, k)?;
+    let vk = Matrix::from_vec(n, k, get_f64s(b, pos, n.saturating_mul(k))?);
+    let stream = get_stream(b, pos, "svd u stream")?;
+    let u = codec.decompress(stream, Shape::d2(k, m))?;
+    Ok(svd_base(u, m, &sigma, &vk))
+}
+
+/// `U diag(σ) Vᵀ` for the row-major `m × k` `u`.
+fn svd_base(mut u: Vec<f64>, m: usize, sigma: &[f64], v: &Matrix) -> Vec<f64> {
+    for row in u.chunks_exact_mut(sigma.len().max(1)) {
+        for (x, s) in row.iter_mut().zip(sigma) {
+            *x *= s;
+        }
+    }
+    Matrix::from_vec(m, sigma.len(), u)
+        .matmul(&v.transpose())
+        .into_vec()
+}
+
+/// Writes the whole-field layout — `m, n`, then the body — and the delta.
+fn whole_field(field: &Field, fit: Factors) -> DimRedOutput {
+    let (m, n) = field.matrix_dims();
+    let mut rep = Vec::with_capacity(8 + fit.body.len());
+    put_u32(&mut rep, m);
+    put_u32(&mut rep, n);
+    rep.extend_from_slice(&fit.body);
+    DimRedOutput {
+        rep_bytes: rep,
+        delta: minus(&field.data, &fit.approx),
+        k: fit.k,
+    }
+}
+
+fn field_matrix(field: &Field) -> Matrix {
+    let (m, n) = field.matrix_dims();
+    Matrix::from_vec(m, n, field.data.clone())
+}
+
 /// PCA preconditioning of `field` with the paper's `variance_fraction`
 /// rule (0.95) and the `orig_codec` bound on the score matrix.
 pub fn pca_precondition(
@@ -78,47 +267,8 @@ pub fn pca_precondition(
     variance_fraction: f64,
     orig_codec: &LossyCodec,
 ) -> DimRedOutput {
-    let (mat, m, n) = field_matrix(field);
-    let pca = Pca::fit(&mat);
-    let k = pca.components_for_variance(variance_fraction).max(1).min(n);
-    let scores = pca.transform(&mat, k);
-
-    // Representation layout: m, n, k, means (n), basis (n*k),
-    // compressed-scores length + bytes.
-    let scores_shape = Shape::d2(k, m); // row-major m rows of k scores
-    let scores_bytes = orig_codec.compress(scores.as_slice(), scores_shape);
-    let mut rep = Vec::new();
-    put_u32(&mut rep, m);
-    put_u32(&mut rep, n);
-    put_u32(&mut rep, k);
-    put_f64s(&mut rep, &pca.means);
-    let basis = pca.components.take_cols(k);
-    put_f64s(&mut rep, basis.as_slice());
-    put_u32(&mut rep, scores_bytes.len());
-    rep.extend_from_slice(&scores_bytes);
-
-    // Reconstruct from the *lossy* scores, as the decoder will.
-    let scores_recon =
-        Matrix::from_vec(m, k, orig_codec.decompress_own(&scores_bytes, scores_shape));
-    let approx = pca_rebuild(&scores_recon, &basis, &pca.means);
-    let delta: Vec<f64> = field
-        .data
-        .iter()
-        .zip(approx.as_slice())
-        .map(|(a, b)| a - b)
-        .collect();
-    DimRedOutput {
-        rep_bytes: rep,
-        delta,
-        k,
-    }
-}
-
-fn pca_rebuild(scores: &Matrix, basis: &Matrix, means: &[f64]) -> Matrix {
-    let approx = scores.matmul(&basis.transpose());
-    Matrix::from_fn(approx.rows(), approx.cols(), |r, c| {
-        approx.get(r, c) + means[c]
-    })
+    let fit = fit_pca(&field_matrix(field), variance_fraction, orig_codec);
+    whole_field(field, fit)
 }
 
 /// Rebuilds the PCA base reconstruction from `rep_bytes` and adds `delta`.
@@ -128,30 +278,9 @@ pub fn pca_reconstruct(
     orig_codec: &LossyCodec,
 ) -> DecodeResult<Vec<f64>> {
     let mut pos = 0usize;
-    let m = get_u32(rep_bytes, &mut pos)?;
-    let n = get_u32(rep_bytes, &mut pos)?;
-    let k = get_u32(rep_bytes, &mut pos)?;
-    let nk = n.checked_mul(k).ok_or(DecodeError::Corrupt {
-        what: "pca basis size overflow",
-    })?;
-    let means = get_f64s(rep_bytes, &mut pos, n)?;
-    let basis = Matrix::from_vec(n, k, get_f64s(rep_bytes, &mut pos, nk)?);
-    let slen = get_u32(rep_bytes, &mut pos)?;
-    let scores_shape = Shape::d2(k, m);
-    let scores_bytes =
-        rep_bytes
-            .get(pos..pos.saturating_add(slen))
-            .ok_or(DecodeError::Truncated {
-                what: "pca score stream",
-            })?;
-    let scores = Matrix::from_vec(m, k, orig_codec.decompress(scores_bytes, scores_shape)?);
-    let approx = pca_rebuild(&scores, &basis, &means);
-    Ok(approx
-        .as_slice()
-        .iter()
-        .zip(delta)
-        .map(|(b, d)| b + d)
-        .collect())
+    let (m, n) = get_dims(rep_bytes, &mut pos, delta.len())?;
+    let base = rebuild_pca(rep_bytes, &mut pos, m, n, orig_codec)?;
+    Ok(plus(&base, delta))
 }
 
 /// SVD preconditioning: keep the top-k singular triplets by the 95 %
@@ -161,46 +290,8 @@ pub fn svd_precondition(
     energy_fraction: f64,
     orig_codec: &LossyCodec,
 ) -> DimRedOutput {
-    let (mat, m, n) = field_matrix(field);
-    let dec = svd(&mat);
-    let k = dec.rank_for_energy(energy_fraction).max(1).min(n.min(m));
-
-    let uk = dec.u.take_cols(k);
-    let vk = dec.v.take_cols(k);
-    let sigma = &dec.sigma[..k];
-
-    let u_shape = Shape::d2(k, m);
-    let u_bytes = orig_codec.compress(uk.as_slice(), u_shape);
-
-    let mut rep = Vec::new();
-    put_u32(&mut rep, m);
-    put_u32(&mut rep, n);
-    put_u32(&mut rep, k);
-    put_f64s(&mut rep, sigma);
-    put_f64s(&mut rep, vk.as_slice());
-    put_u32(&mut rep, u_bytes.len());
-    rep.extend_from_slice(&u_bytes);
-
-    let u_recon = Matrix::from_vec(m, k, orig_codec.decompress_own(&u_bytes, u_shape));
-    let approx = svd_rebuild(&u_recon, sigma, &vk);
-    let delta: Vec<f64> = field
-        .data
-        .iter()
-        .zip(approx.as_slice())
-        .map(|(a, b)| a - b)
-        .collect();
-    DimRedOutput {
-        rep_bytes: rep,
-        delta,
-        k,
-    }
-}
-
-fn svd_rebuild(u: &Matrix, sigma: &[f64], v: &Matrix) -> Matrix {
-    // U diag(σ) Vᵀ.
-    let k = sigma.len();
-    let us = Matrix::from_fn(u.rows(), k, |r, c| u.get(r, c) * sigma[c]);
-    us.matmul(&v.transpose())
+    let fit = fit_svd(&field_matrix(field), energy_fraction, orig_codec);
+    whole_field(field, fit)
 }
 
 /// Inverse of [`svd_precondition`]'s representation, plus delta.
@@ -210,83 +301,9 @@ pub fn svd_reconstruct(
     orig_codec: &LossyCodec,
 ) -> DecodeResult<Vec<f64>> {
     let mut pos = 0usize;
-    let m = get_u32(rep_bytes, &mut pos)?;
-    let n = get_u32(rep_bytes, &mut pos)?;
-    let k = get_u32(rep_bytes, &mut pos)?;
-    let nk = n.checked_mul(k).ok_or(DecodeError::Corrupt {
-        what: "svd basis size overflow",
-    })?;
-    let sigma = get_f64s(rep_bytes, &mut pos, k)?;
-    let vk = Matrix::from_vec(n, k, get_f64s(rep_bytes, &mut pos, nk)?);
-    let ulen = get_u32(rep_bytes, &mut pos)?;
-    let u_bytes = rep_bytes
-        .get(pos..pos.saturating_add(ulen))
-        .ok_or(DecodeError::Truncated {
-            what: "svd u stream",
-        })?;
-    let u = Matrix::from_vec(m, k, orig_codec.decompress(u_bytes, Shape::d2(k, m))?);
-    let approx = svd_rebuild(&u, &sigma, &vk);
-    Ok(approx
-        .as_slice()
-        .iter()
-        .zip(delta)
-        .map(|(b, d)| b + d)
-        .collect())
-}
-
-/// Randomized-SVD preconditioning (extension): like
-/// [`svd_precondition`] but the decomposition is the
-/// Halko–Martinsson–Tropp sketch: `O(mn(k+p))` passes over the matrix
-/// instead of the exact SVD's `O(mn²)` QR and `O(n³)`-per-sweep Jacobi.
-/// The representation format is identical, so [`svd_reconstruct`]
-/// decodes it.
-pub fn svd_randomized_precondition(
-    field: &Field,
-    energy_fraction: f64,
-    orig_codec: &LossyCodec,
-) -> DimRedOutput {
-    use lrm_linalg::{randomized_svd, RsvdConfig};
-    let (mat, m, n) = field_matrix(field);
-    // Probe enough of the spectrum to apply the 95% rule: the rule is
-    // evaluated over the sketched leading singular values only, which
-    // overestimates their share — acceptable for a fast path and noted
-    // in the docs.
-    let probe = RsvdConfig::rank(n.min(m).min(32));
-    let dec = randomized_svd(&mat, &probe);
-    let k = dec
-        .rank_for_energy(energy_fraction)
-        .max(1)
-        .min(dec.sigma.len());
-
-    let uk = dec.u.take_cols(k);
-    let vk = dec.v.take_cols(k);
-    let sigma = &dec.sigma[..k];
-
-    let u_shape = Shape::d2(k, m);
-    let u_bytes = orig_codec.compress(uk.as_slice(), u_shape);
-
-    let mut rep = Vec::new();
-    put_u32(&mut rep, m);
-    put_u32(&mut rep, n);
-    put_u32(&mut rep, k);
-    put_f64s(&mut rep, sigma);
-    put_f64s(&mut rep, vk.as_slice());
-    put_u32(&mut rep, u_bytes.len());
-    rep.extend_from_slice(&u_bytes);
-
-    let u_recon = Matrix::from_vec(m, k, orig_codec.decompress_own(&u_bytes, u_shape));
-    let approx = svd_rebuild(&u_recon, sigma, &vk);
-    let delta: Vec<f64> = field
-        .data
-        .iter()
-        .zip(approx.as_slice())
-        .map(|(a, b)| a - b)
-        .collect();
-    DimRedOutput {
-        rep_bytes: rep,
-        delta,
-        k,
-    }
+    let (m, n) = get_dims(rep_bytes, &mut pos, delta.len())?;
+    let base = rebuild_svd(rep_bytes, &mut pos, m, n, orig_codec)?;
+    Ok(plus(&base, delta))
 }
 
 /// Wavelet preconditioning with threshold θ = `theta_fraction` × max
@@ -294,17 +311,13 @@ pub fn svd_randomized_precondition(
 pub fn wavelet_precondition(field: &Field, theta_fraction: f64) -> DimRedOutput {
     let (m, n) = field.matrix_dims();
     let model = WaveletModel::fit(&field.data, m, n, theta_fraction);
-    let approx = model.reconstruct();
-    let delta: Vec<f64> = field.data.iter().zip(&approx).map(|(a, b)| a - b).collect();
     let mut rep = Vec::new();
     put_u32(&mut rep, m);
     put_u32(&mut rep, n);
-    let sb = model.coeffs.to_bytes();
-    put_u32(&mut rep, sb.len());
-    rep.extend_from_slice(&sb);
+    put_stream(&mut rep, &model.coeffs.to_bytes());
     DimRedOutput {
         rep_bytes: rep,
-        delta,
+        delta: minus(&field.data, &model.reconstruct()),
         k: 0,
     }
 }
@@ -312,15 +325,8 @@ pub fn wavelet_precondition(field: &Field, theta_fraction: f64) -> DimRedOutput 
 /// Inverse of [`wavelet_precondition`]'s representation, plus delta.
 pub fn wavelet_reconstruct(rep_bytes: &[u8], delta: &[f64]) -> DecodeResult<Vec<f64>> {
     let mut pos = 0usize;
-    let m = get_u32(rep_bytes, &mut pos)?;
-    let n = get_u32(rep_bytes, &mut pos)?;
-    let slen = get_u32(rep_bytes, &mut pos)?;
-    let sparse_bytes =
-        rep_bytes
-            .get(pos..pos.saturating_add(slen))
-            .ok_or(DecodeError::Truncated {
-                what: "wavelet sparse block",
-            })?;
+    let (m, n) = get_dims(rep_bytes, &mut pos, delta.len())?;
+    let sparse_bytes = get_stream(rep_bytes, &mut pos, "wavelet sparse block")?;
     let coeffs =
         lrm_wavelet::SparseMatrix::from_bytes(sparse_bytes).ok_or(DecodeError::Corrupt {
             what: "wavelet sparse block",
@@ -346,8 +352,7 @@ pub fn wavelet_reconstruct(rep_bytes: &[u8], delta: &[f64]) -> DecodeResult<Vec<
         rows: m,
         cols: n,
     };
-    let approx = model.reconstruct();
-    Ok(approx.iter().zip(delta).map(|(b, d)| b + d).collect())
+    Ok(plus(&model.reconstruct(), delta))
 }
 
 #[cfg(test)]
@@ -412,20 +417,6 @@ mod tests {
         let f = column_correlated_field();
         let out = svd_precondition(&f, 0.95, &LossyCodec::SzRel(1e-6));
         assert!(out.k <= 3, "k = {}", out.k);
-    }
-
-    #[test]
-    fn randomized_svd_roundtrip_and_agreement() {
-        let f = column_correlated_field();
-        let codec = LossyCodec::SzRel(1e-6);
-        let fast = svd_randomized_precondition(&f, 0.95, &codec);
-        let rec = svd_reconstruct(&fast.rep_bytes, &fast.delta, &codec).expect("decode");
-        for (a, b) in f.data.iter().zip(&rec) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-        // On low-rank data the sketch chooses the same k as exact SVD.
-        let exact = svd_precondition(&f, 0.95, &codec);
-        assert_eq!(fast.k, exact.k);
     }
 
     #[test]

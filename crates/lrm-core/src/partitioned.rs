@@ -15,136 +15,25 @@
 //! may exceed the global `k`) was measured by the since-removed
 //! `ablation_partitioned` bench; its numbers in EXPERIMENTS.md predate
 //! the SVD's QR step.
+//!
+//! Each block is fitted and encoded by [`crate::dimred`]'s PCA/SVD
+//! codec; this module owns only the row blocking, the worker pool and
+//! the framing around the blocks.
 
 use crate::codec::LossyCodec;
-use crate::dimred::DimRedOutput;
-use lrm_compress::{DecodeError, DecodeResult, Shape};
+use crate::dimred::{
+    fit_pca, fit_svd, get_stream, get_u32, plus, put_u32, rebuild_pca, rebuild_svd, DimRedOutput,
+    Factors,
+};
+use lrm_compress::{DecodeError, DecodeResult};
 use lrm_datasets::Field;
-use lrm_linalg::{svd, Matrix, Pca};
+use lrm_linalg::Matrix;
 use lrm_parallel::WorkerPool;
-
-fn put_u32(out: &mut Vec<u8>, v: usize) {
-    out.extend_from_slice(&(v as u32).to_le_bytes());
-}
-
-fn get_u32(b: &[u8], pos: &mut usize) -> DecodeResult<usize> {
-    let s = b
-        .get(*pos..pos.saturating_add(4))
-        .ok_or(DecodeError::Truncated {
-            what: "partitioned header field",
-        })?;
-    *pos += 4;
-    Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]) as usize)
-}
-
-fn put_f64s(out: &mut Vec<u8>, vals: &[f64]) {
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn get_f64s(b: &[u8], pos: &mut usize, count: usize) -> DecodeResult<Vec<f64>> {
-    let nbytes = count.checked_mul(8).ok_or(DecodeError::Corrupt {
-        what: "partitioned block size overflow",
-    })?;
-    let s = b
-        .get(*pos..pos.saturating_add(nbytes))
-        .ok_or(DecodeError::Truncated {
-            what: "partitioned f64 block",
-        })?;
-    *pos += nbytes;
-    Ok(s.chunks_exact(8)
-        .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-        .collect())
-}
 
 /// Row ranges of the `blocks` partitions of an `m`-row matrix.
 fn row_blocks(m: usize, blocks: usize) -> Vec<(usize, usize)> {
     let b = blocks.clamp(1, m.max(1));
     (0..b).map(|i| (i * m / b, (i + 1) * m / b)).collect()
-}
-
-/// One fitted block: its reduced representation plus the base
-/// reconstruction of its rows.
-struct BlockFit {
-    rep: Vec<u8>,
-    approx: Vec<f64>, // row-major rows of this block
-    k: usize,
-}
-
-/// Fits PCA on one row block and serializes its representation.
-fn fit_pca_block(
-    rows: &[f64],
-    mrows: usize,
-    n: usize,
-    variance_fraction: f64,
-    codec: &LossyCodec,
-) -> BlockFit {
-    let mat = Matrix::from_vec(mrows, n, rows.to_vec());
-    let pca = Pca::fit(&mat);
-    let k = pca.components_for_variance(variance_fraction).max(1).min(n);
-    let scores = pca.transform(&mat, k);
-    let scores_shape = Shape::d2(k, mrows);
-    let scores_bytes = codec.compress(scores.as_slice(), scores_shape);
-
-    let mut rep = Vec::new();
-    put_u32(&mut rep, mrows);
-    put_u32(&mut rep, k);
-    put_f64s(&mut rep, &pca.means);
-    let basis = pca.components.take_cols(k);
-    put_f64s(&mut rep, basis.as_slice());
-    put_u32(&mut rep, scores_bytes.len());
-    rep.extend_from_slice(&scores_bytes);
-
-    let scores_recon =
-        Matrix::from_vec(mrows, k, codec.decompress_own(&scores_bytes, scores_shape));
-    let approx = scores_recon.matmul(&basis.transpose());
-    let approx: Vec<f64> = approx
-        .as_slice()
-        .iter()
-        .enumerate()
-        .map(|(i, v)| v + pca.means[i % n])
-        .collect();
-    BlockFit { rep, approx, k }
-}
-
-/// Fits truncated SVD on one row block and serializes its representation.
-fn fit_svd_block(
-    rows: &[f64],
-    mrows: usize,
-    n: usize,
-    energy_fraction: f64,
-    codec: &LossyCodec,
-) -> BlockFit {
-    let mat = Matrix::from_vec(mrows, n, rows.to_vec());
-    let dec = svd(&mat);
-    let k = dec
-        .rank_for_energy(energy_fraction)
-        .max(1)
-        .min(n.min(mrows));
-    let uk = dec.u.take_cols(k);
-    let vk = dec.v.take_cols(k);
-    let sigma = &dec.sigma[..k];
-
-    let u_shape = Shape::d2(k, mrows);
-    let u_bytes = codec.compress(uk.as_slice(), u_shape);
-
-    let mut rep = Vec::new();
-    put_u32(&mut rep, mrows);
-    put_u32(&mut rep, k);
-    put_f64s(&mut rep, sigma);
-    put_f64s(&mut rep, vk.as_slice());
-    put_u32(&mut rep, u_bytes.len());
-    rep.extend_from_slice(&u_bytes);
-
-    let u_recon = Matrix::from_vec(mrows, k, codec.decompress_own(&u_bytes, u_shape));
-    let us = Matrix::from_fn(mrows, k, |r, c| u_recon.get(r, c) * sigma[c]);
-    let approx = us.matmul(&vk.transpose());
-    BlockFit {
-        rep,
-        approx: approx.into_vec(),
-        k,
-    }
 }
 
 /// Which decomposition a partitioned fit uses.
@@ -168,16 +57,16 @@ pub fn partitioned_precondition(
     let (m, n) = field.matrix_dims();
     let ranges = row_blocks(m, blocks);
 
-    let fits: Vec<BlockFit> = WorkerPool::auto().run(ranges.clone(), |_, (r0, r1)| {
-        let rows = &field.data[r0 * n..r1 * n];
+    let fits: Vec<Factors> = WorkerPool::auto().run(ranges.clone(), |_, (r0, r1)| {
+        let rows = Matrix::from_vec(r1 - r0, n, field.data[r0 * n..r1 * n].to_vec());
         match method {
-            PartitionedMethod::Pca => fit_pca_block(rows, r1 - r0, n, variance_fraction, codec),
-            PartitionedMethod::Svd => fit_svd_block(rows, r1 - r0, n, variance_fraction, codec),
+            PartitionedMethod::Pca => fit_pca(&rows, variance_fraction, codec),
+            PartitionedMethod::Svd => fit_svd(&rows, variance_fraction, codec),
         }
     });
 
-    // Representation: method tag, n, block count, then length-prefixed
-    // per-block representations.
+    // Representation: method tag, n, block count, then each block behind
+    // a length prefix: its row count, then its body.
     let mut rep = Vec::new();
     rep.push(match method {
         PartitionedMethod::Pca => 0u8,
@@ -185,16 +74,14 @@ pub fn partitioned_precondition(
     });
     put_u32(&mut rep, n);
     put_u32(&mut rep, fits.len());
-    for f in &fits {
-        put_u32(&mut rep, f.rep.len());
-        rep.extend_from_slice(&f.rep);
+    for (fit, (r0, r1)) in fits.iter().zip(&ranges) {
+        put_u32(&mut rep, 4 + fit.body.len());
+        put_u32(&mut rep, r1 - r0);
+        rep.extend_from_slice(&fit.body);
     }
 
-    let mut approx = Vec::with_capacity(field.len());
-    for f in &fits {
-        approx.extend_from_slice(&f.approx);
-    }
-    let delta: Vec<f64> = field.data.iter().zip(&approx).map(|(a, b)| a - b).collect();
+    let approx = fits.iter().flat_map(|f| &f.approx);
+    let delta: Vec<f64> = field.data.iter().zip(approx).map(|(a, b)| a - b).collect();
     let k_max = fits.iter().map(|f| f.k).max().unwrap_or(0);
     DimRedOutput {
         rep_bytes: rep,
@@ -204,81 +91,58 @@ pub fn partitioned_precondition(
 }
 
 /// Rebuilds the base reconstruction from a partitioned representation and
-/// adds the delta.
+/// adds the delta. The blocks must tile the delta exactly.
 pub fn partitioned_reconstruct(
     rep_bytes: &[u8],
     delta: &[f64],
     codec: &LossyCodec,
 ) -> DecodeResult<Vec<f64>> {
-    let method = *rep_bytes.first().ok_or(DecodeError::Truncated {
-        what: "partitioned method tag",
-    })?;
-    if method > 1 {
-        return Err(DecodeError::UnknownTag {
-            what: "partitioned method",
-            tag: method,
-        });
-    }
+    let method = match rep_bytes.first() {
+        Some(0) => PartitionedMethod::Pca,
+        Some(1) => PartitionedMethod::Svd,
+        Some(&tag) => {
+            return Err(DecodeError::UnknownTag {
+                what: "partitioned method",
+                tag,
+            })
+        }
+        None => {
+            return Err(DecodeError::Truncated {
+                what: "partitioned method tag",
+            })
+        }
+    };
     let mut pos = 1usize;
     let n = get_u32(rep_bytes, &mut pos)?;
     let nblocks = get_u32(rep_bytes, &mut pos)?;
     let mut approx = Vec::with_capacity(delta.len());
     for _ in 0..nblocks {
-        let blen = get_u32(rep_bytes, &mut pos)?;
-        let block = rep_bytes
-            .get(pos..pos.saturating_add(blen))
-            .ok_or(DecodeError::Truncated {
-                what: "partitioned block",
-            })?;
-        pos += blen;
+        let block = get_stream(rep_bytes, &mut pos, "partitioned block")?;
         let mut bp = 0usize;
         let mrows = get_u32(block, &mut bp)?;
-        let k = get_u32(block, &mut bp)?;
-        let nk = n.checked_mul(k).ok_or(DecodeError::Corrupt {
-            what: "partitioned basis size overflow",
-        })?;
-        if method == 0 {
-            let means = get_f64s(block, &mut bp, n)?;
-            let basis = Matrix::from_vec(n, k, get_f64s(block, &mut bp, nk)?);
-            let slen = get_u32(block, &mut bp)?;
-            let scores_bytes =
-                block
-                    .get(bp..bp.saturating_add(slen))
-                    .ok_or(DecodeError::Truncated {
-                        what: "partitioned score stream",
-                    })?;
-            let scores = Matrix::from_vec(
-                mrows,
-                k,
-                codec.decompress(scores_bytes, Shape::d2(k, mrows))?,
-            );
-            let a = scores.matmul(&basis.transpose());
-            approx.extend(
-                a.as_slice()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| v + means[i % n]),
-            );
-        } else {
-            let sigma = get_f64s(block, &mut bp, k)?;
-            let vk = Matrix::from_vec(n, k, get_f64s(block, &mut bp, nk)?);
-            let ulen = get_u32(block, &mut bp)?;
-            let u_bytes = block
-                .get(bp..bp.saturating_add(ulen))
-                .ok_or(DecodeError::Truncated {
-                    what: "partitioned u stream",
-                })?;
-            let u = Matrix::from_vec(mrows, k, codec.decompress(u_bytes, Shape::d2(k, mrows))?);
-            let us = Matrix::from_fn(mrows, k, |r, c| u.get(r, c) * sigma[c]);
-            approx.extend_from_slice(us.matmul(&vk.transpose()).as_slice());
+        let left = delta.len().saturating_sub(approx.len());
+        if mrows.saturating_mul(n) > left {
+            return Err(DecodeError::Corrupt {
+                what: "partitioned blocks overrun the delta",
+            });
         }
+        approx.extend(match method {
+            PartitionedMethod::Pca => rebuild_pca(block, &mut bp, mrows, n, codec)?,
+            PartitionedMethod::Svd => rebuild_svd(block, &mut bp, mrows, n, codec)?,
+        });
     }
-    Ok(approx.iter().zip(delta).map(|(b, d)| b + d).collect())
+    if approx.len() != delta.len() {
+        return Err(DecodeError::Corrupt {
+            what: "partitioned blocks do not cover the delta",
+        });
+    }
+    Ok(plus(&approx, delta))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lrm_compress::Shape;
 
     fn test_field() -> Field {
         let (m, n) = (64, 24);

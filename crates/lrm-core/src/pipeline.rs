@@ -53,9 +53,6 @@ pub enum ReducedModelKind {
     /// Partitioned (blocked) truncated SVD; the parameter is the number
     /// of row blocks.
     SvdBlocked(usize),
-    /// Randomized truncated SVD (Halko–Martinsson–Tropp sketch) — a fast
-    /// path extension addressing the Fig. 12 overhead.
-    SvdRandomized,
 }
 
 impl ReducedModelKind {
@@ -71,7 +68,6 @@ impl ReducedModelKind {
             ReducedModelKind::Wavelet => "Wavelet",
             ReducedModelKind::PcaBlocked(_) => "PCA-blocked",
             ReducedModelKind::SvdBlocked(_) => "SVD-blocked",
-            ReducedModelKind::SvdRandomized => "SVD-randomized",
         }
     }
 
@@ -88,7 +84,6 @@ impl ReducedModelKind {
             ReducedModelKind::Wavelet => (6, 0),
             ReducedModelKind::PcaBlocked(b) => (7, b as u32),
             ReducedModelKind::SvdBlocked(b) => (8, b as u32),
-            ReducedModelKind::SvdRandomized => (9, 0),
         }
     }
 }
@@ -249,11 +244,6 @@ pub(crate) fn precondition_impl(
             );
             (out.rep_bytes, out.delta, Shape::d1(0), out.k)
         }
-        ReducedModelKind::SvdRandomized => {
-            let out =
-                crate::dimred::svd_randomized_precondition(field, cfg.variance_fraction, &cfg.orig);
-            (out.rep_bytes, out.delta, Shape::d1(0), out.k)
-        }
     };
 
     // The delta is compressed under the looser bound; Direct compresses
@@ -326,11 +316,11 @@ pub(crate) fn reconstruct_impl(bytes: &[u8]) -> DecodeResult<(Vec<f64>, Shape)> 
         2 => multi_base_reconstruct(rep, &delta, meta.shape, meta.param as usize, &meta.orig)?,
         3 => duo_model_reconstruct(rep, &delta, meta.shape, meta.aux_shape, &meta.orig)?,
         4 => pca_reconstruct(rep, &delta, &meta.orig)?,
-        5 => svd_reconstruct(rep, &delta, &meta.orig)?,
+        // Tag 9 named the randomized SVD, since removed. Its artifacts
+        // use the SVD representation, so they still decode.
+        5 | 9 => svd_reconstruct(rep, &delta, &meta.orig)?,
         6 => wavelet_reconstruct(rep, &delta)?,
         7 | 8 => crate::partitioned::partitioned_reconstruct(rep, &delta, &meta.orig)?,
-        // Randomized SVD shares the plain SVD representation format.
-        9 => svd_reconstruct(rep, &delta, &meta.orig)?,
         tag => {
             return Err(DecodeError::UnknownTag {
                 what: "reduced-model",
@@ -485,6 +475,26 @@ mod tests {
             assert_eq!(shape, f.shape);
             assert_eq!(rec.len(), f.len());
         }
+    }
+
+    #[test]
+    fn tag_9_artifact_decodes_as_its_svd_twin() {
+        // Tag 9 named the removed randomized SVD, whose artifacts used the
+        // SVD representation: they must still decode.
+        let f = smooth_3d_field(10);
+        let art = compress(&f, &PipelineConfig::sz(ReducedModelKind::Svd));
+        let parsed = Artifact::from_bytes(&art.bytes).expect("parse");
+        let mut meta = parsed.get(META).expect("meta").to_vec();
+        assert_eq!(meta[0], 5);
+        meta[0] = 9;
+        let mut twin = Artifact::new();
+        twin.push(META, meta);
+        twin.push(REP, parsed.get(REP).expect("rep").to_vec());
+        twin.push(DELTA, parsed.get(DELTA).expect("delta").to_vec());
+        let (svd, _) = reconstruct(&art.bytes);
+        let (tag9, shape) = reconstruct(&twin.to_bytes());
+        assert_eq!(shape, f.shape);
+        assert_eq!(tag9, svd);
     }
 
     #[test]

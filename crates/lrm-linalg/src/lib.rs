@@ -13,15 +13,11 @@
 pub mod eigen;
 pub mod matrix;
 pub mod pca;
-pub mod qr;
-pub mod rsvd;
 pub mod svd;
 
 pub use eigen::{symmetric_eigen, EigenDecomposition};
 pub use matrix::Matrix;
 pub use pca::Pca;
-pub use qr::qr;
-pub use rsvd::{randomized_svd, RsvdConfig};
 pub use svd::{svd, Svd};
 
 #[cfg(test)]

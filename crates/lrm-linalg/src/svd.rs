@@ -145,10 +145,6 @@ pub fn svd(a: &Matrix) -> Svd {
 /// `v_j = [1; tail]`. Returns the `τ_j` of `H_j = I − τ_j·v_j·v_jᵀ`, with
 /// `Q = H_0·H_1⋯H_{n−1}`; `τ_j = 0` marks a column that was already zero
 /// below the diagonal.
-///
-/// [`crate::qr::qr`] (modified Gram–Schmidt) is not used here: it zeroes
-/// any direction below 1e-10 of its column's norm, which moves the small
-/// singular values, and it is slower on square matrices.
 fn householder_qr(a: &mut [f64], m: usize, n: usize) -> Vec<f64> {
     let mut taus = vec![0.0; n];
     for (j, tau) in taus.iter_mut().enumerate() {

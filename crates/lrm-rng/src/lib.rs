@@ -1,8 +1,7 @@
 //! Deterministic pseudo-random numbers with zero dependencies.
 //!
-//! The workspace needs randomness in two places: the randomized-SVD
-//! sketch (`lrm-linalg`) and the synthetic dataset generators
-//! (`lrm-datasets`), plus seeded random inputs across the test suites.
+//! The workspace needs randomness in the synthetic dataset generators
+//! (`lrm-datasets`) and in seeded random inputs across the test suites.
 //! This crate provides a small, reproducible generator —
 //! **xoshiro256++** (Blackman & Vigna) seeded through **SplitMix64** —
 //! so the whole repository builds without the `rand` crate and every
@@ -15,8 +14,6 @@
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rng64 {
     s: [u64; 4],
-    /// Cached second output of the Box–Muller transform.
-    spare_normal: Option<u64>,
 }
 
 impl Rng64 {
@@ -34,7 +31,6 @@ impl Rng64 {
         };
         Self {
             s: [next(), next(), next(), next()],
-            spare_normal: None,
         }
     }
 
@@ -89,20 +85,6 @@ impl Rng64 {
     /// Bernoulli draw: `true` with probability `p` (clamped to [0, 1]).
     pub fn bool(&mut self, p: f64) -> bool {
         self.next_f64() < p
-    }
-
-    /// Standard normal (mean 0, variance 1) via Box–Muller.
-    pub fn normal(&mut self) -> f64 {
-        if let Some(bits) = self.spare_normal.take() {
-            return f64::from_bits(bits);
-        }
-        // Draw in (0, 1] for u1 so ln(u1) is finite.
-        let u1 = 1.0 - self.next_f64();
-        let u2 = self.next_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        self.spare_normal = Some((r * theta.sin()).to_bits());
-        r * theta.cos()
     }
 
     /// A vector of `len` uniform doubles in `[lo, hi)`.
@@ -178,17 +160,6 @@ mod tests {
             seen[v as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn normal_moments_are_sane() {
-        let mut r = Rng64::new(5);
-        let n = 100_000;
-        let xs: Vec<f64> = (0..n).map(|_| r.normal()).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
 
     #[test]

@@ -393,7 +393,6 @@ pub fn model_from_tag(tag: u8, param: u32) -> DecodeResult<ReducedModelKind> {
         6 => Ok(ReducedModelKind::Wavelet),
         7 => Ok(ReducedModelKind::PcaBlocked((param as usize).max(1))),
         8 => Ok(ReducedModelKind::SvdBlocked((param as usize).max(1))),
-        9 => Ok(ReducedModelKind::SvdRandomized),
         tag => Err(DecodeError::UnknownTag {
             what: "reduced-model",
             tag,
@@ -1239,14 +1238,17 @@ mod tests {
     #[test]
     fn duo_model_tag_is_rejected_on_the_wire() {
         assert!(model_from_tag(3, 0).is_err());
-        for tag in [0u8, 1, 2, 4, 5, 6, 7, 8, 9] {
+        for tag in [0u8, 1, 2, 4, 5, 6, 7, 8] {
             let model = model_from_tag(tag, 2).expect("tag");
             assert_eq!(model.tag().0, tag);
         }
-        assert!(matches!(
-            model_from_tag(42, 0),
-            Err(DecodeError::UnknownTag { .. })
-        ));
+        // Tag 9 named the removed randomized SVD.
+        for tag in [9u8, 42] {
+            assert!(matches!(
+                model_from_tag(tag, 0),
+                Err(DecodeError::UnknownTag { .. })
+            ));
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use lrm_core::{LossyCodec, ReducedModelKind};
+use lrm_core::{LossyCodec, Pipeline, PipelineConfig, ReducedModelKind};
+use lrm_datasets::Field;
+use lrm_io::Artifact;
 use lrm_server::protocol::{
     HEADER_LEN, REQ_COMPRESS, REQ_COMPRESS_STREAM_BEGIN, REQ_PING, RESP_ERR_MALFORMED,
     RESP_ERR_TOO_LARGE,
@@ -179,6 +181,56 @@ fn u32_max_chunk_count_artifact_gets_typed_malformed() {
 
     assert_eq!(conn.ping(b"alive").expect("ping"), b"alive");
     conn.shutdown().expect("shutdown");
+    handle.join().expect("join");
+}
+
+#[test]
+fn svd_rep_declaring_a_huge_matrix_gets_typed_malformed() {
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+
+    // An SVD artifact whose `rep` declares m = n = 65,536 with k = 0 and
+    // an empty U stream: rebuilding that base would allocate 32 GiB, an
+    // abort no `catch_unwind` can stop. The decoder must check m·n
+    // against the delta first.
+    let shape = Shape::d2(32, 32);
+    let field = Field::new(
+        "square",
+        (0..shape.len()).map(|i| (i as f64 * 0.1).sin()).collect(),
+        shape,
+    );
+    let cfg = PipelineConfig::sz(ReducedModelKind::Svd);
+    let artifact = Pipeline::from_config(cfg).compress(&field).bytes;
+    let big = 65_536u32;
+    let empty = cfg.orig.compress(&[], Shape::d2(0, big as usize));
+    let mut rep = Vec::new();
+    for word in [big, big, 0, empty.len() as u32] {
+        rep.extend_from_slice(&word.to_le_bytes());
+    }
+    rep.extend_from_slice(&empty);
+    let parsed = Artifact::from_bytes(&artifact).expect("parse");
+    let mut crafted = Artifact::new();
+    for (name, section) in parsed.sections() {
+        let section = if name == "rep" {
+            rep.clone()
+        } else {
+            section.to_vec()
+        };
+        crafted.push(name, section);
+    }
+
+    let mut conn = Connection::open(addr).expect("open");
+    match conn.decompress(&crafted.to_bytes()) {
+        Err(ClientError::Server {
+            kind: ServerErrorKind::Malformed,
+            ..
+        }) => {}
+        other => panic!("expected Malformed frame, got {other:?}"),
+    }
+
+    assert_alive_then_shutdown(addr);
     handle.join().expect("join");
 }
 

@@ -1,7 +1,7 @@
 //! Robustness integration tests: corrupt inputs, adversarial fields, and
 //! failure-injection around the pipeline's parsing layers.
 
-use lrm::core::{Pipeline, PipelineConfig, PreconditionedArtifact, ReducedModelKind};
+use lrm::core::{DecodeError, Pipeline, PipelineConfig, PreconditionedArtifact, ReducedModelKind};
 use lrm::datasets::Field;
 use lrm::io::Artifact;
 use lrm_compress::Shape;
@@ -144,5 +144,99 @@ fn nan_inputs_do_not_poison_neighbors() {
             (a - b).abs() <= 1e-2 * 10.0,
             "index {i}: {a} vs {b} (NaN leaked)"
         );
+    }
+}
+
+/// `bytes` with its `rep` section replaced by `rep`.
+fn with_rep(bytes: &[u8], rep: Vec<u8>) -> Vec<u8> {
+    let parsed = Artifact::from_bytes(bytes).expect("parse");
+    let mut out = Artifact::new();
+    for (name, section) in parsed.sections() {
+        let section = if name == "rep" {
+            rep.clone()
+        } else {
+            section.to_vec()
+        };
+        out.push(name, section);
+    }
+    out.to_bytes()
+}
+
+/// The `rep` section of `bytes`.
+fn rep_of(bytes: &[u8]) -> Vec<u8> {
+    let parsed = Artifact::from_bytes(bytes).expect("parse");
+    parsed.get("rep").expect("rep").to_vec()
+}
+
+/// A field whose matrix view has 32 columns and `rows` rows.
+fn square_field(rows: usize) -> Field {
+    let shape = Shape::d2(32, rows);
+    let data = (0..shape.len())
+        .map(|i| ((i % 32) as f64 * 0.3).cos() * (1.0 + (i / 32) as f64 * 0.05))
+        .collect();
+    Field::new("square", data, shape)
+}
+
+/// A `rep` that declares a 65,536 × 65,536 matrix with `k = 0` and an
+/// empty lossy stream: a few bytes asking the decoder for a 32 GiB base.
+fn huge_rep(model: ReducedModelKind, cfg: &PipelineConfig) -> Vec<u8> {
+    let big = 65_536u32;
+    let empty = cfg.orig.compress(&[], Shape::d2(0, big as usize));
+    let mut body = Vec::new();
+    body.extend_from_slice(&0u32.to_le_bytes()); // k
+    if model == ReducedModelKind::Pca {
+        body.resize(body.len() + 8 * big as usize, 0); // column means
+    }
+    body.extend_from_slice(&(empty.len() as u32).to_le_bytes());
+    body.extend_from_slice(&empty);
+    let mut rep = Vec::new();
+    if let ReducedModelKind::SvdBlocked(_) = model {
+        // Method byte, n, one block of `big` rows.
+        rep.push(1);
+        rep.extend_from_slice(&big.to_le_bytes());
+        rep.extend_from_slice(&1u32.to_le_bytes());
+        rep.extend_from_slice(&(4 + body.len() as u32).to_le_bytes());
+        rep.extend_from_slice(&big.to_le_bytes());
+    } else {
+        rep.extend_from_slice(&big.to_le_bytes());
+        rep.extend_from_slice(&big.to_le_bytes());
+    }
+    rep.extend_from_slice(&body);
+    rep
+}
+
+#[test]
+fn rep_header_that_disagrees_with_the_delta_is_corrupt() {
+    let field = square_field(32);
+    for model in [
+        ReducedModelKind::Svd,
+        ReducedModelKind::Pca,
+        ReducedModelKind::SvdBlocked(4),
+        ReducedModelKind::Wavelet,
+    ] {
+        let cfg = PipelineConfig::sz(model);
+        let art = compress(&field, &cfg);
+        // A self-consistent representation of only the first 16 rows.
+        let half = rep_of(&compress(&square_field(16), &cfg).bytes);
+        let mut crafted = vec![("half the rows", half)];
+        if matches!(model, ReducedModelKind::Svd | ReducedModelKind::Pca) {
+            // The rank word, after m and n, raised past min(m, n) = 32.
+            let mut rep = rep_of(&art.bytes);
+            rep[8..12].copy_from_slice(&33u32.to_le_bytes());
+            crafted.push(("k = 33", rep));
+        }
+        if model != ReducedModelKind::Wavelet {
+            crafted.push(("65,536²", huge_rep(model, &cfg)));
+        }
+        for (what, rep) in crafted {
+            let got = Pipeline::builder()
+                .build()
+                .reconstruct(&with_rep(&art.bytes, rep));
+            assert!(
+                matches!(got, Err(DecodeError::Corrupt { .. })),
+                "{model:?}, {what}: {:?}",
+                got.map(|(data, shape)| (data.len(), shape))
+            );
+        }
     }
 }
