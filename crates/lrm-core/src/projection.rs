@@ -7,7 +7,7 @@
 //! is governed solely by the delta codec's bound.
 
 use crate::codec::LossyCodec;
-use lrm_compress::{DecodeResult, Shape};
+use lrm_compress::{DecodeError, DecodeResult, Shape};
 use lrm_datasets::Field;
 
 /// The reduced representation plus the preconditioned delta, before
@@ -80,27 +80,13 @@ pub fn one_base_reconstruct(
     shape: Shape,
     orig_codec: &LossyCodec,
 ) -> DecodeResult<Vec<f64>> {
-    let [nx, ny, nz] = shape.dims;
+    let [nx, ny, _] = shape.dims;
     if shape.ndims() == 2 {
         let row = orig_codec.decompress(rep_bytes, Shape::d1(nx))?;
-        let mut out = Vec::with_capacity(shape.len());
-        for y in 0..ny {
-            for x in 0..nx {
-                out.push(delta[shape.idx(x, y, 0)] + row[x]);
-            }
-        }
-        return Ok(out);
+        return reconstruct_from_bases(delta, &row, nx, |_| 0);
     }
     let plane = orig_codec.decompress(rep_bytes, Shape::d2(nx, ny))?;
-    let mut out = Vec::with_capacity(shape.len());
-    for z in 0..nz {
-        for y in 0..ny {
-            for x in 0..nx {
-                out.push(delta[shape.idx(x, y, z)] + plane[y * nx + x]);
-            }
-        }
-    }
-    Ok(out)
+    reconstruct_from_bases(delta, &plane, nx * ny, |_| 0)
 }
 
 /// *Multi-base*: the field is split into `gz` z-blocks (the paper's
@@ -193,25 +179,32 @@ pub fn multi_base_reconstruct(
     if shape.ndims() == 2 {
         let g = gz.clamp(1, ny);
         let rows = orig_codec.decompress(rep_bytes, Shape::d2(nx, g))?;
-        let mut out = Vec::with_capacity(shape.len());
-        for y in 0..ny {
-            let b = (y * g / ny).min(g - 1);
-            for x in 0..nx {
-                out.push(delta[shape.idx(x, y, 0)] + rows[b * nx + x]);
-            }
-        }
-        return Ok(out);
+        return reconstruct_from_bases(delta, &rows, nx, |y| (y * g / ny).min(g - 1));
     }
     let gz = gz.clamp(1, nz);
     let planes = orig_codec.decompress(rep_bytes, Shape::d3(nx, ny, gz))?;
-    let mut out = Vec::with_capacity(shape.len());
-    for z in 0..nz {
-        let b = (z * gz / nz).min(gz - 1);
-        for y in 0..ny {
-            for x in 0..nx {
-                out.push(delta[shape.idx(x, y, z)] + planes[(b * ny + y) * nx + x]);
-            }
-        }
+    reconstruct_from_bases(delta, &planes, nx * ny, |z| (z * gz / nz).min(gz - 1))
+}
+
+/// Adds the bases back onto the delta one slab of `width` values (a row
+/// of a 2-D field, a z-plane of a 3-D one) at a time: delta slab `i`
+/// gets base slab `base_of(i)`, element by element.
+fn reconstruct_from_bases(
+    delta: &[f64],
+    bases: &[f64],
+    width: usize,
+    base_of: impl Fn(usize) -> usize,
+) -> DecodeResult<Vec<f64>> {
+    let width = width.max(1);
+    let mut out = Vec::with_capacity(delta.len());
+    for (i, slab) in delta.chunks(width).enumerate() {
+        let base = bases
+            .chunks(width)
+            .nth(base_of(i))
+            .ok_or(DecodeError::Corrupt {
+                what: "projection base slab",
+            })?;
+        out.extend(slab.iter().zip(base).map(|(d, b)| d + b));
     }
     Ok(out)
 }
@@ -277,6 +270,12 @@ pub fn duo_model_reconstruct(
     coarse_shape: Shape,
     orig_codec: &LossyCodec,
 ) -> DecodeResult<Vec<f64>> {
+    // `upsample` reads the coarse field at every target point.
+    if coarse_shape.is_empty() && !shape.is_empty() {
+        return Err(DecodeError::Corrupt {
+            what: "DuoModel coarse field is empty",
+        });
+    }
     let coarse = orig_codec.decompress(rep_bytes, coarse_shape)?;
     let up = upsample(&coarse, coarse_shape, shape);
     Ok(delta.iter().zip(&up).map(|(d, b)| d + b).collect())

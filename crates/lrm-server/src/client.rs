@@ -6,10 +6,7 @@
 //! reads response frames — stashing out-of-order arrivals — until the
 //! handle's response lands. Many requests can be in flight at once over
 //! the one socket (pipelining), and [`Connection::call`] is the
-//! blocking send-then-wait convenience. The chunk-streaming helpers
-//! ([`Connection::compress_streamed`], [`Connection::decompress_streamed`])
-//! ship a large field as `Begin`/`Chunk`/`End` sub-frames so the server
-//! starts compressing while bytes are still arriving.
+//! blocking send-then-wait convenience.
 //!
 //! Server-side error frames surface as [`ClientError::Server`] with the
 //! typed [`ServerErrorKind`], so callers (and the loopback tests) can
@@ -29,8 +26,8 @@ use std::time::Duration;
 use lrm_compress::{DecodeError, Shape};
 
 use crate::protocol::{
-    CompressRequest, CompressStreamMeta, FieldStatsReply, Frame, FrameHeader, Request, Response,
-    SelectReply, SelectRequest, ServerErrorKind, WireReport, CONNECTION_REQUEST_ID, HEADER_LEN,
+    CompressRequest, FieldStatsReply, Frame, FrameHeader, Request, Response, SelectReply,
+    SelectRequest, ServerErrorKind, WireReport, CONNECTION_REQUEST_ID, HEADER_LEN,
 };
 
 /// Hard ceiling on a response payload the client will buffer; a header
@@ -230,62 +227,6 @@ impl Connection {
             Response::ShutdownAck => Ok(()),
             other => Err(unexpected(&other)),
         }
-    }
-
-    /// Compresses a field by streaming its samples in `chunk_bytes`
-    /// slices (`Begin`/`Chunk`/`End`), so the server overlaps compute
-    /// with the upload. Returns the size report and artifact bytes.
-    pub fn compress_streamed(
-        &mut self,
-        meta: CompressStreamMeta,
-        data: &[f64],
-        chunk_bytes: usize,
-    ) -> ClientResult<(WireReport, Vec<u8>)> {
-        let mut bytes = Vec::with_capacity(data.len() * 8);
-        for v in data {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        let handle =
-            self.stream_request(&Request::CompressStreamBegin(meta), &bytes, chunk_bytes)?;
-        match self.wait(handle)? {
-            Response::Compressed { report, artifact } => Ok((report, artifact)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Reconstructs a field by streaming the artifact bytes in
-    /// `chunk_bytes` slices.
-    pub fn decompress_streamed(
-        &mut self,
-        artifact: &[u8],
-        chunk_bytes: usize,
-    ) -> ClientResult<(Shape, Vec<f64>)> {
-        let handle = self.stream_request(&Request::DecompressStreamBegin, artifact, chunk_bytes)?;
-        match self.wait(handle)? {
-            Response::Decompressed { shape, data } => Ok((shape, data)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Opens a stream with `begin`, ships `bytes` as chunk frames under
-    /// the same request id, and closes it with `End`.
-    fn stream_request(
-        &mut self,
-        begin: &Request,
-        bytes: &[u8],
-        chunk_bytes: usize,
-    ) -> ClientResult<RequestHandle> {
-        let id = self.fresh_id();
-        self.stream.write_all(&begin.to_frame(id))?;
-        for chunk in bytes.chunks(chunk_bytes.max(1)) {
-            let frame = Request::StreamChunk {
-                bytes: chunk.to_vec(),
-            }
-            .to_frame(id);
-            self.stream.write_all(&frame)?;
-        }
-        self.stream.write_all(&Request::StreamEnd.to_frame(id))?;
-        Ok(RequestHandle { id })
     }
 
     /// The next request id, skipping [`CONNECTION_REQUEST_ID`] on wrap.

@@ -24,13 +24,11 @@
 //!
 //! Request kinds occupy `0x00..0x80`, success responses `0x80..0xE0`,
 //! and typed error responses `0xE0..`. The payload layout per kind is
-//! documented on [`Request`] and [`Response`]. The `0x06..0x0A` request
-//! kinds are the chunk-streaming family: a `CompressStreamBegin` (or
-//! `DecompressStreamBegin`) frame opens a stream under its request id,
-//! any number of `StreamChunk` frames append bytes to it, and
-//! `StreamEnd` closes it; the server starts compressing completed
-//! z-slabs while later chunks are still arriving and answers with one
-//! ordinary `Compressed`/`Decompressed` response for the whole stream.
+//! documented on [`Request`] and [`Response`]. Request kinds
+//! `0x06..=0x09` are unassigned and stay so: clients of an earlier
+//! revision sent chunk-streaming frames under them, and such a frame
+//! must keep drawing a `Malformed` reply under its own request id
+//! rather than some other response.
 //!
 //! The decoder follows the repo's hardened decode-path contract (see
 //! DESIGN.md, "Decode-path contract & lint rules"): every parse is
@@ -69,16 +67,6 @@ pub const REQ_FIELD_STATS: u8 = 0x03;
 pub const REQ_SELECT_MODEL: u8 = 0x04;
 /// Drain in-flight requests and stop the server.
 pub const REQ_SHUTDOWN: u8 = 0x05;
-/// Open a chunk-streamed compress under this frame's request id; the
-/// payload is the compress metadata (no samples).
-pub const REQ_COMPRESS_STREAM_BEGIN: u8 = 0x06;
-/// Append raw bytes to the stream opened under this frame's request id.
-pub const REQ_STREAM_CHUNK: u8 = 0x07;
-/// Close the stream opened under this frame's request id.
-pub const REQ_STREAM_END: u8 = 0x08;
-/// Open a chunk-streamed decompress: artifact bytes follow in
-/// `StreamChunk` frames.
-pub const REQ_DECOMPRESS_STREAM_BEGIN: u8 = 0x09;
 
 /// Success response kinds (`0x80..0xE0`).
 pub const RESP_PONG: u8 = 0x80;
@@ -406,8 +394,9 @@ pub fn model_from_tag(tag: u8, param: u32) -> DecodeResult<ReducedModelKind> {
 
 /// A compression job: model + dual-bound codecs + the field itself.
 ///
-/// Payload layout: the [`CompressStreamMeta`] layout, then `shape.len()`
-/// LE `f64` samples.
+/// Payload layout: model tag `u8`, model param `u32`, orig codec (9 B),
+/// delta codec (9 B), `scan_1d` `u8`, chunk count `u16`, shape 3 ×
+/// `u32`, then `shape.len()` LE `f64` samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompressRequest {
     /// The reduced model to precondition with.
@@ -445,89 +434,6 @@ pub struct SelectRequest {
     pub data: Vec<f64>,
 }
 
-/// Metadata opening a chunk-streamed compress: everything a
-/// [`CompressRequest`] carries except the samples, which follow in
-/// [`Request::StreamChunk`] frames as raw LE `f64` bytes.
-///
-/// Payload layout: model tag `u8`, model param `u32`, orig codec (9 B),
-/// delta codec (9 B), `scan_1d` `u8`, chunk count `u16`, shape 3 ×
-/// `u32`. No samples.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompressStreamMeta {
-    /// The reduced model to precondition with.
-    pub model: ReducedModelKind,
-    /// Codec/bound for original data and reduced representations.
-    pub orig: LossyCodec,
-    /// Codec/bound for deltas.
-    pub delta: LossyCodec,
-    /// Compress the delta as a flat 1-D stream.
-    pub scan_1d: bool,
-    /// Requested z-slab chunk count (`0` = server default).
-    pub chunks: u16,
-    /// Field extents; chunk bytes must total `shape.len() * 8`.
-    pub shape: Shape,
-}
-
-impl CompressRequest {
-    /// Joins stream metadata and the field samples into one request.
-    pub(crate) fn from_meta(meta: CompressStreamMeta, data: Vec<f64>) -> Self {
-        Self {
-            model: meta.model,
-            orig: meta.orig,
-            delta: meta.delta,
-            scan_1d: meta.scan_1d,
-            chunks: meta.chunks,
-            shape: meta.shape,
-            data,
-        }
-    }
-
-    /// Everything this request carries except the samples.
-    pub(crate) fn meta(&self) -> CompressStreamMeta {
-        CompressStreamMeta {
-            model: self.model,
-            orig: self.orig,
-            delta: self.delta,
-            scan_1d: self.scan_1d,
-            chunks: self.chunks,
-            shape: self.shape,
-        }
-    }
-}
-
-/// Writes the compress metadata layout shared by [`Request::Compress`]
-/// and [`Request::CompressStreamBegin`].
-fn encode_compress_meta(out: &mut Vec<u8>, m: &CompressStreamMeta) {
-    let (tag, param) = m.model.tag();
-    out.push(tag);
-    out.extend_from_slice(&param.to_le_bytes());
-    out.extend_from_slice(&m.orig.to_bytes());
-    out.extend_from_slice(&m.delta.to_bytes());
-    out.push(m.scan_1d as u8);
-    out.extend_from_slice(&m.chunks.to_le_bytes());
-    encode_shape(out, m.shape);
-}
-
-/// Inverse of [`encode_compress_meta`].
-fn decode_compress_meta(r: &mut Reader<'_>) -> DecodeResult<CompressStreamMeta> {
-    let tag = r.u8("compress model tag")?;
-    let param = r.u32("compress model param")?;
-    let model = model_from_tag(tag, param)?;
-    let orig = LossyCodec::from_bytes(r.take(9, "compress orig codec")?)?;
-    let delta = LossyCodec::from_bytes(r.take(9, "compress delta codec")?)?;
-    let scan_1d = r.u8("compress scan_1d flag")? != 0;
-    let chunks = r.u16("compress chunk count")?;
-    let shape = decode_shape(r)?;
-    Ok(CompressStreamMeta {
-        model,
-        orig,
-        delta,
-        scan_1d,
-        chunks,
-        shape,
-    })
-}
-
 /// A decoded client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -555,24 +461,6 @@ pub enum Request {
     SelectModel(SelectRequest),
     /// Drain in-flight requests and stop the server. Empty payload.
     Shutdown,
-    /// Open a chunk-streamed compress under this frame's request id
-    /// (see [`CompressStreamMeta`]).
-    CompressStreamBegin(CompressStreamMeta),
-    /// Append raw bytes to the open stream with this frame's request
-    /// id: field samples (LE `f64` bytes) for a compress stream,
-    /// artifact bytes for a decompress stream.
-    StreamChunk {
-        /// The chunk bytes, appended verbatim.
-        bytes: Vec<u8>,
-    },
-    /// Close the open stream with this frame's request id; the server
-    /// answers with one ordinary `Compressed`/`Decompressed` response.
-    /// Empty payload.
-    StreamEnd,
-    /// Open a chunk-streamed decompress under this frame's request id;
-    /// artifact bytes follow in [`Request::StreamChunk`] frames. Empty
-    /// payload.
-    DecompressStreamBegin,
 }
 
 impl Request {
@@ -585,10 +473,6 @@ impl Request {
             Request::FieldStats { .. } => REQ_FIELD_STATS,
             Request::SelectModel(_) => REQ_SELECT_MODEL,
             Request::Shutdown => REQ_SHUTDOWN,
-            Request::CompressStreamBegin(_) => REQ_COMPRESS_STREAM_BEGIN,
-            Request::StreamChunk { .. } => REQ_STREAM_CHUNK,
-            Request::StreamEnd => REQ_STREAM_END,
-            Request::DecompressStreamBegin => REQ_DECOMPRESS_STREAM_BEGIN,
         }
     }
 
@@ -598,7 +482,14 @@ impl Request {
         match self {
             Request::Ping { echo } => out.extend_from_slice(echo),
             Request::Compress(c) => {
-                encode_compress_meta(&mut out, &c.meta());
+                let (tag, param) = c.model.tag();
+                out.push(tag);
+                out.extend_from_slice(&param.to_le_bytes());
+                out.extend_from_slice(&c.orig.to_bytes());
+                out.extend_from_slice(&c.delta.to_bytes());
+                out.push(c.scan_1d as u8);
+                out.extend_from_slice(&c.chunks.to_le_bytes());
+                encode_shape(&mut out, c.shape);
                 encode_samples(&mut out, &c.data);
             }
             Request::Decompress { artifact } => out.extend_from_slice(artifact),
@@ -614,10 +505,6 @@ impl Request {
                 encode_samples(&mut out, &s.data);
             }
             Request::Shutdown => {}
-            Request::CompressStreamBegin(m) => encode_compress_meta(&mut out, m),
-            Request::StreamChunk { bytes } => out.extend_from_slice(bytes),
-            Request::StreamEnd => {}
-            Request::DecompressStreamBegin => {}
         }
         out
     }
@@ -637,10 +524,25 @@ impl Request {
                 echo: r.rest().to_vec(),
             }),
             REQ_COMPRESS => {
-                let meta = decode_compress_meta(&mut r)?;
-                let data = decode_samples(&mut r, meta.shape)?;
+                let tag = r.u8("compress model tag")?;
+                let param = r.u32("compress model param")?;
+                let model = model_from_tag(tag, param)?;
+                let orig = LossyCodec::from_bytes(r.take(9, "compress orig codec")?)?;
+                let delta = LossyCodec::from_bytes(r.take(9, "compress delta codec")?)?;
+                let scan_1d = r.u8("compress scan_1d flag")? != 0;
+                let chunks = r.u16("compress chunk count")?;
+                let shape = decode_shape(&mut r)?;
+                let data = decode_samples(&mut r, shape)?;
                 r.finish("compress trailing bytes")?;
-                Ok(Request::Compress(CompressRequest::from_meta(meta, data)))
+                Ok(Request::Compress(CompressRequest {
+                    model,
+                    orig,
+                    delta,
+                    scan_1d,
+                    chunks,
+                    shape,
+                    data,
+                }))
             }
             REQ_DECOMPRESS => Ok(Request::Decompress {
                 artifact: r.rest().to_vec(),
@@ -669,22 +571,6 @@ impl Request {
             REQ_SHUTDOWN => {
                 r.finish("shutdown trailing bytes")?;
                 Ok(Request::Shutdown)
-            }
-            REQ_COMPRESS_STREAM_BEGIN => {
-                let meta = decode_compress_meta(&mut r)?;
-                r.finish("stream-begin trailing bytes")?;
-                Ok(Request::CompressStreamBegin(meta))
-            }
-            REQ_STREAM_CHUNK => Ok(Request::StreamChunk {
-                bytes: r.rest().to_vec(),
-            }),
-            REQ_STREAM_END => {
-                r.finish("stream-end trailing bytes")?;
-                Ok(Request::StreamEnd)
-            }
-            REQ_DECOMPRESS_STREAM_BEGIN => {
-                r.finish("decompress-stream-begin trailing bytes")?;
-                Ok(Request::DecompressStreamBegin)
             }
             tag => Err(DecodeError::UnknownTag {
                 what: "request kind",
@@ -1038,7 +924,7 @@ mod tests {
 
     #[test]
     fn header_prefix_parses_incrementally() {
-        let bytes = Frame::encode(REQ_STREAM_CHUNK, 7, &[1, 2, 3]);
+        let bytes = Frame::encode(REQ_PING, 7, &[1, 2, 3]);
         // Consistent prefixes ask for more bytes rather than erroring.
         for cut in 0..HEADER_LEN {
             assert_eq!(
@@ -1050,7 +936,7 @@ mod tests {
         let header = Frame::parse_header_prefix(&bytes[..HEADER_LEN])
             .expect("header")
             .expect("complete");
-        assert_eq!(header.kind, REQ_STREAM_CHUNK);
+        assert_eq!(header.kind, REQ_PING);
         assert_eq!(header.request_id, 7);
         assert_eq!(header.payload_len, 3);
 
@@ -1089,19 +975,6 @@ mod tests {
                 data: vec![0.5; 6],
             }),
             Request::Shutdown,
-            Request::CompressStreamBegin(CompressStreamMeta {
-                model: ReducedModelKind::MultiBase(2),
-                orig: LossyCodec::SzRel(1e-5),
-                delta: LossyCodec::SzRel(1e-3),
-                scan_1d: false,
-                chunks: 3,
-                shape: Shape::d3(4, 4, 6),
-            }),
-            Request::StreamChunk {
-                bytes: vec![0xAB; 17],
-            },
-            Request::StreamEnd,
-            Request::DecompressStreamBegin,
         ];
         for req in requests {
             let frame = Frame::from_bytes(&req.to_frame(31)).expect("frame");
@@ -1224,14 +1097,11 @@ mod tests {
     #[test]
     fn shape_data_mismatch_is_rejected() {
         // Claim 1000 samples but ship 12.
-        let Request::Compress(c) = sample_compress() else {
+        let Request::Compress(mut c) = sample_compress() else {
             unreachable!()
         };
-        let mut meta = c.meta();
-        meta.shape = Shape::d3(10, 10, 10);
-        let mut payload = Vec::new();
-        encode_compress_meta(&mut payload, &meta);
-        encode_samples(&mut payload, &c.data);
+        c.shape = Shape::d3(10, 10, 10);
+        let payload = Request::Compress(c).encode_payload();
         assert!(Request::decode(REQ_COMPRESS, &payload).is_err());
     }
 
@@ -1253,10 +1123,13 @@ mod tests {
 
     #[test]
     fn unknown_kinds_are_typed_errors() {
-        assert!(matches!(
-            Request::decode(0x7F, &[]),
-            Err(DecodeError::UnknownTag { .. })
-        ));
+        // 0x06..=0x09 carried the retired chunk-streaming family.
+        for kind in [0x06u8, 0x07, 0x08, 0x09, 0x7F] {
+            assert!(matches!(
+                Request::decode(kind, &[]),
+                Err(DecodeError::UnknownTag { .. })
+            ));
+        }
         assert!(matches!(
             Response::decode(0x42, &[]),
             Err(DecodeError::UnknownTag { .. })

@@ -18,12 +18,12 @@
 //! many requests may be in flight per connection, and responses are
 //! written in completion order — out of order relative to submission.
 //! A connection whose framing is lost (a bad header, a header or payload
-//! that outlives the deadline, a duplicate or unknown stream id) gets
-//! one error frame and closes after it flushes.
+//! that outlives the deadline, a duplicate request id) gets one error
+//! frame and closes after it flushes.
 //!
-//! Backpressure is explicit, typed, and **per-request**: a
-//! request-starting frame beyond [`ServerConfig::max_inflight`] (global)
-//! or [`ServerConfig::max_pipeline_depth`] (per connection) receives a
+//! Backpressure is explicit, typed, and **per-request**: a request
+//! beyond [`ServerConfig::max_inflight`] (global) or
+//! [`ServerConfig::max_pipeline_depth`] (per connection) receives a
 //! `Busy` error frame under its own request id (never a hang or a silent
 //! drop), a payload beyond [`ServerConfig::max_payload`] receives
 //! `TooLarge` before the payload is read, and a request that cannot be
@@ -31,17 +31,10 @@
 //! Whole connections are only refused (with a `Busy` frame under
 //! [`CONNECTION_REQUEST_ID`]) beyond [`ServerConfig::max_connections`].
 //!
-//! Chunk-streamed requests (`Begin`/`Chunk`/`End`) overlap compute with
-//! the upload: each completed z-slab of a streamed compress is
-//! dispatched to the pool while later chunks are still arriving, and
-//! the slab artifacts are assembled into the same chunked container the
-//! unary path produces — byte-identical output.
-//!
 //! A `Shutdown` request flips the loop into draining: the listener
-//! closes, new request-starting frames are refused with `Busy`, but
-//! in-flight work — including open streams, whose remaining `Chunk`/
-//! `End` frames are still accepted — completes and flushes before
-//! [`Server::serve`] returns.
+//! closes, new requests are refused with `Busy`, but in-flight work —
+//! including a request whose frame was already arriving — completes and
+//! flushes before [`Server::serve`] returns.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -55,15 +48,13 @@ use lrm_core::{
     default_candidates, selection::SelectionOptions, Pipeline, PipelineConfig, ReducedModelKind,
 };
 use lrm_datasets::Field;
-use lrm_io::{ChunkEntry, ChunkedArtifact};
-use lrm_parallel::{Decomposition, WorkerPool};
+use lrm_parallel::WorkerPool;
 use lrm_stats::{byte_entropy, bytes_of, Summary};
 
 use crate::poll::{fd_of, poll, PollFd};
 use crate::protocol::{
-    CompressRequest, CompressStreamMeta, FieldStatsReply, Frame, FrameHeader, Request, Response,
-    SelectReply, ServerErrorKind, TrialReport, WireReport, CONNECTION_REQUEST_ID, HEADER_LEN,
-    REQ_STREAM_CHUNK, REQ_STREAM_END,
+    CompressRequest, FieldStatsReply, Frame, FrameHeader, Request, Response, SelectReply,
+    ServerErrorKind, TrialReport, WireReport, CONNECTION_REQUEST_ID, HEADER_LEN,
 };
 
 /// Tunable limits for a [`Server`].
@@ -71,9 +62,8 @@ use crate::protocol::{
 pub struct ServerConfig {
     /// Worker threads serving requests (`0` = one per available core).
     pub threads: usize,
-    /// Maximum request-starting frames awaiting a response across all
-    /// connections; beyond this a request receives a typed `Busy`
-    /// frame.
+    /// Maximum requests awaiting a response across all connections;
+    /// beyond this a request receives a typed `Busy` frame.
     pub max_inflight: usize,
     /// Maximum request payload in bytes; larger frames receive
     /// `TooLarge` before the payload is read.
@@ -288,44 +278,20 @@ fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
 // Worker side: jobs, completions
 // ---------------------------------------------------------------------------
 
-/// One unit of codec work dispatched to the pool.
+/// One decoded request dispatched to the pool.
 struct Job {
     conn: u64,
     request_id: u64,
     accepted: Instant,
-    work: Work,
+    request: Request,
 }
 
-enum Work {
-    /// A whole decoded request (ping, compress, …).
-    Unary(Request),
-    /// One z-slab of a chunk-streamed compress.
-    Slab {
-        index: usize,
-        z0: usize,
-        dims: [usize; 3],
-        data: Vec<f64>,
-        meta: CompressStreamMeta,
-    },
-}
-
-/// A finished unit of work, headed back to the event loop.
+/// A finished request, headed back to the event loop.
 struct Done {
     conn: u64,
     request_id: u64,
     accepted: Instant,
-    result: DoneResult,
-}
-
-enum DoneResult {
-    Response(Response),
-    Slab {
-        index: usize,
-        z0: u32,
-        dims: [u32; 3],
-        report: WireReport,
-        bytes: Vec<u8>,
-    },
+    response: Response,
 }
 
 /// Queues + flags shared between the event loop and the workers.
@@ -373,19 +339,19 @@ fn worker_loop(shared: &Shared, config: &ServerConfig) {
         };
         // Model/codec execution walks real numerical kernels; a panic
         // there must kill one request, not a worker thread.
-        let result = match std::panic::catch_unwind(AssertUnwindSafe(|| run_work(job.work, config)))
-        {
-            Ok(r) => r,
-            Err(_) => DoneResult::Response(Response::Error {
-                kind: ServerErrorKind::Internal,
-                message: "request execution panicked".to_owned(),
-            }),
-        };
+        let response =
+            match std::panic::catch_unwind(AssertUnwindSafe(|| execute(&job.request, config))) {
+                Ok(r) => r,
+                Err(_) => Response::Error {
+                    kind: ServerErrorKind::Internal,
+                    message: "request execution panicked".to_owned(),
+                },
+            };
         let done = Done {
             conn: job.conn,
             request_id: job.request_id,
             accepted: job.accepted,
-            result,
+            response,
         };
         {
             let mut d = shared.done.lock().expect("completion queue poisoned");
@@ -396,56 +362,26 @@ fn worker_loop(shared: &Shared, config: &ServerConfig) {
     }
 }
 
-fn run_work(work: Work, config: &ServerConfig) -> DoneResult {
-    match work {
-        Work::Unary(request) => DoneResult::Response(execute(&request, config)),
-        Work::Slab {
-            index,
-            z0,
-            dims,
-            data,
-            meta,
-        } => {
-            // Per-slab compression identical to the unary chunked path:
-            // a single-chunk pipeline over the slab field (names are not
-            // serialized, so the artifact bytes match exactly).
-            let field = Field::new("stream", data, lrm_compress::Shape { dims });
-            let artifact = compress_pipeline(&meta, 1).compress(&field);
-            DoneResult::Slab {
-                index,
-                z0: z0 as u32,
-                dims: [dims[0] as u32, dims[1] as u32, dims[2] as u32],
-                report: WireReport::from_report(&artifact.report),
-                bytes: artifact.bytes,
-            }
-        }
-    }
-}
-
-/// The pipeline a compress request runs. Parallelism lives across
-/// requests (the worker pool), so each pipeline runs single-threaded.
-fn compress_pipeline(meta: &CompressStreamMeta, chunks: usize) -> Pipeline {
+/// The pipeline a compress request runs, with a chunk count of `0`
+/// meaning the server default. Parallelism lives across requests (the
+/// worker pool), so each pipeline runs single-threaded.
+fn compress_pipeline(c: &CompressRequest, config: &ServerConfig) -> Pipeline {
+    let chunks = if c.chunks == 0 {
+        config.default_chunks
+    } else {
+        c.chunks as usize
+    };
     Pipeline::builder()
-        .model(meta.model)
-        .codec(meta.orig)
-        .delta_codec(meta.delta)
-        .scan_1d(meta.scan_1d)
+        .model(c.model)
+        .codec(c.orig)
+        .delta_codec(c.delta)
+        .scan_1d(c.scan_1d)
         .threads(1)
         .chunks(chunks)
         .build()
 }
 
-/// The chunk count a compress request asks for, with `0` meaning the
-/// server default.
-fn requested_chunks(meta: &CompressStreamMeta, config: &ServerConfig) -> usize {
-    if meta.chunks == 0 {
-        config.default_chunks
-    } else {
-        meta.chunks as usize
-    }
-}
-
-/// Executes one decoded unary request against the engine.
+/// Executes one decoded request against the engine.
 fn execute(request: &Request, config: &ServerConfig) -> Response {
     match request {
         Request::Ping { echo } => Response::Pong { echo: echo.clone() },
@@ -453,10 +389,8 @@ fn execute(request: &Request, config: &ServerConfig) -> Response {
             if c.shape.is_empty() {
                 return malformed_response("compress request carries an empty field".to_owned());
             }
-            let meta = c.meta();
-            let pipeline = compress_pipeline(&meta, requested_chunks(&meta, config));
             let field = Field::new("wire", c.data.clone(), c.shape);
-            let artifact = pipeline.compress(&field);
+            let artifact = compress_pipeline(c, config).compress(&field);
             Response::Compressed {
                 report: WireReport::from_report(&artifact.report),
                 artifact: artifact.bytes,
@@ -518,15 +452,9 @@ fn execute(request: &Request, config: &ServerConfig) -> Response {
                 },
             }
         }
-        // Shutdown and stream framing are handled in the event loop
-        // before dispatch; answered defensively here.
+        // Shutdown is handled in the event loop before dispatch;
+        // answered defensively here.
         Request::Shutdown => Response::ShutdownAck,
-        Request::CompressStreamBegin(_)
-        | Request::StreamChunk { .. }
-        | Request::StreamEnd
-        | Request::DecompressStreamBegin => {
-            malformed_response("stream frames are not unary requests".to_owned())
-        }
     }
 }
 
@@ -565,31 +493,6 @@ const IDLE_POLL: Duration = Duration::from_millis(500);
 struct Accepted {
     header: FrameHeader,
     at: Instant,
-    /// Whether this frame incremented the pending counters (request-
-    /// starting kinds do; stream chunk/end frames ride on an already
-    /// counted request).
-    counted: bool,
-}
-
-/// An open chunk stream (compress or decompress) on one connection.
-struct StreamState {
-    /// Compress metadata; `None` marks a decompress stream.
-    meta: Option<CompressStreamMeta>,
-    started: Instant,
-    buf: Vec<u8>,
-    /// z-slab ranges for a chunked compress; empty = single dispatch at
-    /// `End`.
-    bounds: Vec<(usize, usize)>,
-    next_slab: usize,
-    done: Vec<Option<SlabOut>>,
-    ended: bool,
-}
-
-struct SlabOut {
-    z0: u32,
-    dims: [u32; 3],
-    report: WireReport,
-    bytes: Vec<u8>,
 }
 
 /// Post-flush lingering state: write side already shut down.
@@ -609,15 +512,10 @@ struct Conn {
     header_started: Option<Instant>,
     /// Payload bytes still to swallow for an already-answered frame.
     discard: u64,
-    /// Request-starting frames awaiting a response.
+    /// Requests awaiting a response.
     pending: usize,
-    /// Request ids currently live on this connection (in-flight unary
-    /// requests and open streams).
+    /// Request ids currently in flight on this connection.
     live: HashSet<u64>,
-    streams: HashMap<u64, StreamState>,
-    /// Stream ids already answered with an error; their remaining
-    /// chunk/end frames are swallowed silently.
-    aborted: HashSet<u64>,
     close_after_flush: bool,
     closing: Option<Closing>,
     /// Set at shutdown for connections with a request already arriving:
@@ -639,8 +537,6 @@ impl Conn {
             discard: 0,
             pending: 0,
             live: HashSet::new(),
-            streams: HashMap::new(),
-            aborted: HashSet::new(),
             close_after_flush: false,
             closing: None,
             drain_grace: false,
@@ -729,17 +625,13 @@ impl EventLoop<'_> {
     }
 
     /// Whether every connection is at a clean boundary: nothing half
-    /// read, no open stream, no pending response, output flushed. The
-    /// drain exits only once this holds, so a request whose bytes were
-    /// already arriving at shutdown still completes.
+    /// read, no pending response, output flushed. The drain exits only
+    /// once this holds, so a request whose bytes were already arriving
+    /// at shutdown still completes.
     fn quiescent(&self) -> bool {
-        self.conns.values().all(|c| {
-            c.pending == 0
-                && c.streams.is_empty()
-                && c.cur.is_none()
-                && c.buf.is_empty()
-                && c.flushed()
-        })
+        self.conns
+            .values()
+            .all(|c| c.pending == 0 && c.cur.is_none() && c.buf.is_empty() && c.flushed())
     }
 
     fn build_poll_set(&self) -> (Vec<PollFd>, Vec<Token>) {
@@ -760,8 +652,8 @@ impl EventLoop<'_> {
         (fds, tokens)
     }
 
-    /// The nearest deadline across partial frames, open streams, and
-    /// lingering closes, as a poll timeout.
+    /// The nearest deadline across partial frames and lingering closes,
+    /// as a poll timeout.
     fn poll_timeout(&self) -> Duration {
         let now = Instant::now();
         let mut nearest: Option<Instant> = None;
@@ -779,9 +671,6 @@ impl EventLoop<'_> {
                 consider(acc.at + self.config.deadline);
             } else if let Some(t) = conn.header_started {
                 consider(t + self.config.deadline);
-            }
-            for st in conn.streams.values() {
-                consider(st.started + self.config.deadline);
             }
         }
         match nearest {
@@ -907,9 +796,7 @@ impl EventLoop<'_> {
                 Ok(None) => {
                     if conn.buf.is_empty() {
                         conn.header_started = None;
-                        if conn.streams.is_empty() && conn.discard == 0 {
-                            conn.drain_grace = false;
-                        }
+                        conn.drain_grace = false;
                     } else if conn.header_started.is_none() {
                         conn.header_started = Some(Instant::now());
                     }
@@ -942,8 +829,6 @@ impl EventLoop<'_> {
     /// their payload arrives.
     fn admit(&mut self, conn: &mut Conn, header: FrameHeader) {
         let id = header.request_id;
-        let starting = !matches!(header.kind, REQ_STREAM_CHUNK | REQ_STREAM_END);
-        let now = Instant::now();
 
         let refuse = |this: &mut Self, conn: &mut Conn, response: Response, busy: bool| {
             this.queue_response(conn, id, response, !busy);
@@ -955,43 +840,41 @@ impl EventLoop<'_> {
             conn.header_started = None;
         };
 
-        if starting {
-            let draining = self.draining && !conn.drain_grace;
-            if draining
-                || self.global_pending >= self.config.max_inflight
-                || conn.pending >= self.config.max_pipeline_depth
-            {
-                let message = if draining {
-                    "server is draining".to_owned()
-                } else if self.global_pending >= self.config.max_inflight {
-                    format!("server at max in-flight ({})", self.config.max_inflight)
-                } else {
-                    format!(
-                        "connection at max pipeline depth ({})",
-                        self.config.max_pipeline_depth
-                    )
-                };
-                refuse(
-                    self,
-                    conn,
-                    Response::Error {
-                        kind: ServerErrorKind::Busy,
-                        message,
-                    },
-                    true,
-                );
-                return;
-            }
-            if conn.live.contains(&id) || conn.aborted.contains(&id) {
-                refuse(
-                    self,
-                    conn,
-                    malformed_response(format!("request id {id} is already in flight")),
-                    false,
-                );
-                conn.close_after_flush = true;
-                return;
-            }
+        let draining = self.draining && !conn.drain_grace;
+        if draining
+            || self.global_pending >= self.config.max_inflight
+            || conn.pending >= self.config.max_pipeline_depth
+        {
+            let message = if draining {
+                "server is draining".to_owned()
+            } else if self.global_pending >= self.config.max_inflight {
+                format!("server at max in-flight ({})", self.config.max_inflight)
+            } else {
+                format!(
+                    "connection at max pipeline depth ({})",
+                    self.config.max_pipeline_depth
+                )
+            };
+            refuse(
+                self,
+                conn,
+                Response::Error {
+                    kind: ServerErrorKind::Busy,
+                    message,
+                },
+                true,
+            );
+            return;
+        }
+        if conn.live.contains(&id) {
+            refuse(
+                self,
+                conn,
+                malformed_response(format!("request id {id} is already in flight")),
+                false,
+            );
+            conn.close_after_flush = true;
+            return;
         }
         if header.payload_len > self.config.max_payload as u64 {
             let response = Response::Error {
@@ -1002,24 +885,17 @@ impl EventLoop<'_> {
                 ),
             };
             refuse(self, conn, response, false);
-            // An oversized chunk poisons its whole stream.
-            if !starting {
-                self.abort_stream_silently(conn, id);
-            }
             return;
         }
 
         conn.buf.drain(..HEADER_LEN);
         conn.header_started = None;
-        if starting {
-            conn.pending += 1;
-            self.global_pending += 1;
-            conn.live.insert(id);
-        }
+        conn.pending += 1;
+        self.global_pending += 1;
+        conn.live.insert(id);
         conn.cur = Some(Accepted {
             header,
-            at: now,
-            counted: starting,
+            at: Instant::now(),
         });
     }
 
@@ -1029,9 +905,7 @@ impl EventLoop<'_> {
         let request = match Request::decode(acc.header.kind, &payload) {
             Ok(r) => r,
             Err(e) => {
-                if acc.counted {
-                    self.finish_request(conn, id);
-                }
+                self.finish_request(conn, id);
                 self.queue_response(conn, id, malformed_response(e.to_string()), true);
                 return;
             }
@@ -1050,308 +924,23 @@ impl EventLoop<'_> {
                     if other.cur.is_some()
                         || other.header_started.is_some()
                         || !other.buf.is_empty()
-                        || !other.streams.is_empty()
                         || other.discard > 0
                     {
                         other.drain_grace = true;
                     }
                 }
-                if !conn.buf.is_empty() || !conn.streams.is_empty() {
+                if !conn.buf.is_empty() {
                     conn.drain_grace = true;
                 }
             }
-            Request::CompressStreamBegin(meta) => {
-                self.open_stream(conn, acc, id, Some(meta));
-            }
-            Request::DecompressStreamBegin => {
-                self.open_stream(conn, acc, id, None);
-            }
-            Request::StreamChunk { bytes } => self.stream_chunk(conn, id, bytes),
-            Request::StreamEnd => self.stream_end(conn, id),
             request => {
                 self.shared.dispatch(Job {
                     conn: self.processing_id,
                     request_id: id,
                     accepted: acc.at,
-                    work: Work::Unary(request),
+                    request,
                 });
             }
-        }
-    }
-
-    fn open_stream(
-        &mut self,
-        conn: &mut Conn,
-        acc: Accepted,
-        id: u64,
-        meta: Option<CompressStreamMeta>,
-    ) {
-        let mut bounds = Vec::new();
-        if let Some(meta) = &meta {
-            if meta.shape.is_empty() {
-                self.finish_request(conn, id);
-                self.queue_response(
-                    conn,
-                    id,
-                    malformed_response("stream opens an empty field".to_owned()),
-                    true,
-                );
-                return;
-            }
-            let Some(nbytes) = meta.shape.len().checked_mul(8) else {
-                self.finish_request(conn, id);
-                self.queue_response(
-                    conn,
-                    id,
-                    malformed_response("stream field size overflows".to_owned()),
-                    true,
-                );
-                return;
-            };
-            if nbytes > self.config.max_payload {
-                self.finish_request(conn, id);
-                let response = Response::Error {
-                    kind: ServerErrorKind::TooLarge,
-                    message: format!(
-                        "streamed field of {nbytes} bytes exceeds the {} byte limit",
-                        self.config.max_payload
-                    ),
-                };
-                self.queue_response(conn, id, response, true);
-                return;
-            }
-            let chunks = compress_pipeline(meta, requested_chunks(meta, &self.config))
-                .effective_chunks(meta.shape);
-            if chunks > 1 {
-                let [nx, ny, nz] = meta.shape.dims;
-                let decomp = Decomposition::new([nx, ny, nz], [1, 1, chunks]);
-                bounds = (0..chunks)
-                    .map(|r| {
-                        let sd = decomp.subdomain(r);
-                        (sd.z.0, sd.z.1)
-                    })
-                    .collect();
-            }
-        }
-        let done = vec![];
-        let mut st = StreamState {
-            meta,
-            started: acc.at,
-            buf: Vec::new(),
-            next_slab: 0,
-            done,
-            ended: false,
-            bounds,
-        };
-        st.done = std::iter::repeat_with(|| None)
-            .take(st.bounds.len())
-            .collect();
-        conn.streams.insert(id, st);
-    }
-
-    fn stream_chunk(&mut self, conn: &mut Conn, id: u64, bytes: Vec<u8>) {
-        if conn.aborted.contains(&id) {
-            return;
-        }
-        let Some(st) = conn.streams.get_mut(&id) else {
-            self.queue_response(
-                conn,
-                id,
-                malformed_response(format!("chunk for unknown stream id {id}")),
-                true,
-            );
-            conn.close_after_flush = true;
-            return;
-        };
-        st.buf.extend_from_slice(&bytes);
-        if let Some(meta) = st.meta {
-            let nbytes = meta.shape.len().saturating_mul(8);
-            if st.buf.len() > nbytes {
-                let over = st.buf.len();
-                self.abort_stream(
-                    conn,
-                    id,
-                    malformed_response(format!(
-                        "stream overruns its field: {over} bytes for a {nbytes} byte field"
-                    )),
-                );
-                return;
-            }
-            self.pump_stream(conn, id);
-        } else if st.buf.len() > self.config.max_payload {
-            let over = st.buf.len();
-            let max = self.config.max_payload;
-            self.abort_stream(
-                conn,
-                id,
-                Response::Error {
-                    kind: ServerErrorKind::TooLarge,
-                    message: format!(
-                        "streamed artifact of {over} bytes exceeds the {max} byte limit"
-                    ),
-                },
-            );
-        }
-    }
-
-    fn stream_end(&mut self, conn: &mut Conn, id: u64) {
-        if conn.aborted.contains(&id) {
-            conn.aborted.remove(&id);
-            return;
-        }
-        let Some(st) = conn.streams.get_mut(&id) else {
-            self.queue_response(
-                conn,
-                id,
-                malformed_response(format!("end for unknown stream id {id}")),
-                true,
-            );
-            conn.close_after_flush = true;
-            return;
-        };
-        st.ended = true;
-        match st.meta {
-            Some(meta) => {
-                let nbytes = meta.shape.len().saturating_mul(8);
-                if st.buf.len() != nbytes {
-                    let got = st.buf.len();
-                    self.abort_stream(
-                        conn,
-                        id,
-                        malformed_response(format!(
-                            "stream ended with {got} of {nbytes} field bytes"
-                        )),
-                    );
-                    return;
-                }
-                if st.bounds.is_empty() {
-                    // Single-chunk field: one whole-field job, same as a
-                    // unary compress of the buffered samples.
-                    let Some(st) = conn.streams.remove(&id) else {
-                        return;
-                    };
-                    let Some(meta) = st.meta else { return };
-                    let request =
-                        Request::Compress(CompressRequest::from_meta(meta, samples_of(&st.buf)));
-                    self.shared.dispatch(Job {
-                        conn: self.processing_id,
-                        request_id: id,
-                        accepted: st.started,
-                        work: Work::Unary(request),
-                    });
-                } else {
-                    self.pump_stream(conn, id);
-                    self.try_complete_stream(conn, id);
-                }
-            }
-            None => {
-                let Some(st) = conn.streams.remove(&id) else {
-                    return;
-                };
-                self.shared.dispatch(Job {
-                    conn: self.processing_id,
-                    request_id: id,
-                    accepted: st.started,
-                    work: Work::Unary(Request::Decompress { artifact: st.buf }),
-                });
-            }
-        }
-    }
-
-    /// Dispatches every z-slab whose byte range is fully buffered —
-    /// this is where compute overlaps the upload.
-    fn pump_stream(&mut self, conn: &mut Conn, id: u64) {
-        let Some(st) = conn.streams.get_mut(&id) else {
-            return;
-        };
-        let Some(meta) = st.meta else { return };
-        let [nx, ny, _] = meta.shape.dims;
-        let plane = nx * ny;
-        while st.next_slab < st.bounds.len() {
-            let (z0, z1) = st.bounds[st.next_slab];
-            let end = z1 * plane * 8;
-            if st.buf.len() < end {
-                break;
-            }
-            let data = samples_of(&st.buf[z0 * plane * 8..end]);
-            self.shared.dispatch(Job {
-                conn: self.processing_id,
-                request_id: id,
-                accepted: st.started,
-                work: Work::Slab {
-                    index: st.next_slab,
-                    z0,
-                    dims: [nx, ny, z1 - z0],
-                    data,
-                    meta,
-                },
-            });
-            st.next_slab += 1;
-        }
-    }
-
-    /// Assembles and answers a chunked compress stream once every slab
-    /// has completed and `End` has arrived.
-    fn try_complete_stream(&mut self, conn: &mut Conn, id: u64) {
-        let complete = match conn.streams.get(&id) {
-            Some(st) => st.ended && st.done.iter().all(Option::is_some),
-            None => false,
-        };
-        if !complete {
-            return;
-        }
-        let Some(st) = conn.streams.remove(&id) else {
-            return;
-        };
-        let Some(meta) = st.meta else { return };
-        let [nx, ny, nz] = meta.shape.dims;
-        let tag = meta.model.tag().0;
-        let mut container = ChunkedArtifact::new([nx as u32, ny as u32, nz as u32]);
-        let mut report = WireReport {
-            raw_bytes: (meta.shape.len() * 8) as u64,
-            rep_bytes: 0,
-            delta_bytes: 0,
-        };
-        for slab in st.done.into_iter().flatten() {
-            report.rep_bytes += slab.report.rep_bytes;
-            report.delta_bytes += slab.report.delta_bytes;
-            container.push(
-                ChunkEntry {
-                    z_offset: slab.z0,
-                    dims: slab.dims,
-                    model_tag: tag,
-                },
-                slab.bytes,
-            );
-        }
-        self.finish_request(conn, id);
-        self.queue_response(
-            conn,
-            id,
-            Response::Compressed {
-                report,
-                artifact: container.to_bytes(),
-            },
-            true,
-        );
-    }
-
-    /// Answers a live stream with `response` and swallows its remaining
-    /// frames.
-    fn abort_stream(&mut self, conn: &mut Conn, id: u64, response: Response) {
-        if conn.streams.remove(&id).is_some() {
-            self.finish_request(conn, id);
-            conn.aborted.insert(id);
-            self.queue_response(conn, id, response, true);
-        }
-    }
-
-    /// Drops a stream without a response (the error was already
-    /// queued by the caller).
-    fn abort_stream_silently(&mut self, conn: &mut Conn, id: u64) {
-        if conn.streams.remove(&id).is_some() {
-            self.finish_request(conn, id);
-            conn.aborted.insert(id);
         }
     }
 
@@ -1369,44 +958,13 @@ impl EventLoop<'_> {
                 // count was already released when it was dropped.
                 continue;
             };
-            self.processing_id = item.conn;
-            match item.result {
-                DoneResult::Response(response) => {
-                    let response = if now.duration_since(item.accepted) > self.config.deadline {
-                        timeout_response("deadline elapsed during execution")
-                    } else {
-                        response
-                    };
-                    self.finish_request(&mut conn, item.request_id);
-                    self.queue_response(&mut conn, item.request_id, response, true);
-                }
-                DoneResult::Slab {
-                    index,
-                    z0,
-                    dims,
-                    report,
-                    bytes,
-                } => {
-                    if now.duration_since(item.accepted) > self.config.deadline {
-                        self.abort_stream(
-                            &mut conn,
-                            item.request_id,
-                            timeout_response("deadline elapsed during streamed compression"),
-                        );
-                    } else if let Some(st) = conn.streams.get_mut(&item.request_id) {
-                        if let Some(slot) = st.done.get_mut(index) {
-                            *slot = Some(SlabOut {
-                                z0,
-                                dims,
-                                report,
-                                bytes,
-                            });
-                        }
-                        self.try_complete_stream(&mut conn, item.request_id);
-                    }
-                    // A completed slab for an aborted stream is dropped.
-                }
-            }
+            let response = if now.duration_since(item.accepted) > self.config.deadline {
+                timeout_response("deadline elapsed during execution")
+            } else {
+                item.response
+            };
+            self.finish_request(&mut conn, item.request_id);
+            self.queue_response(&mut conn, item.request_id, response, true);
             self.conns.insert(item.conn, conn);
         }
     }
@@ -1428,11 +986,8 @@ impl EventLoop<'_> {
                 if let Some(acc) = &conn.cur {
                     if now.duration_since(acc.at) > self.config.deadline {
                         let rid = acc.header.request_id;
-                        let counted = acc.counted;
                         conn.cur = None;
-                        if counted {
-                            self.finish_request(&mut conn, rid);
-                        }
+                        self.finish_request(&mut conn, rid);
                         self.queue_response(
                             &mut conn,
                             rid,
@@ -1454,43 +1009,23 @@ impl EventLoop<'_> {
                     );
                     conn.close_after_flush = true;
                 }
-                let stalled: Vec<u64> = conn
-                    .streams
-                    .iter()
-                    .filter(|(_, st)| now.duration_since(st.started) > self.config.deadline)
-                    .map(|(&sid, _)| sid)
-                    .collect();
-                for sid in stalled {
-                    self.abort_stream(
-                        &mut conn,
-                        sid,
-                        timeout_response("deadline elapsed during streaming"),
-                    );
-                }
             }
             self.conns.insert(id, conn);
         }
     }
 
     fn handle_eof(&mut self, conn: &mut Conn) {
-        // No more frames will arrive: partial frames and open streams
-        // can never complete — release them silently (the peer walked
-        // away mid-request; there is nothing useful to answer). Already
+        // No more frames will arrive: a partial frame can never
+        // complete — release it silently (the peer walked away
+        // mid-request; there is nothing useful to answer). Already
         // dispatched requests still get their responses, which the peer
         // may be half-closed-reading.
         if let Some(acc) = conn.cur.take() {
-            if acc.counted {
-                self.finish_request(conn, acc.header.request_id);
-            }
+            self.finish_request(conn, acc.header.request_id);
         }
         conn.header_started = None;
         conn.buf.clear();
         conn.discard = 0;
-        let open: Vec<u64> = conn.streams.keys().copied().collect();
-        for sid in open {
-            conn.streams.remove(&sid);
-            self.finish_request(conn, sid);
-        }
     }
 
     fn cleanup(&mut self) {
@@ -1500,7 +1035,6 @@ impl EventLoop<'_> {
             if conn.close_after_flush
                 && conn.closing.is_none()
                 && conn.pending == 0
-                && conn.streams.is_empty()
                 && conn.flushed()
             {
                 let _ = conn.stream.shutdown(NetShutdown::Write);
@@ -1575,20 +1109,6 @@ impl EventLoop<'_> {
             conn.written = 0;
         }
     }
-}
-
-/// Decodes a raw LE byte slice into `f64` samples (panic-free: the
-/// slice length is a multiple of 8 by construction, and `chunks_exact`
-/// ignores any remainder).
-fn samples_of(bytes: &[u8]) -> Vec<f64> {
-    bytes
-        .chunks_exact(8)
-        .map(|c| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(c);
-            f64::from_bits(u64::from_le_bytes(b))
-        })
-        .collect()
 }
 
 /// Answers a connection the acceptor refuses to register (beyond
@@ -1678,19 +1198,5 @@ mod tests {
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
         let addr = server.local_addr().expect("addr");
         assert_ne!(addr.port(), 0);
-    }
-
-    #[test]
-    fn samples_roundtrip_raw_bits() {
-        let values = [1.5f64, -0.0, f64::NAN, f64::INFINITY];
-        let mut bytes = Vec::new();
-        for v in values {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        let back = samples_of(&bytes);
-        assert_eq!(back.len(), 4);
-        for (a, b) in values.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Adversarial length-field tests against a live server: hostile
 //! *declared* sizes — `u64::MAX` frame payload lengths, overflowing
-//! shape extents, `u32::MAX` chunked-artifact counts, saturated stream
-//! chunk counts — must be answered with typed `TooLarge`/`Malformed`
+//! shape extents, `u32::MAX` chunked-artifact counts, saturated chunk
+//! counts — must be answered with typed `TooLarge`/`Malformed`
 //! frames, never sized into an allocation, and must leave the server
 //! serving. The static side of the same contract is `lrm-lint`'s
 //! `wire-alloc-unclamped` pack over `protocol.rs`/`chunked.rs`.
@@ -14,12 +14,11 @@ use lrm_core::{LossyCodec, Pipeline, PipelineConfig, ReducedModelKind};
 use lrm_datasets::Field;
 use lrm_io::Artifact;
 use lrm_server::protocol::{
-    HEADER_LEN, REQ_COMPRESS, REQ_COMPRESS_STREAM_BEGIN, REQ_PING, RESP_ERR_MALFORMED,
-    RESP_ERR_TOO_LARGE,
+    HEADER_LEN, REQ_COMPRESS, REQ_PING, RESP_ERR_MALFORMED, RESP_ERR_TOO_LARGE,
 };
 use lrm_server::{
-    ClientError, CompressRequest, CompressStreamMeta, Connection, Frame, Request, Server,
-    ServerConfig, ServerErrorKind, ServerStats, Shape,
+    ClientError, CompressRequest, Connection, Frame, Request, Server, ServerConfig,
+    ServerErrorKind, ServerStats, Shape,
 };
 
 fn start(config: ServerConfig) -> (SocketAddr, std::thread::JoinHandle<ServerStats>) {
@@ -70,9 +69,9 @@ fn small_compress_payload() -> Vec<u8> {
     .encode_payload()
 }
 
-/// Byte offset of the shape extents inside compress / stream-begin
-/// payloads: model tag (1) + param (4) + two 9-byte codecs + scan_1d
-/// flag (1) + chunk count (2).
+/// Byte offset of the shape extents inside compress payloads: model tag
+/// (1) + param (4) + two 9-byte codecs + scan_1d flag (1) + chunk count
+/// (2).
 const SHAPE_OFFSET: usize = 1 + 4 + 9 + 9 + 1 + 2;
 
 #[test]
@@ -114,37 +113,6 @@ fn overflowing_shape_in_compress_gets_typed_malformed() {
     assert!(Request::decode(REQ_COMPRESS, &payload).is_err());
 
     let frame = Frame::encode(REQ_COMPRESS, 1, &payload);
-    assert_eq!(send_raw(addr, &frame), Some(RESP_ERR_MALFORMED));
-
-    assert_alive_then_shutdown(addr);
-    handle.join().expect("join");
-}
-
-#[test]
-fn stream_begin_with_overflowing_shape_gets_typed_malformed() {
-    let (addr, handle) = start(ServerConfig {
-        threads: 1,
-        ..ServerConfig::default()
-    });
-
-    // The streaming path decodes the same shape layout; a hostile
-    // stream-begin must die typed before any chunk buffer exists.
-    let mut payload = Request::CompressStreamBegin(CompressStreamMeta {
-        model: ReducedModelKind::OneBase,
-        orig: LossyCodec::SzRel(1e-5),
-        delta: LossyCodec::SzRel(1e-3),
-        scan_1d: false,
-        chunks: 2,
-        shape: Shape::d3(4, 3, 2),
-    })
-    .encode_payload();
-    for i in 0..3 {
-        payload[SHAPE_OFFSET + 4 * i..SHAPE_OFFSET + 4 * (i + 1)]
-            .copy_from_slice(&u32::MAX.to_le_bytes());
-    }
-    assert!(Request::decode(REQ_COMPRESS_STREAM_BEGIN, &payload).is_err());
-
-    let frame = Frame::encode(REQ_COMPRESS_STREAM_BEGIN, 41, &payload);
     assert_eq!(send_raw(addr, &frame), Some(RESP_ERR_MALFORMED));
 
     assert_alive_then_shutdown(addr);
@@ -235,43 +203,55 @@ fn svd_rep_declaring_a_huge_matrix_gets_typed_malformed() {
 }
 
 #[test]
-fn streamed_chunks_beyond_max_payload_get_typed_too_large() {
+fn duo_model_artifact_with_an_empty_coarse_field_gets_typed_malformed() {
     let (addr, handle) = start(ServerConfig {
         threads: 1,
-        max_payload: 1024,
         ..ServerConfig::default()
     });
 
-    // Under streaming the per-frame length check still applies: a
-    // chunk frame declaring more than max_payload is refused from its
-    // header, so a stream cannot smuggle in an oversized buffer.
-    let id = 9u64;
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(
-        &Request::CompressStreamBegin(CompressStreamMeta {
-            model: ReducedModelKind::OneBase,
-            orig: LossyCodec::SzRel(1e-5),
-            delta: LossyCodec::SzRel(1e-3),
-            scan_1d: false,
-            chunks: 1,
-            shape: Shape::d3(64, 64, 64),
-        })
-        .to_frame(id),
-    );
-    bytes.extend_from_slice(
-        &Request::StreamChunk {
-            bytes: vec![0u8; 4096],
-        }
-        .to_frame(id),
-    );
-    assert_eq!(send_raw(addr, &bytes), Some(RESP_ERR_TOO_LARGE));
+    // A DuoModel artifact whose meta declares a 0×0×0 coarse field and
+    // whose `rep` is the orig codec's stream for that empty field. The
+    // encoder never writes one; upsampling it would index an empty
+    // slice, and a panicking worker answers `Internal`, not `Malformed`.
+    let wave = |shape: Shape| {
+        let data = (0..shape.len()).map(|i| (i as f64 * 0.1).sin()).collect();
+        Field::new("wave", data, shape)
+    };
+    let cfg = PipelineConfig::sz(ReducedModelKind::DuoModel);
+    let artifact = Pipeline::from_config(cfg)
+        .compress_with_aux(&wave(Shape::d3(8, 8, 8)), &wave(Shape::d3(4, 4, 4)))
+        .bytes;
+    let parsed = Artifact::from_bytes(&artifact).expect("parse");
+    let mut crafted = Artifact::new();
+    for (name, section) in parsed.sections() {
+        let section = match name {
+            // The aux shape: three u32 extents at meta bytes 35..47.
+            "meta" => {
+                let mut meta = section.to_vec();
+                meta[35..47].fill(0);
+                meta
+            }
+            "rep" => cfg.orig.compress(&[], Shape::d3(0, 0, 0)),
+            _ => section.to_vec(),
+        };
+        crafted.push(name, section);
+    }
+
+    let mut conn = Connection::open(addr).expect("open");
+    match conn.decompress(&crafted.to_bytes()) {
+        Err(ClientError::Server {
+            kind: ServerErrorKind::Malformed,
+            ..
+        }) => {}
+        other => panic!("expected Malformed frame, got {other:?}"),
+    }
 
     assert_alive_then_shutdown(addr);
     handle.join().expect("join");
 }
 
 #[test]
-fn saturated_stream_chunk_count_is_clamped_not_amplified() {
+fn saturated_chunk_count_is_clamped_not_amplified() {
     let (addr, handle) = start(ServerConfig {
         threads: 2,
         ..ServerConfig::default()
@@ -282,23 +262,20 @@ fn saturated_stream_chunk_count_is_clamped_not_amplified() {
     // multiply buffers or workers. The request must simply succeed.
     let shape = Shape::d3(5, 4, 6);
     let data: Vec<f64> = (0..shape.len()).map(|i| (i as f64 * 0.17).sin()).collect();
-    let meta = CompressStreamMeta {
+    let request = CompressRequest {
         model: ReducedModelKind::OneBase,
         orig: LossyCodec::SzRel(1e-5),
         delta: LossyCodec::SzRel(1e-3),
         scan_1d: true,
         chunks: u16::MAX,
         shape,
+        data: data.clone(),
     };
     let mut conn = Connection::open(addr).expect("open");
-    let (report, artifact) = conn
-        .compress_streamed(meta, &data, 512)
-        .expect("streamed compress");
+    let (report, artifact) = conn.compress(request).expect("compress");
     assert_eq!(report.raw_bytes as usize, data.len() * 8);
 
-    let (got_shape, got) = conn
-        .decompress_streamed(&artifact, 512)
-        .expect("decompress");
+    let (got_shape, got) = conn.decompress(&artifact).expect("decompress");
     assert_eq!(got_shape, shape);
     assert_eq!(got.len(), data.len());
 

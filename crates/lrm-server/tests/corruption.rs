@@ -9,8 +9,8 @@
 use lrm_core::{LossyCodec, ReducedModelKind};
 use lrm_rng::Rng64;
 use lrm_server::protocol::{
-    CompressRequest, CompressStreamMeta, FieldStatsReply, Frame, Request, Response, SelectReply,
-    SelectRequest, ServerErrorKind, TrialReport, WireReport,
+    CompressRequest, FieldStatsReply, Frame, Request, Response, SelectReply, SelectRequest,
+    ServerErrorKind, TrialReport, WireReport,
 };
 use lrm_server::Shape;
 
@@ -48,20 +48,6 @@ fn sample_requests(rng: &mut Rng64) -> Vec<Request> {
             data,
         }),
         Request::Shutdown,
-        // The chunk-streaming kinds.
-        Request::CompressStreamBegin(CompressStreamMeta {
-            model: ReducedModelKind::OneBase,
-            orig: LossyCodec::SzRel(1e-5),
-            delta: LossyCodec::SzRel(1e-3),
-            scan_1d: false,
-            chunks: 3,
-            shape,
-        }),
-        Request::StreamChunk {
-            bytes: rng.vec_u8(96),
-        },
-        Request::StreamEnd,
-        Request::DecompressStreamBegin,
     ]
 }
 
@@ -172,13 +158,9 @@ fn payload_prefix_truncation_never_panics_and_structured_kinds_error() {
         let payload = req.encode_payload();
         for cut in 0..payload.len() {
             let result = Request::decode(req.kind(), &payload[..cut]);
-            // Ping/Decompress/StreamChunk accept any byte tail by
-            // design; the structured kinds must reject every strict
-            // prefix.
-            if !matches!(
-                req,
-                Request::Ping { .. } | Request::Decompress { .. } | Request::StreamChunk { .. }
-            ) {
+            // Ping/Decompress accept any byte tail by design; the
+            // structured kinds must reject every strict prefix.
+            if !matches!(req, Request::Ping { .. } | Request::Decompress { .. }) {
                 assert!(
                     result.is_err(),
                     "kind {:#04x}: payload prefix {cut}/{} decoded Ok",

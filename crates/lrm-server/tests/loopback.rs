@@ -12,14 +12,14 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use lrm_core::{LossyCodec, PipelineConfig, ReducedModelKind};
+use lrm_core::{LossyCodec, Pipeline, PipelineConfig, ReducedModelKind};
 use lrm_datasets::{generate, DatasetKind, SizeClass};
 use lrm_server::protocol::{
-    MAGIC, REQ_PING, RESP_COMPRESSED, RESP_ERR_MALFORMED, RESP_ERR_TIMEOUT, RESP_PONG,
+    HEADER_LEN, MAGIC, REQ_PING, RESP_ERR_MALFORMED, RESP_ERR_TIMEOUT, RESP_PONG,
 };
 use lrm_server::{
-    ClientError, CompressRequest, CompressStreamMeta, Connection, Frame, Request, Response,
-    SelectRequest, Server, ServerConfig, ServerErrorKind, ServerStats,
+    ClientError, CompressRequest, Connection, Frame, Request, Response, SelectRequest, Server,
+    ServerConfig, ServerErrorKind, ServerStats, WireReport,
 };
 
 fn start(config: ServerConfig) -> (SocketAddr, std::thread::JoinHandle<ServerStats>) {
@@ -431,111 +431,99 @@ fn over_max_connections_gets_busy_through_request_id_zero() {
 }
 
 #[test]
-fn shutdown_drains_inflight_streaming_request() {
+fn retired_stream_kinds_get_typed_malformed_and_the_connection_survives() {
     let (addr, handle) = start(ServerConfig {
         threads: 1,
-        deadline: Duration::from_secs(20),
         ..ServerConfig::default()
     });
     let field = generate(DatasetKind::Heat3d, SizeClass::Tiny).full;
-    let meta = CompressStreamMeta {
-        model: ReducedModelKind::OneBase,
-        orig: LossyCodec::SzRel(1e-5),
-        delta: LossyCodec::SzRel(1e-3),
-        scan_1d: true,
-        chunks: 2,
-        shape: field.shape,
-    };
-    let mut bytes = Vec::with_capacity(field.len() * 8);
-    for v in &field.data {
-        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
+    // A compress payload without its samples: what a stream-begin
+    // frame carried.
+    let compress = compress_request(&field, ReducedModelKind::OneBase);
+    let mut meta = Request::Compress(compress).encode_payload();
+    meta.truncate(meta.len() - field.len() * 8);
+    let samples: Vec<u8> = field.data[..4]
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
 
-    // Open a chunk stream and ship only part of the field...
-    let id = 7u64;
+    // One connection: kinds 0x06..=0x09 under ids 1..=4, then a ping.
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("timeout");
+    for (id, (kind, payload)) in [
+        (0x06u8, meta),
+        (0x07, samples),
+        (0x08, vec![]),
+        (0x09, vec![]),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let frame = Frame::encode(kind, id as u64 + 1, &payload);
+        stream.write_all(&frame).expect("write retired kind");
+    }
     stream
-        .write_all(&Request::CompressStreamBegin(meta).to_frame(id))
-        .expect("begin");
-    let split = bytes.len() / 3;
-    stream
-        .write_all(
-            &Request::StreamChunk {
-                bytes: bytes[..split].to_vec(),
-            }
-            .to_frame(id),
-        )
-        .expect("first chunk");
-    std::thread::sleep(Duration::from_millis(300));
+        .write_all(&Request::Ping { echo: vec![5] }.to_frame(5))
+        .expect("write ping");
 
-    // ...let a shutdown land mid-stream...
+    let mut kinds = std::collections::BTreeMap::new();
+    for _ in 0..5 {
+        let mut head = [0u8; HEADER_LEN];
+        stream.read_exact(&mut head).expect("response header");
+        let header = Frame::parse_header(&head).expect("header");
+        let mut payload = vec![0u8; header.payload_len as usize];
+        stream.read_exact(&mut payload).expect("response payload");
+        kinds.insert(header.request_id, header.kind);
+    }
+    let want = [
+        (1, RESP_ERR_MALFORMED),
+        (2, RESP_ERR_MALFORMED),
+        (3, RESP_ERR_MALFORMED),
+        (4, RESP_ERR_MALFORMED),
+        (5, RESP_PONG),
+    ];
+    assert_eq!(kinds.into_iter().collect::<Vec<_>>(), want);
+
+    drop(stream);
     shutdown(addr);
-
-    // ...then finish the upload. The drain must keep accepting the
-    // stream's remaining frames and answer before serve() returns.
-    stream
-        .write_all(
-            &Request::StreamChunk {
-                bytes: bytes[split..].to_vec(),
-            }
-            .to_frame(id),
-        )
-        .expect("second chunk");
-    stream
-        .write_all(&Request::StreamEnd.to_frame(id))
-        .expect("end");
-    let mut reply = Vec::new();
-    stream.read_to_end(&mut reply).expect("read to close");
-    let frame = Frame::from_bytes(&reply).expect("one response frame");
-    assert_eq!(frame.request_id, id);
-    assert_eq!(frame.kind, RESP_COMPRESSED);
-
-    let stats = handle.join().expect("join");
-    // The streamed compress + the shutdown.
-    assert_eq!(stats.served, 2);
+    handle.join().expect("join");
 }
 
 #[test]
-fn streamed_compress_matches_unary_artifact() {
+fn served_chunked_compress_matches_in_process_pipeline() {
     let (addr, handle) = start(ServerConfig {
         threads: 2,
         ..ServerConfig::default()
     });
     let field = generate(DatasetKind::Heat3d, SizeClass::Tiny).full;
+    let mut request = compress_request(&field, ReducedModelKind::MultiBase(2));
+    request.chunks = 2;
+    let local = Pipeline::builder()
+        .model(request.model)
+        .codec(request.orig)
+        .delta_codec(request.delta)
+        .scan_1d(request.scan_1d)
+        .chunks(2)
+        .build();
+    let expected = local.compress(&field);
+    assert_eq!(
+        &expected.bytes[..4],
+        b"LRMC",
+        "the field must split into chunks"
+    );
+
     let mut conn = Connection::open(addr).expect("open");
+    let (report, artifact) = conn.compress(request).expect("compress");
+    assert_eq!(artifact, expected.bytes);
+    assert_eq!(report, WireReport::from_report(&expected.report));
 
-    let mut unary = compress_request(&field, ReducedModelKind::MultiBase(2));
-    unary.chunks = 2;
-    let (unary_report, unary_artifact) = conn.compress(unary).expect("unary compress");
-
-    let meta = CompressStreamMeta {
-        model: ReducedModelKind::MultiBase(2),
-        orig: LossyCodec::SzRel(1e-5),
-        delta: LossyCodec::SzRel(1e-3),
-        scan_1d: true,
-        chunks: 2,
-        shape: field.shape,
-    };
-    let (streamed_report, streamed_artifact) = conn
-        .compress_streamed(meta, &field.data, 4096)
-        .expect("streamed compress");
-
-    // Chunk streaming is a transport optimization: the artifact must be
-    // byte-identical to the unary chunked path.
-    assert_eq!(streamed_artifact, unary_artifact);
-    assert_eq!(streamed_report.raw_bytes, unary_report.raw_bytes);
-    assert_eq!(streamed_report.rep_bytes, unary_report.rep_bytes);
-    assert_eq!(streamed_report.delta_bytes, unary_report.delta_bytes);
-
-    // And a streamed decompress reconstructs it.
-    let (shape, data) = conn
-        .decompress_streamed(&streamed_artifact, 1024)
-        .expect("streamed decompress");
-    assert_eq!(shape, field.shape);
-    assert_eq!(data.len(), field.len());
+    let (shape, data) = conn.decompress(&artifact).expect("decompress");
+    let (local_data, local_shape) = local.reconstruct(&artifact).expect("reconstruct");
+    assert_eq!(shape, local_shape);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&data), bits(&local_data));
 
     conn.shutdown().expect("shutdown");
     handle.join().expect("join");

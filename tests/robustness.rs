@@ -1,7 +1,9 @@
 //! Robustness integration tests: corrupt inputs, adversarial fields, and
 //! failure-injection around the pipeline's parsing layers.
 
-use lrm::core::{DecodeError, Pipeline, PipelineConfig, PreconditionedArtifact, ReducedModelKind};
+use lrm::core::{
+    DecodeError, LossyCodec, Pipeline, PipelineConfig, PreconditionedArtifact, ReducedModelKind,
+};
 use lrm::datasets::Field;
 use lrm::io::Artifact;
 use lrm_compress::Shape;
@@ -238,5 +240,46 @@ fn rep_header_that_disagrees_with_the_delta_is_corrupt() {
                 got.map(|(data, shape)| (data.len(), shape))
             );
         }
+    }
+}
+
+#[test]
+fn duo_model_with_an_empty_coarse_field_is_corrupt() {
+    // The meta's aux shape (three u32 extents at bytes 35..47) set to
+    // 0×0×0 and `rep` replaced by the orig codec's stream for that empty
+    // field. The encoder never writes this; upsampling it would index
+    // an empty slice. ZFP cannot encode an empty field.
+    let field = sample_field();
+    let coarse = Field::new("coarse", vec![1.0, 2.0, 3.0, 4.0], Shape::d2(2, 2));
+    for orig in [
+        LossyCodec::SzRel(1e-5),
+        LossyCodec::SzAbs(1e-4),
+        LossyCodec::FpcLossless(12),
+    ] {
+        let cfg = PipelineConfig {
+            orig,
+            ..PipelineConfig::sz(ReducedModelKind::DuoModel)
+        };
+        let art = Pipeline::from_config(cfg).compress_with_aux(&field, &coarse);
+        let parsed = Artifact::from_bytes(&art.bytes).expect("parse");
+        let mut crafted = Artifact::new();
+        for (name, section) in parsed.sections() {
+            let section = match name {
+                "meta" => {
+                    let mut meta = section.to_vec();
+                    meta[35..47].fill(0);
+                    meta
+                }
+                "rep" => orig.compress(&[], Shape::d3(0, 0, 0)),
+                _ => section.to_vec(),
+            };
+            crafted.push(name, section);
+        }
+        let got = Pipeline::builder().build().reconstruct(&crafted.to_bytes());
+        assert!(
+            matches!(got, Err(DecodeError::Corrupt { .. })),
+            "{orig:?}: {:?}",
+            got.map(|(data, shape)| (data.len(), shape))
+        );
     }
 }
