@@ -29,7 +29,8 @@
 use crate::codec::LossyCodec;
 use lrm_compress::{DecodeError, DecodeResult, Shape};
 use lrm_datasets::Field;
-use lrm_linalg::{svd, Matrix, Pca};
+use lrm_linalg::svd::{rank_for_energy, svd_truncated};
+use lrm_linalg::{Matrix, Pca};
 use lrm_wavelet::WaveletModel;
 
 /// Output of a dimension-reduction preconditioner.
@@ -191,24 +192,23 @@ fn pca_base(scores: &Matrix, basis: &Matrix, means: &[f64]) -> Vec<f64> {
 }
 
 /// Fits a truncated SVD to `mat`, keeping the top-k singular triplets by
-/// the `energy_fraction` singular-value-sum rule; `U_k` goes through
-/// `codec`.
+/// the `energy_fraction` singular-value-sum rule, and forming only those
+/// `k` columns of `U` and `V`; `U_k` goes through `codec`.
 pub(crate) fn fit_svd(mat: &Matrix, energy_fraction: f64, codec: &LossyCodec) -> Factors {
-    let (m, n) = (mat.rows(), mat.cols());
-    let dec = svd(mat);
-    let k = dec.rank_for_energy(energy_fraction).max(1).min(n.min(m));
+    let m = mat.rows();
+    let dec = svd_truncated(mat, |sigma| rank_for_energy(sigma, energy_fraction).max(1));
+    let k = dec.u.cols();
     let sigma = &dec.sigma[..k];
-    let vk = dec.v.take_cols(k);
     let shape = Shape::d2(k, m);
-    let stream = codec.compress(dec.u.take_cols(k).as_slice(), shape);
+    let stream = codec.compress(dec.u.as_slice(), shape);
     let mut body = Vec::new();
     put_u32(&mut body, k);
     put_f64s(&mut body, sigma);
-    put_f64s(&mut body, vk.as_slice());
+    put_f64s(&mut body, dec.v.as_slice());
     put_stream(&mut body, &stream);
     Factors {
         body,
-        approx: svd_base(codec.decompress_own(&stream, shape), m, sigma, &vk),
+        approx: svd_base(codec.decompress_own(&stream, shape), m, sigma, &dec.v),
         k,
     }
 }

@@ -21,12 +21,17 @@ pub struct EigenDecomposition {
 
 /// Computes the eigendecomposition of a symmetric matrix.
 ///
+/// Symmetry and convergence are judged relative to `‖a‖_F`, so scaling
+/// `a` by any `c > 0` scales the eigenvalues by `c` and leaves the
+/// rotations, and so the eigenvectors, the same up to round-off. The
+/// zero matrix returns at once.
+///
 /// # Panics
 /// Panics if `a` is not square or not (numerically) symmetric.
 pub fn symmetric_eigen(a: &Matrix) -> EigenDecomposition {
     let n = a.rows();
     assert_eq!(n, a.cols(), "eigen: matrix must be square");
-    let scale = a.fro_norm().max(1.0);
+    let scale = a.fro_norm();
     for r in 0..n {
         for c in (r + 1)..n {
             assert!(
@@ -38,9 +43,10 @@ pub fn symmetric_eigen(a: &Matrix) -> EigenDecomposition {
 
     // Row-major working copies of `a` and of the accumulated rotations,
     // walked as slices: per-element `get`/`set` costs twice as much in
-    // builds with debug assertions.
+    // builds with debug assertions. The rotations are kept transposed
+    // (row i is eigenvector i), so each one updates two contiguous rows.
     let mut m = a.as_slice().to_vec();
-    let mut v = Matrix::identity(n).into_vec();
+    let mut vt = Matrix::identity(n).into_vec();
     let max_sweeps = 64;
     let tol = 1e-14 * scale;
 
@@ -65,16 +71,11 @@ pub fn symmetric_eigen(a: &Matrix) -> EigenDecomposition {
                 // Rotation angle: tan(2θ) = 2 a_pq / (a_pp - a_qq).
                 let theta = 0.5 * (2.0 * apq).atan2(app - aqq);
                 let (s, c) = theta.sin_cos();
-                // Apply Jᵀ M J: columns p and q, then rows p and q.
+                // Apply Jᵀ M J: columns p and q, then rows p and q; and
+                // V J, which is rows p and q of Vᵀ.
                 rotate_cols(&mut m, n, p, q, c, s);
-                let (upper, lower) = m.split_at_mut(q * n);
-                let row_p = &mut upper[p * n..(p + 1) * n];
-                for (x, y) in row_p.iter_mut().zip(&mut lower[..n]) {
-                    let (mpk, mqk) = (*x, *y);
-                    *x = c * mpk + s * mqk;
-                    *y = -s * mpk + c * mqk;
-                }
-                rotate_cols(&mut v, n, p, q, c, s);
+                rotate_rows(&mut m, n, p, q, c, s);
+                rotate_rows(&mut vt, n, p, q, c, s);
             }
         }
     }
@@ -83,7 +84,7 @@ pub fn symmetric_eigen(a: &Matrix) -> EigenDecomposition {
     let mut pairs: Vec<(f64, usize)> = (0..n).map(|i| (m[i * n + i], i)).collect();
     pairs.sort_by(|a, b| b.0.total_cmp(&a.0));
     let values: Vec<f64> = pairs.iter().map(|&(l, _)| l).collect();
-    let vectors = Matrix::from_fn(n, n, |r, c| v[r * n + pairs[c].1]);
+    let vectors = Matrix::from_fn(n, n, |r, c| vt[pairs[c].1 * n + r]);
     EigenDecomposition { values, vectors }
 }
 
@@ -93,6 +94,16 @@ fn rotate_cols(a: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
         let (akp, akq) = (row[p], row[q]);
         row[p] = c * akp + s * akq;
         row[q] = -s * akp + c * akq;
+    }
+}
+
+/// Rotates rows `p < q` of the row-major `a` with `n` columns.
+fn rotate_rows(a: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
+    let (upper, lower) = a.split_at_mut(q * n);
+    for (x, y) in upper[p * n..(p + 1) * n].iter_mut().zip(&mut lower[..n]) {
+        let (apk, aqk) = (*x, *y);
+        *x = c * apk + s * aqk;
+        *y = -s * apk + c * aqk;
     }
 }
 

@@ -3,10 +3,14 @@
 //! The paper's PCA and SVD reduced models (Section V) need:
 //!
 //! * a dense [`Matrix`] with parallel products,
-//! * a symmetric eigensolver ([`eigen::symmetric_eigen`], cyclic Jacobi)
-//!   for PCA's covariance matrices,
+//! * a symmetric eigensolver ([`eigen::symmetric_eigen`], cyclic Jacobi
+//!   with a tolerance relative to `‖a‖_F`, so PCA does not depend on the
+//!   data's units) for PCA's covariance matrices,
 //! * a singular value decomposition ([`svd::svd`], Householder QR, then
-//!   one-sided Jacobi on R) for the SVD preconditioner,
+//!   one-sided Jacobi on R) for the SVD preconditioner. Columns of R at
+//!   or below `ε·‖A‖_F` are dropped from the sweeps and reported as
+//!   `σ = 0`, and [`svd::svd_truncated`] forms only the `k` columns of
+//!   `U` and `V` that the caller's rank rule keeps,
 //! * [`pca::Pca`] tying them together with the 95 %-variance component
 //!   rule the paper uses to select `k`.
 

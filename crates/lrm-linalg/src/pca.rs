@@ -201,6 +201,24 @@ mod tests {
     }
 
     #[test]
+    fn fit_does_not_depend_on_units() {
+        // Columns of distinct scale, so the components are well separated.
+        let data = Matrix::from_fn(150, 8, |r, c| {
+            let x = ((r * 7919 + c * 104_729) % 1009) as f64 / 1009.0 - 0.5;
+            (c as f64 + 1.0).powi(2) * x + 0.3 * (r as f64 * 0.05).cos()
+        });
+        let base = Pca::fit(&data);
+        let k = base.components_for_variance(0.95);
+        for scale in [1e-9, 1e9] {
+            let pca = Pca::fit(&data.scale(scale));
+            assert_eq!(pca.components_for_variance(0.95), k, "scale {scale}");
+            let diff = pca.components.sub(&base.components);
+            let worst = diff.as_slice().iter().fold(0.0f64, |m, x| m.max(x.abs()));
+            assert!(worst <= 1e-9, "scale {scale}: components differ by {worst}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "empty data")]
     fn rejects_empty() {
         Pca::fit(&Matrix::zeros(0, 3));

@@ -1,40 +1,57 @@
 //! Singular value decomposition: Householder QR, then one-sided Jacobi
-//! on `R`.
+//! on `R`, forming only the singular vectors the caller keeps.
 //!
 //! The SVD preconditioner (Section V-A2 of the paper) retains the `k`
 //! largest singular values together with the matching `k` columns of `U`
 //! and rows of `Vᵀ`. Our reshaped fields are tall and skinny (rows =
-//! ny·nz, cols = nx), so [`svd`] works in three steps on column-major
-//! copies, where every column is contiguous:
+//! ny·nz, cols = nx), so [`svd_truncated`] works in three steps on
+//! column-major copies, where every column is contiguous:
 //!
 //! 1. a Householder QR `A = Q·R` (a wide matrix is transposed first),
 //!    `O(m·n²)` once;
 //! 2. one-sided Jacobi on the n×n `R`, rotating its columns into
 //!    `U_R·diag(σ)` and accumulating `V`, `O(n³)` per sweep;
-//! 3. `U = Q·[U_R; 0]` by applying the stored reflectors, `O(m·n²)` once.
+//! 3. `U = Q·[U_R; 0]` by applying the stored reflectors, `O(m·n)` per
+//!    kept column.
 //!
 //! `RᵀR = AᵀA`, so the sweeps see the column products that Jacobi on `A`
 //! itself would see, at `O(n³)` instead of `O(m·n²)` per sweep.
+//!
+//! The QR and the rotations preserve `‖A‖_F`, which sets the rank floor:
+//! a column of `R` whose squared norm falls to `(ε·‖A‖_F)²` or below
+//! (`ε` = `f64::EPSILON`) is numerically zero. It is never rotated again,
+//! so later sweeps skip it without recomputing its products, and it is
+//! reported as `σ = 0` with a zero `U` column. Pairs of live columns are
+//! rotated until they are orthogonal to a relative `1e-15`. Every `σ` is
+//! therefore either 0 or above `ε·‖A‖_F`.
+//!
+//! The caller's rank rule picks `k` from the complete `σ` before any
+//! singular vector is formed, so step 3 costs `O(m·n·k)`, not
+//! `O(m·n²)`. [`svd`] is the untruncated case, and its leading `k`
+//! columns equal [`svd_truncated`]'s bit for bit.
 
 use crate::matrix::Matrix;
 
-/// `A = U · diag(σ) · Vᵀ` with `σ` descending, `U` (m×r) and `V` (n×r)
-/// column-orthonormal, `r = min(m, n)`.
+/// `A ≈ U · diag(σ) · Vᵀ` with `σ` descending. `σ` holds all
+/// `r = min(m, n)` singular values; `U` (m×k) and `V` (n×k) hold the
+/// leading `k ≤ r` singular vectors (`k = r` from [`svd`]). `V` is
+/// column-orthonormal, and so is `U` over the columns whose `σ > 0`;
+/// a column whose `σ = 0` is zero in `U`.
 #[derive(Debug, Clone)]
 pub struct Svd {
-    /// Left singular vectors (m × r).
+    /// Left singular vectors (m × k).
     pub u: Matrix,
     /// Singular values, descending (length r).
     pub sigma: Vec<f64>,
-    /// Right singular vectors (n × r); `Vᵀ` rows pair with `σ`.
+    /// Right singular vectors (n × k); `Vᵀ` rows pair with `σ`.
     pub v: Matrix,
 }
 
 impl Svd {
     /// Reconstructs the (possibly truncated) product `U Σ Vᵀ` using the
-    /// top `k` singular triplets.
+    /// top `k` singular triplets, at most as many as `U` holds.
     pub fn reconstruct(&self, k: usize) -> Matrix {
-        let k = k.min(self.sigma.len());
+        let k = k.min(self.u.cols());
         let m = self.u.rows();
         let n = self.v.rows();
         let mut out = Matrix::zeros(m, n);
@@ -56,22 +73,9 @@ impl Svd {
         out
     }
 
-    /// Smallest `k` with `Σ_{i<k} σᵢ / Σ σᵢ >= fraction` (the paper's 95 %
-    /// rule, applied to singular values). Returns at least 1 when any
-    /// singular value is nonzero.
+    /// [`rank_for_energy`] of this decomposition's `σ`.
     pub fn rank_for_energy(&self, fraction: f64) -> usize {
-        let total: f64 = self.sigma.iter().sum();
-        if total <= 0.0 {
-            return 0;
-        }
-        let mut acc = 0.0;
-        for (i, &s) in self.sigma.iter().enumerate() {
-            acc += s;
-            if acc / total >= fraction {
-                return i + 1;
-            }
-        }
-        self.sigma.len()
+        rank_for_energy(&self.sigma, fraction)
     }
 
     /// Proportions `σᵢ / Σ σⱼ` (the series Fig. 8 plots).
@@ -84,21 +88,56 @@ impl Svd {
     }
 }
 
-/// Computes the thin SVD of `a`: Householder QR, then one-sided Jacobi
-/// on `R`.
+/// Smallest `k` with `Σ_{i<k} σᵢ / Σ σᵢ >= fraction` over the descending
+/// `sigma` (the paper's 95 % rule, applied to singular values). Returns
+/// at least 1 when any singular value is nonzero.
+pub fn rank_for_energy(sigma: &[f64], fraction: f64) -> usize {
+    let total: f64 = sigma.iter().sum();
+    if total <= 0.0 {
+        return 0;
+    }
+    let mut acc = 0.0;
+    for (i, &s) in sigma.iter().enumerate() {
+        acc += s;
+        if acc / total >= fraction {
+            return i + 1;
+        }
+    }
+    sigma.len()
+}
+
+/// Computes the thin SVD of `a`: every singular triplet of
+/// [`svd_truncated`].
 pub fn svd(a: &Matrix) -> Svd {
+    svd_truncated(a, <[f64]>::len)
+}
+
+/// Computes all `r = min(m, n)` singular values of `a`, then only the
+/// leading `k = keep(&σ)` (at most `r`) columns of `U` and `V`.
+pub fn svd_truncated(a: &Matrix, keep: impl FnOnce(&[f64]) -> usize) -> Svd {
+    let tiny = f64::EPSILON * a.fro_norm();
     if a.rows() < a.cols() {
-        // Work on the transpose and swap the factors back.
-        let t = svd(&a.transpose());
+        // Decompose the transpose, whose column-major copy is `a`'s
+        // row-major data, and swap the factors back.
+        let t = tall_svd(a.as_slice().to_vec(), a.cols(), a.rows(), tiny, keep);
         return Svd {
             u: t.v,
             sigma: t.sigma,
             v: t.u,
         };
     }
-    let (m, n) = (a.rows(), a.cols());
-    // Column-major copy of A: column j is `qr[j * m..(j + 1) * m]`.
-    let mut qr = a.transpose().into_vec();
+    tall_svd(a.transpose().into_vec(), a.rows(), a.cols(), tiny, keep)
+}
+
+/// [`svd_truncated`] of the `m`×`n` column-major `qr` (`m >= n`), whose
+/// columns of `R` count as zero at or below the norm `tiny`.
+fn tall_svd(
+    mut qr: Vec<f64>,
+    m: usize,
+    n: usize,
+    tiny: f64,
+    keep: impl FnOnce(&[f64]) -> usize,
+) -> Svd {
     let taus = householder_qr(&mut qr, m, n);
 
     // R, column-major; Jacobi rotates it into `U_R · diag(σ)`.
@@ -107,22 +146,25 @@ pub fn svd(a: &Matrix) -> Svd {
         w[j * n..=j * n + j].copy_from_slice(&qr[j * m..=j * m + j]);
     }
     let mut v = Matrix::identity(n).into_vec();
-    orthogonalize_columns(&mut w, &mut v, n);
+    let live = orthogonalize_columns(&mut w, &mut v, n, tiny * tiny);
 
-    // Column norms are the singular values.
+    // Column norms are the singular values; dead columns are zero.
     let mut triplets: Vec<(f64, usize)> = (0..n)
         .map(|c| {
             let norm2: f64 = w[c * n..(c + 1) * n].iter().map(|x| x * x).sum();
-            (norm2.sqrt(), c)
+            let s = norm2.sqrt();
+            (if live[c] && s > tiny { s } else { 0.0 }, c)
         })
         .collect();
     triplets.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let sigma: Vec<f64> = triplets.iter().map(|&(s, _)| s).collect();
+    let kept = &triplets[..keep(&sigma).min(n)];
+    let k = kept.len();
 
     // U = Q · [U_R; 0], column by column; a zero σ leaves its column zero.
-    let mut u = vec![0.0; n * m];
-    for (t, &(s, c)) in triplets.iter().enumerate() {
+    let mut u = vec![0.0; k * m];
+    for (u_col, &(s, c)) in u.chunks_exact_mut(m.max(1)).zip(kept) {
         if s > 0.0 {
-            let u_col = &mut u[t * m..(t + 1) * m];
             for (x, &y) in u_col.iter_mut().zip(&w[c * n..(c + 1) * n]) {
                 *x = y / s;
             }
@@ -133,10 +175,9 @@ pub fn svd(a: &Matrix) -> Svd {
             }
         }
     }
-    let sigma: Vec<f64> = triplets.iter().map(|&(s, _)| s).collect();
-    let u = Matrix::from_vec(n, m, u).transpose();
-    let vv = Matrix::from_fn(n, n, |r, c| v[triplets[c].1 * n + r]);
-    Svd { u, sigma, v: vv }
+    let u = Matrix::from_vec(k, m, u).transpose();
+    let vk = Matrix::from_fn(n, k, |r, t| v[kept[t].1 * n + r]);
+    Svd { u, sigma, v: vk }
 }
 
 /// Householder QR of the `m`×`n` column-major `a` (`m >= n`), in place.
@@ -183,15 +224,24 @@ fn reflect(tail: &[f64], tau: f64, y: &mut [f64]) {
 }
 
 /// One-sided Jacobi: rotates pairs of columns of the n×n column-major
-/// `w` until every pair is orthogonal to working precision, applying the
-/// same rotations to the columns of the n×n column-major `v`.
-fn orthogonalize_columns(w: &mut [f64], v: &mut [f64], n: usize) {
+/// `w` until every pair of live columns is orthogonal to working
+/// precision, applying the same rotations to the columns of the n×n
+/// column-major `v`. A column whose squared norm is at or below `floor`
+/// dies: it is never rotated again. Returns which columns are live.
+fn orthogonalize_columns(w: &mut [f64], v: &mut [f64], n: usize, floor: f64) -> Vec<bool> {
     let eps = 1e-15;
     let max_sweeps = 60;
+    let mut live = vec![true; n];
     for _ in 0..max_sweeps {
         let mut rotated = false;
         for p in 0..n {
+            if !live[p] {
+                continue;
+            }
             for q in (p + 1)..n {
+                if !live[q] {
+                    continue;
+                }
                 let (wp, wq) = column_pair(w, n, p, q);
                 let mut alpha = 0.0;
                 let mut beta = 0.0;
@@ -200,6 +250,14 @@ fn orthogonalize_columns(w: &mut [f64], v: &mut [f64], n: usize) {
                     alpha += xp * xp;
                     beta += xq * xq;
                     gamma += xp * xq;
+                }
+                if alpha <= floor {
+                    live[p] = false;
+                    break;
+                }
+                if beta <= floor {
+                    live[q] = false;
+                    continue;
                 }
                 if gamma.abs() <= eps * (alpha * beta).sqrt() || gamma == 0.0 {
                     continue;
@@ -218,6 +276,7 @@ fn orthogonalize_columns(w: &mut [f64], v: &mut [f64], n: usize) {
             break;
         }
     }
+    live
 }
 
 /// Mutable borrows of columns `p < q` of a column-major buffer whose

@@ -1,6 +1,7 @@
 //! Property-based tests of the linear-algebra invariants the
 //! preconditioners rely on.
 
+use lrm_linalg::svd::svd_truncated;
 use lrm_linalg::{svd, symmetric_eigen, Matrix, Pca};
 use lrm_rng::Rng64;
 
@@ -162,6 +163,163 @@ fn svd_of_tall_full_and_rank_deficient_matrices_keeps_its_contract() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Tall, wide, rank-deficient and all-zero matrices: the shapes whose
+/// SVD contracts the tests below pin.
+fn svd_cases(rng: &mut Rng64) -> Vec<(&'static str, Matrix)> {
+    let tall = tall_matrix(rng);
+    let (m, n) = (tall.rows(), tall.cols());
+    let wide = tall_matrix(rng).transpose();
+    // Rank j < n: a product of m×j and j×n factors.
+    let j = 1 + rng.range_usize(n - 1);
+    let left = Matrix::from_vec(m, j, rng.vec_f64(-10.0, 10.0, m * j));
+    let right = Matrix::from_vec(j, n, rng.vec_f64(-10.0, 10.0, j * n));
+    let zero_col = Matrix::from_fn(m, n, |r, c| if c == j - 1 { 0.0 } else { tall.get(r, c) });
+    vec![
+        ("tall", tall),
+        ("wide", wide),
+        ("low rank", left.matmul(&right)),
+        ("zero column", zero_col),
+        ("all zero", Matrix::zeros(m, n)),
+    ]
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn truncated_svd_is_the_leading_columns_of_the_full_svd_bit_for_bit() {
+    for seed in 0..CASES {
+        let mut rng = Rng64::new(seed);
+        for (name, a) in svd_cases(&mut rng) {
+            let full = svd(&a);
+            let r = full.sigma.len();
+            for keep in [0, 1, r / 2, r + 3] {
+                let what = format!("seed {seed}, {name} {}x{}, keep {keep}", a.rows(), a.cols());
+                let t = svd_truncated(&a, |sigma| {
+                    assert_eq!(bits(sigma), bits(&full.sigma), "{what}: σ seen by keep");
+                    keep
+                });
+                let k = keep.min(r);
+                assert_eq!(bits(&t.sigma), bits(&full.sigma), "{what}: σ");
+                assert_eq!((t.u.rows(), t.u.cols()), (a.rows(), k), "{what}: U shape");
+                assert_eq!((t.v.rows(), t.v.cols()), (a.cols(), k), "{what}: V shape");
+                let (u_k, v_k) = (full.u.take_cols(k), full.v.take_cols(k));
+                assert_eq!(bits(t.u.as_slice()), bits(u_k.as_slice()), "{what}: U");
+                assert_eq!(bits(t.v.as_slice()), bits(v_k.as_slice()), "{what}: V");
+                // Every method stays total on the truncated result.
+                assert_eq!(t.rank_for_energy(0.95), full.rank_for_energy(0.95));
+                assert_eq!(bits(&t.proportions()), bits(&full.proportions()));
+                if keep == r / 2 {
+                    let (rec, rec_k) = (t.reconstruct(r), full.reconstruct(k));
+                    assert_eq!(bits(rec.as_slice()), bits(rec_k.as_slice()), "{what}: UΣVᵀ");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_singular_value_is_zero_or_above_the_rank_floor() {
+    for seed in 0..CASES {
+        let mut rng = Rng64::new(seed);
+        for (name, a) in svd_cases(&mut rng) {
+            let d = svd(&a);
+            let floor = f64::EPSILON * a.fro_norm();
+            let what = format!("seed {seed}, {name} {}x{}", a.rows(), a.cols());
+            for (c, &s) in d.sigma.iter().enumerate() {
+                assert!(s == 0.0 || s > floor, "{what}: σ{c} = {s}, floor {floor}");
+                if s == 0.0 {
+                    assert!(d.u.col(c).iter().all(|&x| x == 0.0), "{what}: U col {c}");
+                }
+            }
+            if name == "zero column" {
+                assert_eq!(d.sigma.last(), Some(&0.0), "{what}: the zero column");
+            }
+        }
+    }
+}
+
+/// `symmetric_eigen` as it accumulated the rotations before they were
+/// stored transposed: as the columns of a row-major `V`, updated in
+/// place. The operations and their order are the same.
+fn symmetric_eigen_by_columns(a: &Matrix) -> (Vec<f64>, Matrix) {
+    fn rotate_cols(a: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
+        for row in a.chunks_exact_mut(n) {
+            let (akp, akq) = (row[p], row[q]);
+            row[p] = c * akp + s * akq;
+            row[q] = -s * akp + c * akq;
+        }
+    }
+    let n = a.rows();
+    let tol = 1e-14 * a.fro_norm();
+    let mut m = a.as_slice().to_vec();
+    let mut v = Matrix::identity(n).into_vec();
+    for _sweep in 0..64 {
+        let mut off = 0.0f64;
+        for (r, row) in m.chunks_exact(n).enumerate() {
+            for &x in &row[r + 1..] {
+                off += x * x;
+            }
+        }
+        if off.sqrt() <= tol {
+            break;
+        }
+        for p in 0..n {
+            for q in (p + 1)..n {
+                let apq = m[p * n + q];
+                if apq.abs() <= tol / (n as f64) {
+                    continue;
+                }
+                let (app, aqq) = (m[p * n + p], m[q * n + q]);
+                let theta = 0.5 * (2.0 * apq).atan2(app - aqq);
+                let (s, c) = theta.sin_cos();
+                rotate_cols(&mut m, n, p, q, c, s);
+                for k in 0..n {
+                    let (mpk, mqk) = (m[p * n + k], m[q * n + k]);
+                    m[p * n + k] = c * mpk + s * mqk;
+                    m[q * n + k] = -s * mpk + c * mqk;
+                }
+                rotate_cols(&mut v, n, p, q, c, s);
+            }
+        }
+    }
+    let mut pairs: Vec<(f64, usize)> = (0..n).map(|i| (m[i * n + i], i)).collect();
+    pairs.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let values = pairs.iter().map(|&(l, _)| l).collect();
+    (values, Matrix::from_fn(n, n, |r, c| v[r * n + pairs[c].1]))
+}
+
+#[test]
+fn eigen_with_transposed_rotations_matches_column_accumulation_bit_for_bit() {
+    for seed in 0..CASES {
+        let mut rng = Rng64::new(seed);
+        let a = random_matrix(&mut rng, 40, 40);
+        let n = a.rows().min(a.cols());
+        let sym = Matrix::from_fn(n, n, |r, c| 0.5 * (a.get(r, c) + a.get(c, r)));
+        let tall = tall_matrix(&mut rng);
+        let gram = tall.transpose().matmul(&tall);
+        let gram = Matrix::from_fn(gram.rows(), gram.cols(), |r, c| {
+            gram.get(r.min(c), r.max(c))
+        });
+        for (name, s) in [
+            ("scaled", sym.scale(1e-9)),
+            ("symmetrized", sym),
+            ("gram", gram),
+        ] {
+            let e = symmetric_eigen(&s);
+            let (values, vectors) = symmetric_eigen_by_columns(&s);
+            let what = format!("seed {seed}, {name} {}x{}", s.rows(), s.cols());
+            assert_eq!(bits(&e.values), bits(&values), "{what}: eigenvalues");
+            assert_eq!(
+                bits(e.vectors.as_slice()),
+                bits(vectors.as_slice()),
+                "{what}: eigenvectors"
+            );
         }
     }
 }
