@@ -145,10 +145,14 @@ pub fn measure_one(codec: &dyn Codec, kind: DatasetKind, config: &BenchConfig) -
 /// (`serve`, `loopback`) pair, so [`regressions`] never gates on it —
 /// the row records the trajectory.
 pub fn measure_serve(config: &BenchConfig) -> BenchResult {
-    use lrm_server::{Connection, Server};
+    use lrm_server::{Connection, Server, ServerConfig};
 
     let field = generate(DatasetKind::Heat3d, config.size).full;
-    let server = Server::builder().threads(2).bind().expect("bind loopback");
+    let server_config = ServerConfig {
+        threads: 2,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", server_config).expect("bind loopback");
     let addr = server.local_addr().expect("local addr");
     let handle = std::thread::spawn(move || server.serve());
 
@@ -213,17 +217,18 @@ pub const SWEEP_CONNS: [usize; 3] = [1, 64, 1024];
 /// request id, so the row also doubles as a large-scale pipelining
 /// check.
 pub fn measure_serve_conns(config: &BenchConfig, conns: usize) -> BenchResult {
-    use lrm_server::{Connection, Request, Server};
+    use lrm_server::{Connection, Request, Server, ServerConfig};
 
     let field = generate(DatasetKind::Heat3d, config.size).full;
-    let server = Server::builder()
-        .threads(2)
-        .max_inflight(4096)
-        .max_connections(conns + 8)
-        .max_pipeline_depth(64)
-        .deadline(std::time::Duration::from_secs(120))
-        .bind()
-        .expect("bind loopback");
+    let server_config = ServerConfig {
+        threads: 2,
+        max_inflight: 4096,
+        max_connections: conns + 8,
+        max_pipeline_depth: 64,
+        deadline: std::time::Duration::from_secs(120),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", server_config).expect("bind loopback");
     let addr = server.local_addr().expect("local addr");
     let handle = std::thread::spawn(move || server.serve());
 

@@ -8,6 +8,7 @@
 //!   fig1 table2 fig3 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table4
 //!   select   (the model-selection extension)
 //!   chunked  (chunk-parallel engine: per-chunk and aggregate ratios)
+//!   dist     (Heat3d over thread ranks with halo exchange, vs the serial solve)
 //!   verify   (reconstruction error against the configured bound)
 //!   all      (everything, in paper order)
 //! ```
@@ -98,7 +99,7 @@ fn parse_args() -> Args {
 fn print_help() {
     println!(
         "lrm-cli <experiment> [--size tiny|small|paper] [--outputs N] [--procs N] [--threads N] [--chunks N]\n\
-         experiments: fig1 table2 fig3 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table4 select chunked dist temporal verify all\n\
+         experiments: fig1 table2 fig3 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table4 select chunked dist verify all\n\
          bench: run the lrm-bench throughput harness at the chosen --size\n\
          serve: run the compression service (lrm-cli serve --help-style flags: --addr --threads --max-inflight)\n\
          client: talk to a running service (lrm-cli client <ping|compress|decompress|stats|select|roundtrip|shutdown>)"
@@ -404,23 +405,36 @@ fn run_table4(size: SizeClass, procs: usize) {
 
 fn run_select(size: SizeClass) {
     println!("== Model selection (paper future work): best model per dataset ==");
-    use lrm_core::{default_candidates, select_best_model, PipelineConfig, ReducedModelKind};
+    use lrm_core::{
+        default_candidates, select_best_model_with, PipelineConfig, ReducedModelKind,
+        SelectionOptions,
+    };
     use lrm_datasets::{generate, DatasetKind};
     let base = PipelineConfig::sz(ReducedModelKind::Direct);
+    let options = SelectionOptions {
+        exhaustive: true,
+        ..SelectionOptions::default()
+    };
     let rows: Vec<Vec<String>> = DatasetKind::ALL
         .into_iter()
         .map(|kind| {
             let field = generate(kind, size).full;
-            let (winner, results) = select_best_model(&field, &default_candidates(), &base);
-            let best = results[0].report.ratio();
-            let direct = results
+            let Some(outcome) =
+                select_best_model_with(&field, &default_candidates(), &base, &options)
+            else {
+                let na = || "N/A".to_string();
+                return vec![kind.name().to_string(), "none".into(), na(), na(), na()];
+            };
+            let best = outcome.results[0].report.ratio();
+            let direct = outcome
+                .results
                 .iter()
                 .find(|r| r.model == ReducedModelKind::Direct)
                 .map(|r| r.report.ratio())
                 .unwrap_or(0.0);
             vec![
                 kind.name().to_string(),
-                winner.name().to_string(),
+                outcome.winner.name().to_string(),
                 f(best),
                 f(direct),
                 f(best / direct.max(1e-12)),
@@ -487,34 +501,6 @@ fn run_dist(size: SizeClass) {
         );
     }
     println!();
-}
-
-fn run_temporal(size: SizeClass, outputs: usize) {
-    use lrm_core::temporal::compress_series;
-    use lrm_core::{sz_paper_bounds, Pipeline, PipelineConfig, ReducedModelKind};
-    use lrm_datasets::{snapshots, DatasetKind};
-    println!("== Temporal series preconditioning (extension) ==");
-    let fields = snapshots(DatasetKind::Heat3d, outputs, size);
-    let (base, delta) = sz_paper_bounds();
-    let series = compress_series(&fields, &base, &delta);
-    let direct_total: usize = fields
-        .iter()
-        .map(|f| {
-            Pipeline::from_config(PipelineConfig::sz(ReducedModelKind::Direct).with_scan_1d(true))
-                .compress(f)
-                .report
-                .total_bytes()
-        })
-        .sum();
-    println!(
-        "{} snapshots: temporal {} bytes (ratio {:.2}x) vs per-snapshot direct {} bytes (ratio {:.2}x)",
-        fields.len(),
-        series.snapshot_bytes.iter().sum::<usize>(),
-        series.ratio(),
-        direct_total,
-        series.raw_bytes as f64 / direct_total.max(1) as f64
-    );
-    println!("per-snapshot bytes: {:?}\n", series.snapshot_bytes);
 }
 
 /// Prints the bound-verification table; returns whether every row holds.
@@ -695,7 +681,6 @@ fn main() {
         "chunked" => held &= run_chunked(args.size, args.threads, args.chunks),
         "dist" => run_dist(args.size),
         "verify" => held &= run_verify(args.size),
-        "temporal" => run_temporal(args.size, args.outputs),
         "bench" => run_bench(args.size),
         other => {
             eprintln!("unknown experiment {other:?}");
@@ -706,7 +691,7 @@ fn main() {
     if args.experiment == "all" {
         for name in [
             "fig1", "table2", "fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-            "fig12", "table4", "select", "chunked", "dist", "temporal", "verify",
+            "fig12", "table4", "select", "chunked", "dist", "verify",
         ] {
             run(name);
         }

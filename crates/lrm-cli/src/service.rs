@@ -13,7 +13,9 @@ use std::time::Duration;
 
 use lrm_core::ReducedModelKind;
 use lrm_datasets::{generate, DatasetKind, Field, SizeClass};
-use lrm_server::{CompressRequest, Connection, Request, Response, SelectRequest, Server};
+use lrm_server::{
+    CompressRequest, Connection, Request, Response, SelectRequest, Server, ServerConfig,
+};
 
 fn parse_size(s: &str) -> Option<SizeClass> {
     match s {
@@ -111,18 +113,17 @@ pub fn run_serve(args: &[String]) -> i32 {
     if let Some(p) = flags.positional.first() {
         return fail(&format!("serve: unexpected argument {p:?}\n{SERVE_USAGE}"));
     }
-    let builder = Server::builder()
-        .addr(flags.get("addr").unwrap_or("127.0.0.1:7421"))
-        .threads(flags.usize_or("threads", 0))
-        .max_inflight(flags.usize_or("max-inflight", 32).max(1))
-        .max_payload(flags.usize_or("max-payload-mb", 256).max(1) << 20)
-        .deadline(Duration::from_secs(
-            flags.usize_or("deadline-secs", 30).max(1) as u64,
-        ))
-        .default_chunks(flags.usize_or("chunks", 1).max(1))
-        .max_connections(flags.usize_or("max-connections", 1024).max(1))
-        .max_pipeline_depth(flags.usize_or("max-pipeline-depth", 64).max(1));
-    let server = match builder.bind() {
+    let config = ServerConfig {
+        threads: flags.usize_or("threads", 0),
+        max_inflight: flags.usize_or("max-inflight", 32).max(1),
+        max_payload: flags.usize_or("max-payload-mb", 256).max(1) << 20,
+        deadline: Duration::from_secs(flags.usize_or("deadline-secs", 30).max(1) as u64),
+        default_chunks: flags.usize_or("chunks", 1).max(1),
+        max_connections: flags.usize_or("max-connections", 1024).max(1),
+        max_pipeline_depth: flags.usize_or("max-pipeline-depth", 64).max(1),
+    };
+    let addr = flags.get("addr").unwrap_or("127.0.0.1:7421");
+    let server = match Server::bind(addr, config) {
         Ok(s) => s,
         Err(e) => return fail(&format!("serve: cannot bind: {e}")),
     };
@@ -405,7 +406,6 @@ fn run_pipeline(conn: &mut Connection, flags: &Flags) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrm_server::ServerConfig;
 
     #[test]
     fn model_names_parse() {

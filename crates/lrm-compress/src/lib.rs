@@ -38,7 +38,7 @@ pub mod zfp;
 pub use error::{DecodeError, DecodeResult};
 pub use fpc::Fpc;
 pub use sz::{Sz, SzErrorBound};
-pub use zfp::{Zfp, ZfpMode};
+pub use zfp::Zfp;
 
 /// Logical shape of a 1-D/2-D/3-D scalar field stored in row-major
 /// (x fastest) order. Higher dimensions hold size 1.
@@ -108,32 +108,6 @@ pub trait Codec {
     }
 }
 
-/// Enumeration of the three compressors for experiment drivers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CompressorKind {
-    /// SZ-like prediction-based lossy compressor.
-    Sz,
-    /// ZFP-like transform-based lossy compressor.
-    Zfp,
-    /// FPC lossless compressor.
-    Fpc,
-}
-
-impl CompressorKind {
-    /// All three kinds, in the order the paper's figures list them.
-    pub const ALL: [CompressorKind; 3] =
-        [CompressorKind::Sz, CompressorKind::Zfp, CompressorKind::Fpc];
-
-    /// Short display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CompressorKind::Sz => "SZ",
-            CompressorKind::Zfp => "ZFP",
-            CompressorKind::Fpc => "FPC",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,11 +128,5 @@ mod tests {
         assert_eq!(Shape::d2(10, 2).ndims(), 2);
         assert_eq!(Shape::d3(10, 1, 2).ndims(), 3);
         assert_eq!(Shape::d1(1).ndims(), 1);
-    }
-
-    #[test]
-    fn compressor_kind_names() {
-        assert_eq!(CompressorKind::Sz.name(), "SZ");
-        assert_eq!(CompressorKind::ALL.len(), 3);
     }
 }

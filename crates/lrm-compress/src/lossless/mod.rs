@@ -2,18 +2,16 @@
 //!
 //! SZ 1.4 post-processes its quantization codes with Huffman coding and a
 //! dictionary compressor; this module provides both stages plus the small
-//! primitives (varints, zigzag, run-length) the codecs share.
+//! primitives (varints, zigzag) the codecs share.
 
 use crate::error::{DecodeError, DecodeResult};
 
 pub mod huffman;
 pub mod lzss;
-pub mod rle;
 pub mod varint;
 
 pub use huffman::{huffman_decode, huffman_encode, HuffmanDecoder};
 pub use lzss::{lzss_compress, lzss_decompress};
-pub use rle::{rle_decode_zeros, rle_encode_zeros};
 pub use varint::{decode_uvarint, encode_uvarint, zigzag_decode, zigzag_encode};
 
 /// Compresses a byte buffer with the full lossless pipeline used as SZ's

@@ -8,9 +8,8 @@
 //!
 //! The paper uses ZFP's **fixed-precision** mode: 16 bits of precision for
 //! original data, 8 bits for deltas, and an 8..=32 sweep for the Fig. 11
-//! rate-distortion comparison. [`ZfpMode::FixedPrecision`] reproduces
-//! that; [`ZfpMode::FixedAccuracy`] additionally offers an absolute error
-//! target by deriving the plane cutoff per block.
+//! rate-distortion comparison. That is the only mode implemented: every
+//! block encodes the same number of bit planes.
 
 pub mod block;
 pub mod codec;
@@ -22,60 +21,20 @@ use crate::lossless::varint::{decode_uvarint, encode_uvarint};
 use crate::{Codec, Shape};
 pub use codec::ldexp;
 
-/// Operating mode of the [`Zfp`] codec.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ZfpMode {
-    /// Encode exactly this many bit planes per block (1..=64). This is the
-    /// mode used throughout the paper's evaluation.
-    FixedPrecision(u32),
-    /// Encode enough planes that the per-value error is at most `tol`.
-    FixedAccuracy(f64),
-}
-
-/// ZFP-like codec. See the module docs for the algorithm.
+/// ZFP-like codec in fixed-precision mode. See the module docs for the
+/// algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Zfp {
-    mode: ZfpMode,
+    /// Bit planes encoded per block (1..=64).
+    precision: u32,
 }
 
 impl Zfp {
-    /// Creates a codec in fixed-precision mode with `bits` planes
-    /// (clamped to 1..=64).
+    /// Creates a codec that encodes `bits` planes per block (clamped to
+    /// 1..=64).
     pub fn fixed_precision(bits: u32) -> Self {
         Self {
-            mode: ZfpMode::FixedPrecision(bits.clamp(1, 64)),
-        }
-    }
-
-    /// Creates a codec in fixed-accuracy mode with absolute tolerance
-    /// `tol` (> 0).
-    pub fn fixed_accuracy(tol: f64) -> Self {
-        assert!(tol > 0.0, "zfp: tolerance must be positive");
-        Self {
-            mode: ZfpMode::FixedAccuracy(tol),
-        }
-    }
-
-    /// The codec's mode.
-    pub fn mode(&self) -> ZfpMode {
-        self.mode
-    }
-
-    /// Planes to encode for a block of dimensionality `d` given the mode.
-    /// For fixed accuracy the cutoff is derived from the tolerance and the
-    /// scale: coefficients live at scale 2^(emax-62), so encoding down to
-    /// plane `k` leaves error ~2^(emax-62) * 2^k per coefficient.
-    fn maxprec(&self, emax: i32, ndims: usize) -> u32 {
-        match self.mode {
-            ZfpMode::FixedPrecision(p) => p,
-            ZfpMode::FixedAccuracy(tol) => {
-                // Truncating below plane k leaves per-coefficient error
-                // ~2^(emax - prec); the inverse transform amplifies it by
-                // up to ~2^2 per dimension, plus negabinary slack.
-                let log_tol = tol.log2().floor() as i32;
-                let prec = emax - log_tol + 2 * ndims as i32 + 3;
-                prec.clamp(1, 64) as u32
-            }
+            precision: bits.clamp(1, 64),
         }
     }
 }
@@ -102,32 +61,7 @@ impl Codec for Zfp {
                 let mut scratch = codec::BlockScratch::new();
                 for &b in chunk {
                     block::gather(data, shape, b, &mut scratch.blk[..bsize]);
-                    // Fixed-accuracy derives the plane budget per block;
-                    // fixed precision is uniform. Either way the decoder
-                    // recomputes it from the stored exponent, so nothing
-                    // extra is stored.
-                    let prec = match self.mode {
-                        ZfpMode::FixedPrecision(p) => p,
-                        ZfpMode::FixedAccuracy(_) => {
-                            let emax = scratch.blk[..bsize]
-                                .iter()
-                                .filter(|v| **v != 0.0 && v.is_finite())
-                                .map(|&v| {
-                                    let bits = v.abs().to_bits();
-                                    let raw = ((bits >> 52) & 0x7ff) as i32;
-                                    if raw == 0 {
-                                        let m = bits & 0xf_ffff_ffff_ffff;
-                                        (63 - m.leading_zeros() as i32) - 1073
-                                    } else {
-                                        raw - 1022
-                                    }
-                                })
-                                .max()
-                                .unwrap_or(0);
-                            self.maxprec(emax, ndims)
-                        }
-                    };
-                    codec::encode_block_scratch(&mut scratch, ndims, prec, &mut w);
+                    codec::encode_block_scratch(&mut scratch, ndims, self.precision, &mut w);
                 }
                 w
             });
@@ -165,30 +99,7 @@ impl Codec for Zfp {
         let mut data = vec![0.0f64; shape.len()];
         let mut scratch = codec::BlockScratch::new();
         for b in block::block_coords(shape) {
-            match self.mode {
-                ZfpMode::FixedPrecision(p) => {
-                    codec::decode_block_scratch(&mut scratch, ndims, p, &mut reader)?;
-                }
-                ZfpMode::FixedAccuracy(_) => {
-                    // Peek the zero flag and exponent to recompute the
-                    // encoder's plane budget for this block.
-                    let mut peek = reader.clone();
-                    if peek.read_bit() == 0 {
-                        reader.read_bit();
-                        // bsize = 4^ndims <= 64 by construction, but the
-                        // decode path stays panic-free via .get().
-                        let blk = scratch.blk.get_mut(..bsize).ok_or(DecodeError::Corrupt {
-                            what: "zfp block size exceeds scratch",
-                        })?;
-                        blk.fill(0.0);
-                        block::scatter(blk, shape, b, &mut data);
-                        continue;
-                    }
-                    let emax = peek.read_bits(12) as i32 - 1100;
-                    let prec = self.maxprec(emax, ndims);
-                    codec::decode_block_scratch(&mut scratch, ndims, prec, &mut reader)?;
-                }
-            }
+            codec::decode_block_scratch(&mut scratch, ndims, self.precision, &mut reader)?;
             let blk = scratch.blk.get(..bsize).ok_or(DecodeError::Corrupt {
                 what: "zfp block size exceeds scratch",
             })?;
@@ -291,18 +202,6 @@ mod tests {
             .zip(b)
             .map(|(x, y)| (x - y).abs())
             .fold(0.0, f64::max)
-    }
-
-    #[test]
-    fn fixed_accuracy_meets_tolerance() {
-        let (v, shape) = smooth_field_2d(40, 40);
-        for &tol in &[1e-1, 1e-3, 1e-6] {
-            let z = Zfp::fixed_accuracy(tol);
-            let c = z.compress(&v, shape);
-            let d = z.decompress(&c, shape).expect("decode");
-            let err = lrm_err(&v, &d);
-            assert!(err <= tol, "tol {tol}: err {err}");
-        }
     }
 
     #[test]

@@ -26,7 +26,6 @@ fn codecs() -> Vec<(&'static str, Box<dyn Codec>)> {
         ("sz-blockrel", Box::new(Sz::block_rel(1e-4))),
         ("sz-pwrel", Box::new(Sz::pointwise_rel(1e-4))),
         ("zfp-precision", Box::new(Zfp::fixed_precision(16))),
-        ("zfp-accuracy", Box::new(Zfp::fixed_accuracy(1e-6))),
         ("fpc", Box::new(Fpc::new(16))),
     ]
 }

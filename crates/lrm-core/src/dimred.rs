@@ -331,9 +331,16 @@ pub fn wavelet_reconstruct(rep_bytes: &[u8], delta: &[f64]) -> DecodeResult<Vec<
         lrm_wavelet::SparseMatrix::from_bytes(sparse_bytes).ok_or(DecodeError::Corrupt {
             what: "wavelet sparse block",
         })?;
+    // The encoder pads each extent to a power of two (at least 1); the
+    // inverse transform asserts on any other grid.
+    let (pr, pc) = coeffs.shape();
+    if !pr.is_power_of_two() || !pc.is_power_of_two() {
+        return Err(DecodeError::Corrupt {
+            what: "wavelet coefficient grid is not a power of two",
+        });
+    }
     // The padded coefficient grid must cover the stored extents, or
     // cropping the inverse transform would assert.
-    let (pr, pc) = coeffs.shape();
     if m > pr || n > pc {
         return Err(DecodeError::Corrupt {
             what: "wavelet extents exceed coefficient grid",

@@ -35,7 +35,6 @@ pub mod partitioned;
 pub mod pipeline;
 pub mod projection;
 pub mod selection;
-pub mod temporal;
 pub(crate) mod wire_meta;
 
 pub use codec::{fpc_paper, fpc_paper_codec, sz_paper_bounds, zfp_paper_bounds, LossyCodec};
@@ -44,7 +43,5 @@ pub use lrm_compress::{DecodeError, DecodeResult};
 pub use partitioned::{partitioned_precondition, partitioned_reconstruct, PartitionedMethod};
 pub use pipeline::{CompressionReport, PipelineConfig, PreconditionedArtifact, ReducedModelKind};
 pub use selection::{
-    default_candidates, select_best_model, select_best_model_with, CandidateResult,
-    SelectionOptions, SelectionOutcome,
+    default_candidates, select_best_model_with, CandidateResult, SelectionOptions, SelectionOutcome,
 };
-pub use temporal::{compress_series, reconstruct_series, TemporalSeries};

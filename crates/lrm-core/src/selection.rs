@@ -3,9 +3,9 @@
 //! "We notice that there is no single reduced method that is the best of
 //! all datasets. Therefore, it is motivated to propose a model selection
 //! strategy that selects the best model prior to data reduction."
-//! [`select_best_model`] implements the straightforward strategy: run
-//! every candidate on a (sub)sample of the data and keep the one with the
-//! best compression ratio. For fields where preconditioning hurts (e.g.
+//! [`select_best_model_with`] implements the straightforward strategy:
+//! run every candidate on a (sub)sample of the data and keep the one with
+//! the best compression ratio. For fields where preconditioning hurts (e.g.
 //! the zero-dominated *Fish*), the `Direct` candidate wins and the
 //! selector correctly refuses to precondition.
 
@@ -34,7 +34,7 @@ pub struct SelectionOptions {
     /// be too small to rank models faithfully (default `4096`).
     pub min_sample_len: usize,
     /// Force full-field trials regardless of size (the original
-    /// brute-force behavior; what [`select_best_model`] uses).
+    /// brute-force behavior).
     pub exhaustive: bool,
 }
 
@@ -115,32 +115,6 @@ pub fn select_best_model_with(
     })
 }
 
-/// Tries every candidate model on the **full** `field` and returns the
-/// winner (by compression ratio) along with every trial's report,
-/// sorted best-first.
-///
-/// `base` supplies the codecs/bounds; its `model` field is ignored.
-/// Candidates that cannot apply (e.g. one-base on a 1-D field) are
-/// skipped.
-///
-/// # Panics
-/// Panics when no candidate applies; use [`select_best_model_with`]
-/// for the non-panicking (and subsampled) variant.
-pub fn select_best_model(
-    field: &Field,
-    candidates: &[ReducedModelKind],
-    base: &PipelineConfig,
-) -> (ReducedModelKind, Vec<CandidateResult>) {
-    let options = SelectionOptions {
-        exhaustive: true,
-        ..SelectionOptions::default()
-    };
-    match select_best_model_with(field, candidates, base, &options) {
-        Some(outcome) => (outcome.winner, outcome.results),
-        None => panic!("select_best_model: no applicable candidate"),
-    }
-}
-
 /// Builds the strided trial field: every `stride`-th z-plane (3-D) or
 /// row (2-D) or element (1-D), keeping enough slabs that blocked models
 /// still see structure. Returns `None` when the field is too small to
@@ -217,6 +191,15 @@ mod tests {
     use super::*;
     use lrm_compress::Shape;
 
+    /// Full-field trials over the default candidates.
+    fn exhaustive(f: &Field, base: &PipelineConfig) -> SelectionOutcome {
+        let options = SelectionOptions {
+            exhaustive: true,
+            ..SelectionOptions::default()
+        };
+        select_best_model_with(f, &default_candidates(), base, &options).expect("candidates apply")
+    }
+
     #[test]
     fn selector_prefers_preconditioning_on_symmetric_3d_data() {
         let n = 12;
@@ -235,11 +218,11 @@ mod tests {
         }
         let f = Field::new("sym", data, shape);
         let base = PipelineConfig::sz(ReducedModelKind::Direct);
-        let (winner, results) = select_best_model(&f, &default_candidates(), &base);
-        assert_ne!(winner, ReducedModelKind::Wavelet);
-        assert!(results.len() >= 4);
+        let out = exhaustive(&f, &base);
+        assert_ne!(out.winner, ReducedModelKind::Wavelet);
+        assert!(out.results.len() >= 4);
         // Results are sorted best-first.
-        for w in results.windows(2) {
+        for w in out.results.windows(2) {
             assert!(w[0].report.ratio() >= w[1].report.ratio());
         }
     }
@@ -255,8 +238,7 @@ mod tests {
         }
         let f = Field::new("fishy", data, shape);
         let base = PipelineConfig::sz(ReducedModelKind::Direct);
-        let (winner, _) = select_best_model(&f, &default_candidates(), &base);
-        assert_eq!(winner, ReducedModelKind::Direct);
+        assert_eq!(exhaustive(&f, &base).winner, ReducedModelKind::Direct);
     }
 
     #[test]
@@ -265,18 +247,10 @@ mod tests {
         let data: Vec<f64> = (0..64).map(|i| (i as f64 * 0.2).sin()).collect();
         let f = Field::new("line", data, shape);
         let base = PipelineConfig::sz(ReducedModelKind::Direct);
-        let (_, results) = select_best_model(&f, &default_candidates(), &base);
-        assert!(results
+        assert!(exhaustive(&f, &base)
+            .results
             .iter()
             .all(|r| !matches!(r.model, ReducedModelKind::OneBase)));
-    }
-
-    #[test]
-    #[should_panic(expected = "no applicable candidate")]
-    fn empty_candidate_set_panics() {
-        let f = Field::new("x", vec![0.0; 4], Shape::d1(4));
-        let base = PipelineConfig::sz(ReducedModelKind::Direct);
-        select_best_model(&f, &[ReducedModelKind::DuoModel], &base);
     }
 
     #[test]

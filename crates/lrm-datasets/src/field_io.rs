@@ -1,21 +1,14 @@
 //! Field import/export — bring your own data.
 //!
-//! Two formats:
-//!
-//! * **raw** — the bare little-endian `f64` stream HPC codes dump
-//!   (shape supplied by the caller), for interoperating with existing
-//!   files;
-//! * **lrmf** — a self-describing container (magic + dims + name), so
-//!   fields round-trip without side-channel metadata.
+//! The format is the bare little-endian `f64` stream HPC codes dump, with
+//! the shape supplied by the caller, for interoperating with existing
+//! files.
 
 use crate::field::Field;
 use lrm_compress::Shape;
 use std::fs;
 use std::io::{Read, Write};
 use std::path::Path;
-
-/// Magic bytes of the self-describing field format.
-const MAGIC: &[u8; 4] = b"LRMF";
 
 /// Writes the bare little-endian doubles of `field` (no header) — the
 /// format the paper's datasets live in on disk.
@@ -54,51 +47,6 @@ pub fn read_raw(
     Ok(Field::new(name, data, shape))
 }
 
-/// Writes the self-describing format: magic, dims (3 × u32), name length +
-/// bytes, then the doubles.
-pub fn write_lrmf(field: &Field, path: impl AsRef<Path>) -> std::io::Result<()> {
-    let mut f = fs::File::create(path)?;
-    f.write_all(MAGIC)?;
-    for d in field.shape.dims {
-        f.write_all(&(d as u32).to_le_bytes())?;
-    }
-    let name = field.name.as_bytes();
-    f.write_all(&(name.len() as u32).to_le_bytes())?;
-    f.write_all(name)?;
-    for v in &field.data {
-        f.write_all(&v.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-/// Reads a file produced by [`write_lrmf`].
-pub fn read_lrmf(path: impl AsRef<Path>) -> std::io::Result<Field> {
-    let mut bytes = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut bytes)?;
-    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    if bytes.len() < 20 || &bytes[..4] != MAGIC {
-        return Err(bad("lrmf: bad magic"));
-    }
-    let dim = |i: usize| -> usize {
-        u32::from_le_bytes(bytes[4 + 4 * i..8 + 4 * i].try_into().expect("dims")) as usize
-    };
-    let shape = Shape {
-        dims: [dim(0), dim(1), dim(2)],
-    };
-    let nlen = u32::from_le_bytes(bytes[16..20].try_into().expect("nlen")) as usize;
-    if bytes.len() < 20 + nlen + shape.len() * 8 {
-        return Err(bad("lrmf: truncated"));
-    }
-    let name = std::str::from_utf8(&bytes[20..20 + nlen])
-        .map_err(|_| bad("lrmf: invalid name"))?
-        .to_string();
-    let data: Vec<f64> = bytes[20 + nlen..20 + nlen + shape.len() * 8]
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect();
-    Ok(Field::new(name, data, shape))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,28 +76,6 @@ mod tests {
         let p = tmp("rawbad");
         write_raw(&f, &p).expect("write");
         assert!(read_raw(&p, Shape::d1(7), "x").is_err());
-    }
-
-    #[test]
-    fn lrmf_roundtrip_preserves_everything() {
-        let f = sample();
-        let p = tmp("lrmf");
-        write_lrmf(&f, &p).expect("write");
-        let g = read_lrmf(&p).expect("read");
-        assert_eq!(f, g);
-        assert_eq!(g.name, "sample/field");
-    }
-
-    #[test]
-    fn lrmf_rejects_corruption() {
-        let p = tmp("corrupt");
-        fs::write(&p, b"NOPEnope").expect("write");
-        assert!(read_lrmf(&p).is_err());
-        let f = sample();
-        write_lrmf(&f, &p).expect("write");
-        let bytes = fs::read(&p).expect("read");
-        fs::write(&p, &bytes[..bytes.len() - 4]).expect("truncate");
-        assert!(read_lrmf(&p).is_err());
     }
 
     #[test]

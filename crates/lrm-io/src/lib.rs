@@ -24,13 +24,11 @@
 
 pub mod artifact;
 pub mod chunked;
-pub mod disk;
 pub mod staging;
 pub mod storage;
 
 pub use artifact::Artifact;
 pub use chunked::{ChunkEntry, ChunkedArtifact, FORMAT_VERSION};
-pub use disk::{DiskStore, WriteReceipt};
 pub use lrm_compress::{DecodeError, DecodeResult};
 pub use staging::{StagedResult, StagingPipeline};
 pub use storage::{table4_rows, EndToEndRow, InterconnectModel, StorageModel};

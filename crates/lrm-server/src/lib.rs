@@ -40,4 +40,4 @@ pub use protocol::{
     CompressRequest, FieldStatsReply, Frame, FrameHeader, Request, Response, SelectReply,
     SelectRequest, ServerErrorKind, TrialReport, WireReport, PROTOCOL_V2,
 };
-pub use server::{Server, ServerBuilder, ServerConfig, ServerStats};
+pub use server::{Server, ServerConfig, ServerStats};

@@ -57,7 +57,8 @@ use crate::protocol::{
     ServerErrorKind, TrialReport, WireReport, CONNECTION_REQUEST_ID, HEADER_LEN,
 };
 
-/// Tunable limits for a [`Server`].
+/// Tunable limits for a [`Server`]; `lrm-cli serve` mirrors each field
+/// as a flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Worker threads serving requests (`0` = one per available core).
@@ -97,76 +98,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Fluent constructor for a bound [`Server`]: address plus every
-/// [`ServerConfig`] knob, replacing the growing positional argument
-/// list. `lrm-cli serve` mirrors these as flags.
-#[derive(Debug, Clone)]
-pub struct ServerBuilder {
-    addr: String,
-    config: ServerConfig,
-}
-
-impl ServerBuilder {
-    /// The address to bind (default `127.0.0.1:0`, an ephemeral port).
-    pub fn addr(mut self, addr: impl Into<String>) -> Self {
-        self.addr = addr.into();
-        self
-    }
-
-    /// Worker threads (`0` = one per available core).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Global in-flight request limit.
-    pub fn max_inflight(mut self, max_inflight: usize) -> Self {
-        self.config.max_inflight = max_inflight;
-        self
-    }
-
-    /// Request payload byte cap.
-    pub fn max_payload(mut self, max_payload: usize) -> Self {
-        self.config.max_payload = max_payload;
-        self
-    }
-
-    /// Per-request deadline.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.config.deadline = deadline;
-        self
-    }
-
-    /// Default z-slab chunk count for compress requests that leave it
-    /// at `0`.
-    pub fn default_chunks(mut self, default_chunks: usize) -> Self {
-        self.config.default_chunks = default_chunks;
-        self
-    }
-
-    /// Simultaneous connection cap.
-    pub fn max_connections(mut self, max_connections: usize) -> Self {
-        self.config.max_connections = max_connections;
-        self
-    }
-
-    /// Per-connection pipelining depth cap.
-    pub fn max_pipeline_depth(mut self, max_pipeline_depth: usize) -> Self {
-        self.config.max_pipeline_depth = max_pipeline_depth;
-        self
-    }
-
-    /// The accumulated configuration.
-    pub fn config(&self) -> ServerConfig {
-        self.config
-    }
-
-    /// Binds the listener and returns the server.
-    pub fn bind(self) -> std::io::Result<Server> {
-        Server::bind(self.addr.as_str(), self.config)
-    }
-}
-
 /// Counters reported by [`Server::serve`] after shutdown.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
@@ -189,15 +120,6 @@ impl Server {
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         Ok(Server { listener, config })
-    }
-
-    /// Starts a builder with the default config on an ephemeral
-    /// loopback port.
-    pub fn builder() -> ServerBuilder {
-        ServerBuilder {
-            addr: "127.0.0.1:0".to_owned(),
-            config: ServerConfig::default(),
-        }
     }
 
     /// The bound address (the real port when bound to port `0`).
@@ -1168,29 +1090,6 @@ mod tests {
         assert!(c.default_chunks >= 1);
         assert!(c.max_connections >= 64);
         assert!(c.max_pipeline_depth >= 1);
-    }
-
-    #[test]
-    fn builder_accumulates_every_knob() {
-        let b = Server::builder()
-            .addr("127.0.0.1:0")
-            .threads(3)
-            .max_inflight(7)
-            .max_payload(1 << 20)
-            .deadline(Duration::from_secs(5))
-            .default_chunks(2)
-            .max_connections(99)
-            .max_pipeline_depth(11);
-        let c = b.config();
-        assert_eq!(c.threads, 3);
-        assert_eq!(c.max_inflight, 7);
-        assert_eq!(c.max_payload, 1 << 20);
-        assert_eq!(c.deadline, Duration::from_secs(5));
-        assert_eq!(c.default_chunks, 2);
-        assert_eq!(c.max_connections, 99);
-        assert_eq!(c.max_pipeline_depth, 11);
-        let server = b.bind().expect("bind");
-        assert_ne!(server.local_addr().expect("addr").port(), 0);
     }
 
     #[test]

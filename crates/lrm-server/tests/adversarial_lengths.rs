@@ -251,6 +251,58 @@ fn duo_model_artifact_with_an_empty_coarse_field_gets_typed_malformed() {
 }
 
 #[test]
+fn wavelet_rep_with_a_non_power_of_two_grid_gets_typed_malformed() {
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+
+    // A Wavelet artifact for a 3×5 field whose `rep` declares a 3×5
+    // coefficient grid with no entries. The encoder pads both extents
+    // to powers of two; the inverse Haar transform asserts on any other
+    // grid, and a panicking worker answers `Internal`, not `Malformed`.
+    let shape = Shape::d2(5, 3);
+    let field = Field::new(
+        "3x5",
+        (0..shape.len()).map(|i| (i as f64 * 0.4).sin()).collect(),
+        shape,
+    );
+    let cfg = PipelineConfig::sz(ReducedModelKind::Wavelet);
+    let artifact = Pipeline::from_config(cfg).compress(&field).bytes;
+    let mut sparse = Vec::new();
+    sparse.extend_from_slice(&3u32.to_le_bytes());
+    sparse.extend_from_slice(&5u32.to_le_bytes());
+    sparse.extend_from_slice(&0u64.to_le_bytes());
+    let mut rep = Vec::new();
+    for word in [3, 5, sparse.len() as u32] {
+        rep.extend_from_slice(&word.to_le_bytes());
+    }
+    rep.extend_from_slice(&sparse);
+    let parsed = Artifact::from_bytes(&artifact).expect("parse");
+    let mut crafted = Artifact::new();
+    for (name, section) in parsed.sections() {
+        let section = if name == "rep" {
+            rep.clone()
+        } else {
+            section.to_vec()
+        };
+        crafted.push(name, section);
+    }
+
+    let mut conn = Connection::open(addr).expect("open");
+    match conn.decompress(&crafted.to_bytes()) {
+        Err(ClientError::Server {
+            kind: ServerErrorKind::Malformed,
+            ..
+        }) => {}
+        other => panic!("expected Malformed frame, got {other:?}"),
+    }
+
+    assert_alive_then_shutdown(addr);
+    handle.join().expect("join");
+}
+
+#[test]
 fn saturated_chunk_count_is_clamped_not_amplified() {
     let (addr, handle) = start(ServerConfig {
         threads: 2,

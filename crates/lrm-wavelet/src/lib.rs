@@ -13,11 +13,9 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod haar;
-pub mod haar3d;
 pub mod sparse;
 
 pub use haar::{crop, fwd_1d, fwd_2d, inv_1d, inv_2d, next_pow2, pad_pow2};
-pub use haar3d::{fwd_3d, inv_3d, WaveletModel3d};
 pub use sparse::SparseMatrix;
 
 /// A complete wavelet reduced model of a 2-D field: thresholded transform

@@ -94,14 +94,12 @@ impl SparseMatrix {
     }
 
     /// Inverse of [`SparseMatrix::to_bytes`]. Returns `None` on corrupt
-    /// input.
+    /// input, including a position that overflows or falls outside the
+    /// grid (an empty grid holds no position).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 16 {
-            return None;
-        }
-        let rows = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
-        let cols = u32::from_le_bytes(bytes[4..8].try_into().ok()?) as usize;
-        let nnz = u64::from_le_bytes(bytes[8..16].try_into().ok()?) as usize;
+        let rows = u32::from_le_bytes(bytes.get(0..4)?.try_into().ok()?) as usize;
+        let cols = u32::from_le_bytes(bytes.get(4..8)?.try_into().ok()?) as usize;
+        let nnz = u64::from_le_bytes(bytes.get(8..16)?.try_into().ok()?) as usize;
         // Every entry costs at least 9 bytes (1 varint byte + 8 value
         // bytes); reject impossible counts before allocating for them.
         if nnz > bytes.len() {
@@ -125,15 +123,15 @@ impl SparseMatrix {
                 }
                 shift += 7;
             }
-            prev += v;
-            if prev as usize >= rows * cols && !(rows * cols == 0 && prev == 0) {
+            prev = prev.checked_add(v)?;
+            if prev >= (rows * cols) as u64 {
                 return None;
             }
             positions.push(prev);
         }
         let mut values = Vec::with_capacity(nnz);
         for _ in 0..nnz {
-            let b = bytes.get(pos..pos + 8)?;
+            let b = bytes.get(pos..pos.checked_add(8)?)?;
             values.push(f64::from_le_bytes(b.try_into().ok()?));
             pos += 8;
         }
@@ -202,6 +200,23 @@ mod tests {
         let mut b = SparseMatrix::from_dense(&dense, 2, 2, 0.0).to_bytes();
         b.truncate(b.len() - 4); // chop a value
         assert!(SparseMatrix::from_bytes(&b).is_none());
+        // rows, cols, nnz, the varint position deltas, one f64 per entry.
+        let craft = |rows: u32, cols: u32, varints: &[u8], nnz: u64| {
+            let mut b = Vec::new();
+            b.extend_from_slice(&rows.to_le_bytes());
+            b.extend_from_slice(&cols.to_le_bytes());
+            b.extend_from_slice(&nnz.to_le_bytes());
+            b.extend_from_slice(varints);
+            b.resize(b.len() + 8 * nnz as usize, 0);
+            b
+        };
+        // Position 0 of an empty grid.
+        assert!(SparseMatrix::from_bytes(&craft(0, 1, &[0], 1)).is_none());
+        // Deltas 1 and u64::MAX: the running position wraps to 0.
+        let wrap = [
+            1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+        ];
+        assert!(SparseMatrix::from_bytes(&craft(4, 8, &wrap, 2)).is_none());
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! temporary raw file first, so it is runnable out of the box.
 
 use lrm::core::{
-    default_candidates, select_best_model, Pipeline, PipelineConfig, ReducedModelKind,
+    default_candidates, select_best_model_with, Pipeline, PipelineConfig, ReducedModelKind,
+    SelectionOptions,
 };
 use lrm::datasets::{read_raw, write_raw, Shape};
-use lrm::io::DiskStore;
 use lrm::stats::nrmse;
 
 fn main() {
@@ -46,16 +46,24 @@ fn main() {
 
     // 2. Let the selector choose the reduced model.
     let base = PipelineConfig::sz(ReducedModelKind::Direct).with_scan_1d(true);
-    let (winner, results) = select_best_model(&field, &default_candidates(), &base);
+    let options = SelectionOptions {
+        exhaustive: true,
+        ..SelectionOptions::default()
+    };
+    let Some(outcome) = select_best_model_with(&field, &default_candidates(), &base, &options)
+    else {
+        println!("no candidate model applies to this field");
+        return;
+    };
     println!(
         "selected model: {} (candidates tried: {})",
-        winner.name(),
-        results.len()
+        outcome.winner.name(),
+        outcome.results.len()
     );
 
     // 3. Compress and persist.
     let cfg = PipelineConfig {
-        model: winner,
+        model: outcome.winner,
         ..base
     };
     let pipeline = Pipeline::from_config(cfg);
@@ -66,12 +74,16 @@ fn main() {
         art.report.total_bytes(),
         art.report.ratio()
     );
-    let store = DiskStore::open(std::env::temp_dir().join("lrm_byod_store")).expect("store");
-    let receipt = store.write("snapshot", &art.bytes).expect("persist");
-    println!("persisted {} bytes in {:?}", receipt.bytes, receipt.elapsed);
+    let stored = std::env::temp_dir().join("lrm_byod_snapshot.lrm");
+    std::fs::write(&stored, &art.bytes).expect("persist");
+    println!(
+        "persisted {} bytes to {}",
+        art.bytes.len(),
+        stored.display()
+    );
 
     // 4. Read back and reconstruct — the artifact is self-describing.
-    let bytes = store.read("snapshot").expect("read back");
+    let bytes = std::fs::read(&stored).expect("read back");
     let (restored, rshape) = pipeline
         .reconstruct(&bytes)
         .expect("artifact just produced must decode");

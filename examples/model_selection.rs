@@ -5,20 +5,31 @@
 //! cargo run --release --example model_selection
 //! ```
 
-use lrm::core::{default_candidates, select_best_model, PipelineConfig, ReducedModelKind};
+use lrm::core::{
+    default_candidates, select_best_model_with, PipelineConfig, ReducedModelKind, SelectionOptions,
+};
 use lrm::datasets::{generate, DatasetKind, SizeClass};
 
 fn main() {
     let base = PipelineConfig::sz(ReducedModelKind::Direct).with_scan_1d(true);
+    let options = SelectionOptions {
+        exhaustive: true,
+        ..SelectionOptions::default()
+    };
     println!(
         "{:<14} {:<12} {:>10} {:>12} {:>7}",
         "dataset", "winner", "best ratio", "direct ratio", "gain"
     );
     for kind in DatasetKind::ALL {
         let field = generate(kind, SizeClass::Small).full;
-        let (winner, results) = select_best_model(&field, &default_candidates(), &base);
-        let best = results[0].report.ratio();
-        let direct = results
+        let Some(outcome) = select_best_model_with(&field, &default_candidates(), &base, &options)
+        else {
+            println!("{:<14} no applicable candidate", kind.name());
+            continue;
+        };
+        let best = outcome.results[0].report.ratio();
+        let direct = outcome
+            .results
             .iter()
             .find(|r| r.model == ReducedModelKind::Direct)
             .map(|r| r.report.ratio())
@@ -26,7 +37,7 @@ fn main() {
         println!(
             "{:<14} {:<12} {:>10.2} {:>12.2} {:>6.2}x",
             kind.name(),
-            winner.name(),
+            outcome.winner.name(),
             best,
             direct,
             best / direct

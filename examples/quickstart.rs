@@ -70,13 +70,21 @@ fn main() {
 
     // 5. Not sure which reduced model fits your data? Ask the selector
     //    (the paper's future-work extension).
-    let (winner, results) = lrm::core::select_best_model(
+    let options = lrm::core::SelectionOptions {
+        exhaustive: true,
+        ..Default::default()
+    };
+    let Some(outcome) = lrm::core::select_best_model_with(
         &field,
         &lrm::core::default_candidates(),
         &PipelineConfig::sz(ReducedModelKind::Direct).with_scan_1d(true),
-    );
-    println!("\nbest model for this field: {}", winner.name());
-    for r in results.iter().take(3) {
+        &options,
+    ) else {
+        println!("\nno candidate model applies to this field");
+        return;
+    };
+    println!("\nbest model for this field: {}", outcome.winner.name());
+    for r in outcome.results.iter().take(3) {
         println!("  {:<12} ratio {:>6.2}x", r.model.name(), r.report.ratio());
     }
 }

@@ -23,7 +23,7 @@ pub use lrm_wavelet as wavelet;
 
 /// Convenience prelude: the types most programs need.
 pub mod prelude {
-    pub use lrm_compress::{Codec, CompressorKind, Fpc, Sz, Zfp};
+    pub use lrm_compress::{Codec, Fpc, Sz, Zfp};
     pub use lrm_core::{
         LossyCodec, Pipeline, PipelineBuilder, PipelineConfig, PreconditionedArtifact,
         ReducedModelKind,

@@ -243,6 +243,68 @@ fn rep_header_that_disagrees_with_the_delta_is_corrupt() {
     }
 }
 
+/// A wavelet `rep` for an `m × n` field: a `rows × cols` coefficient
+/// grid holding one value per varint position delta in `deltas`.
+fn wavelet_rep(m: u32, n: u32, rows: u32, cols: u32, deltas: &[u64]) -> Vec<u8> {
+    let mut sparse = Vec::new();
+    sparse.extend_from_slice(&rows.to_le_bytes());
+    sparse.extend_from_slice(&cols.to_le_bytes());
+    sparse.extend_from_slice(&(deltas.len() as u64).to_le_bytes());
+    for &delta in deltas {
+        let mut v = delta;
+        while v >= 0x80 {
+            sparse.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        sparse.push(v as u8);
+    }
+    for _ in deltas {
+        sparse.extend_from_slice(&1.0f64.to_le_bytes());
+    }
+    let mut rep = Vec::new();
+    for word in [m, n, sparse.len() as u32] {
+        rep.extend_from_slice(&word.to_le_bytes());
+    }
+    rep.extend_from_slice(&sparse);
+    rep
+}
+
+#[test]
+fn wavelet_rep_with_a_grid_the_encoder_never_writes_is_corrupt() {
+    // The encoder pads both extents to a power of two (at least 1) and
+    // stores strictly increasing positions inside the grid. A 3×5 grid
+    // would reach the inverse transform's power-of-two assert, a
+    // wrapping position delta an overflowing add, and a position in an
+    // empty grid an out-of-bounds write.
+    let cfg = PipelineConfig::sz(ReducedModelKind::Wavelet);
+    let data = (0..15).map(|i| (i as f64 * 0.4).sin()).collect();
+    let field = Field::new("3x5", data, Shape::d2(5, 3));
+    let empty = Field::new("empty", Vec::new(), Shape::d1(0));
+    for (what, field, rep) in [
+        ("3×5 grid", &field, wavelet_rep(3, 5, 3, 5, &[])),
+        (
+            "wrapping delta",
+            &field,
+            wavelet_rep(3, 5, 4, 8, &[1, u64::MAX]),
+        ),
+        (
+            "position in a 0×1 grid",
+            &empty,
+            wavelet_rep(0, 1, 0, 1, &[0]),
+        ),
+    ] {
+        let art = compress(field, &cfg);
+        let got = Pipeline::builder()
+            .build()
+            .reconstruct(&with_rep(&art.bytes, rep));
+        assert!(
+            matches!(got, Err(DecodeError::Corrupt { .. })),
+            "{what}: {:?}",
+            got.map(|(data, shape)| (data.len(), shape))
+        );
+    }
+}
+
 #[test]
 fn duo_model_with_an_empty_coarse_field_is_corrupt() {
     // The meta's aux shape (three u32 extents at bytes 35..47) set to
