@@ -40,9 +40,6 @@ pub struct BenchConfig {
     pub reps: usize,
     /// Quick mode: one dataset per codec (the CI smoke configuration).
     pub quick: bool,
-    /// Optional `codec[:dataset]` filter (case-insensitive substring
-    /// match on each part), e.g. `FPC` or `sz:heat`.
-    pub only: Option<String>,
 }
 
 impl Default for BenchConfig {
@@ -51,25 +48,7 @@ impl Default for BenchConfig {
             size: SizeClass::Small,
             reps: 5,
             quick: false,
-            only: None,
         }
-    }
-}
-
-impl BenchConfig {
-    fn selected(&self, codec: &str, dataset: &str) -> bool {
-        let Some(filter) = &self.only else {
-            return true;
-        };
-        let mut parts = filter.splitn(2, ':');
-        let cpart = parts.next().unwrap_or("");
-        let dpart = parts.next().unwrap_or("");
-        codec
-            .to_ascii_lowercase()
-            .contains(&cpart.to_ascii_lowercase())
-            && dataset
-                .to_ascii_lowercase()
-                .contains(&dpart.to_ascii_lowercase())
     }
 }
 
@@ -136,193 +115,9 @@ pub fn measure_one(codec: &dyn Codec, kind: DatasetKind, config: &BenchConfig) -
     }
 }
 
-/// Times the serving layer end to end: an in-process `lrm-server` on an
-/// ephemeral loopback port, one blocking client, Heat3d at the
-/// configured size. For this row the two throughput columns carry
-/// **requests per second** (a request is a full frame round trip:
-/// connect, send, compute, receive), not MB/s, and `ratio` is the
-/// artifact's compression ratio. The committed baselines carry no
-/// (`serve`, `loopback`) pair, so [`regressions`] never gates on it —
-/// the row records the trajectory.
-pub fn measure_serve(config: &BenchConfig) -> BenchResult {
-    use lrm_server::{Connection, Server, ServerConfig};
-
-    let field = generate(DatasetKind::Heat3d, config.size).full;
-    let server_config = ServerConfig {
-        threads: 2,
-        ..ServerConfig::default()
-    };
-    let server = Server::bind("127.0.0.1:0", server_config).expect("bind loopback");
-    let addr = server.local_addr().expect("local addr");
-    let handle = std::thread::spawn(move || server.serve());
-
-    let request = serve_compress_request(&field);
-    let (report, artifact) = Connection::open(addr)
-        .expect("connect")
-        .compress(request.clone())
-        .expect("compress");
-    let ratio = report.ratio();
-
-    // Connect-per-request on purpose: this row is the historical
-    // baseline the sweep rows are judged against.
-    let enc_t = time_per_call(config.reps, || {
-        let mut session = Connection::open(addr).expect("connect");
-        let out = session.compress(request.clone()).expect("compress");
-        std::hint::black_box(&out);
-    });
-    let dec_t = time_per_call(config.reps, || {
-        let mut session = Connection::open(addr).expect("connect");
-        let out = session.decompress(&artifact).expect("decompress");
-        std::hint::black_box(&out);
-    });
-
-    Connection::open(addr)
-        .expect("connect")
-        .shutdown()
-        .expect("shutdown");
-    let _ = handle.join();
-
-    BenchResult {
-        codec: "serve".to_string(),
-        dataset: "loopback".to_string(),
-        encode_mbps: 1.0 / enc_t.max(1e-12),
-        decode_mbps: 1.0 / dec_t.max(1e-12),
-        ratio,
-    }
-}
-
-fn serve_compress_request(field: &lrm_datasets::Field) -> lrm_server::CompressRequest {
-    use lrm_core::{LossyCodec, ReducedModelKind};
-    lrm_server::CompressRequest {
-        model: ReducedModelKind::OneBase,
-        orig: LossyCodec::SzRel(1e-5),
-        delta: LossyCodec::SzRel(1e-3),
-        scan_1d: true,
-        chunks: 0,
-        shape: field.shape,
-        data: field.data.clone(),
-    }
-}
-
-/// Connection counts for the persistent-connection sweep rows.
-pub const SWEEP_CONNS: [usize; 3] = [1, 64, 1024];
-
-/// One row of the concurrency sweep: `conns` persistent sessions stay
-/// open while pipelined requests are pushed through all of them at
-/// once. `decode_mbps` carries ping requests per second (protocol +
-/// event-loop overhead), `encode_mbps` carries compress requests per
-/// second (compute through the worker pool), and `ratio` is the
-/// artifact's compression ratio from one untimed round trip. Every
-/// request is answered on the connection that sent it and matched by
-/// request id, so the row also doubles as a large-scale pipelining
-/// check.
-pub fn measure_serve_conns(config: &BenchConfig, conns: usize) -> BenchResult {
-    use lrm_server::{Connection, Request, Server, ServerConfig};
-
-    let field = generate(DatasetKind::Heat3d, config.size).full;
-    let server_config = ServerConfig {
-        threads: 2,
-        max_inflight: 4096,
-        max_connections: conns + 8,
-        max_pipeline_depth: 64,
-        deadline: std::time::Duration::from_secs(120),
-        ..ServerConfig::default()
-    };
-    let server = Server::bind("127.0.0.1:0", server_config).expect("bind loopback");
-    let addr = server.local_addr().expect("local addr");
-    let handle = std::thread::spawn(move || server.serve());
-
-    let compress = Request::Compress(serve_compress_request(&field));
-    let ratio = match Connection::open(addr).expect("connect").call(&compress) {
-        Ok(lrm_server::Response::Compressed { report, .. }) => report.ratio(),
-        other => panic!("probe compress failed: {other:?}"),
-    };
-
-    let ping = Request::Ping {
-        echo: vec![0x5A; 16],
-    };
-    let (ping_total, compress_total) = if config.quick { (512, 32) } else { (2048, 96) };
-    // Both rounds ride the same sessions: a second set opened for the
-    // compress round could be refused while the server is still
-    // reaping the first.
-    let mut sessions: Vec<Connection> = (0..conns.max(1))
-        .map(|_| Connection::open(addr).expect("connect"))
-        .collect();
-    let ping_rps = sweep_round(&mut sessions, ping_total, &ping);
-    let compress_rps = sweep_round(&mut sessions, compress_total, &compress);
-    drop(sessions);
-
-    Connection::open(addr)
-        .expect("connect")
-        .shutdown()
-        .expect("shutdown");
-    let _ = handle.join();
-
-    BenchResult {
-        codec: "serve".to_string(),
-        dataset: format!("sweep-c{conns}"),
-        encode_mbps: compress_rps,
-        decode_mbps: ping_rps,
-        ratio,
-    }
-}
-
-/// Drives at least `total` copies of `request` through the open
-/// `sessions` and returns requests per second; the clock covers only
-/// the request traffic. Up to 8 driver threads each own a share of the
-/// sessions and pipeline batches of up to 16 requests per session (send
-/// all, then wait all), so many requests ride each socket round trip
-/// without exceeding the server's per-connection depth.
-fn sweep_round(
-    sessions: &mut [lrm_server::Connection],
-    total: usize,
-    request: &lrm_server::Request,
-) -> f64 {
-    use std::sync::Barrier;
-
-    let conns = sessions.len().max(1);
-    let per_conn = total.div_ceil(conns).max(1);
-    let shares: Vec<_> = sessions.chunks_mut(conns.div_ceil(8)).collect();
-    let barrier = Barrier::new(shares.len() + 1);
-
-    let elapsed = std::thread::scope(|scope| {
-        let barrier = &barrier;
-        let drivers: Vec<_> = shares
-            .into_iter()
-            .map(|share| {
-                scope.spawn(move || {
-                    barrier.wait();
-                    for session in share {
-                        let mut remaining = per_conn;
-                        while remaining > 0 {
-                            let batch = remaining.min(16);
-                            let handles: Vec<_> = (0..batch)
-                                .map(|_| session.send(request).expect("send"))
-                                .collect();
-                            for h in handles {
-                                session.wait(h).expect("wait");
-                            }
-                            remaining -= batch;
-                        }
-                    }
-                })
-            })
-            .collect();
-        barrier.wait();
-        let clock = std::time::Instant::now();
-        for driver in drivers {
-            driver.join().expect("driver thread");
-        }
-        clock.elapsed()
-    });
-
-    (per_conn * conns) as f64 / elapsed.as_secs_f64().max(1e-9)
-}
-
 /// Runs the full grid (or the quick diagonal) and returns one result per
-/// (codec, dataset) pair, plus the [`measure_serve`] loopback row and
-/// the [`measure_serve_conns`] persistent-connection sweep. `progress`
-/// is called before each measurement with a human-readable label.
+/// (codec, dataset) pair. `progress` is called before each measurement
+/// with a human-readable label.
 pub fn run(config: &BenchConfig, mut progress: impl FnMut(&str)) -> Vec<BenchResult> {
     let codecs = paper_codecs();
     let mut results = Vec::new();
@@ -331,42 +126,16 @@ pub fn run(config: &BenchConfig, mut progress: impl FnMut(&str)) -> Vec<BenchRes
         // still touches different data shapes.
         for (i, codec) in codecs.iter().enumerate() {
             let kind = DatasetKind::ALL[i % DatasetKind::ALL.len()];
-            if !config.selected(codec.name(), kind.name()) {
-                continue;
-            }
             progress(&format!("{} / {}", codec.name(), kind.name()));
             results.push(measure_one(codec.as_ref(), kind, config));
         }
     } else {
         for kind in DatasetKind::ALL {
             for codec in &codecs {
-                if !config.selected(codec.name(), kind.name()) {
-                    continue;
-                }
                 progress(&format!("{} / {}", codec.name(), kind.name()));
                 results.push(measure_one(codec.as_ref(), kind, config));
             }
         }
-    }
-    if config.selected("serve", "loopback") {
-        progress("serve / loopback (req/s)");
-        results.push(measure_serve(config));
-    }
-    // The persistent-connection sweep; quick mode stops at 64
-    // connections so the smoke run stays short, the full run also
-    // covers the c1024 row.
-    let sweep: &[usize] = if config.quick {
-        &SWEEP_CONNS[..2]
-    } else {
-        &SWEEP_CONNS
-    };
-    for &conns in sweep {
-        let dataset = format!("sweep-c{conns}");
-        if !config.selected("serve", &dataset) {
-            continue;
-        }
-        progress(&format!("serve / {dataset} (req/s)"));
-        results.push(measure_serve_conns(config, conns));
     }
     results
 }
@@ -532,6 +301,31 @@ mod tests {
         }
     }
 
+    /// Every committed record still parses, including the serve rows of
+    /// `BENCH_before_pr6.json` and `BENCH_pr6.json` that no harness
+    /// writes any more.
+    #[test]
+    fn committed_records_load() {
+        for (name, rows) in [
+            ("BENCH_baseline.json", 3),
+            ("BENCH_before_pr4.json", 27),
+            ("BENCH_pr4.json", 27),
+            ("BENCH_before_pr6.json", 2),
+            ("BENCH_pr6.json", 4),
+        ] {
+            let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            let results = from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(results.len(), rows, "{name}");
+            for r in &results {
+                assert!(
+                    r.encode_mbps > 0.0 && r.decode_mbps > 0.0 && r.ratio > 0.0,
+                    "{name}: {r:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn rejects_wrong_schema() {
         assert!(from_json(r#"{"schema":"other/v9","results":[]}"#).is_err());
@@ -565,19 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn only_filter_selects_by_codec_and_dataset() {
-        let mut c = BenchConfig::default();
-        assert!(c.selected("SZ", "Heat3d"));
-        c.only = Some("sz".into());
-        assert!(c.selected("SZ", "Heat3d"));
-        assert!(!c.selected("FPC", "Heat3d"));
-        c.only = Some("fpc:astro".into());
-        assert!(c.selected("FPC", "Astro"));
-        assert!(!c.selected("FPC", "Heat3d"));
-        assert!(!c.selected("SZ", "Astro"));
-    }
-
-    #[test]
     fn time_per_call_is_positive_and_finite() {
         let mut acc = 0u64;
         let t = time_per_call(3, || {
@@ -593,54 +374,12 @@ mod tests {
             size: SizeClass::Tiny,
             reps: 1,
             quick: true,
-            only: None,
         };
         let results = run(&config, |_| {});
-        assert_eq!(results.len(), 6);
         let codecs: Vec<&str> = results.iter().map(|r| r.codec.as_str()).collect();
-        assert_eq!(codecs, vec!["SZ", "ZFP", "FPC", "serve", "serve", "serve"]);
-        let serve_sets: Vec<&str> = results[3..].iter().map(|r| r.dataset.as_str()).collect();
-        assert_eq!(serve_sets, vec!["loopback", "sweep-c1", "sweep-c64"]);
+        assert_eq!(codecs, vec!["SZ", "ZFP", "FPC"]);
         for r in &results {
             assert!(r.encode_mbps > 0.0 && r.decode_mbps > 0.0 && r.ratio > 0.0);
         }
-    }
-
-    #[test]
-    fn serve_row_measures_loopback_requests() {
-        let config = BenchConfig {
-            size: SizeClass::Tiny,
-            reps: 1,
-            quick: true,
-            only: None,
-        };
-        let row = measure_serve(&config);
-        assert_eq!(
-            (row.codec.as_str(), row.dataset.as_str()),
-            ("serve", "loopback")
-        );
-        // req/s in the throughput columns; a loopback round trip on a
-        // tiny field comfortably clears one request per second.
-        assert!(row.encode_mbps > 1.0 && row.decode_mbps > 1.0);
-        assert!(row.ratio > 1.0);
-    }
-
-    #[test]
-    fn sweep_row_pipelines_over_persistent_connections() {
-        let config = BenchConfig {
-            size: SizeClass::Tiny,
-            reps: 1,
-            quick: true,
-            only: None,
-        };
-        // An off-grid connection count proves the row is parameterized,
-        // not hard-coded to the committed sweep points.
-        let row = measure_serve_conns(&config, 3);
-        assert_eq!(
-            (row.codec.as_str(), row.dataset.as_str()),
-            ("serve", "sweep-c3")
-        );
-        assert!(row.encode_mbps > 1.0 && row.decode_mbps > 1.0);
-        assert!(row.ratio > 1.0);
     }
 }

@@ -50,7 +50,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--reps: {e}"))?
             }
-            "--only" => args.config.only = Some(value("--only")?),
             "--out" => args.out = Some(value("--out")?),
             "--check" => args.check = Some(value("--check")?),
             "--tolerance" => {
@@ -61,8 +60,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: lrm-bench [--quick] [--size tiny|small|paper] [--reps N]\n\
-                     \x20                [--only codec[:dataset]] [--out PATH]\n\
-                     \x20                [--check PATH] [--tolerance F]"
+                     \x20                [--out PATH] [--check PATH] [--tolerance F]"
                 );
                 std::process::exit(0);
             }

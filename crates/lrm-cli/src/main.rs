@@ -100,56 +100,9 @@ fn print_help() {
     println!(
         "lrm-cli <experiment> [--size tiny|small|paper] [--outputs N] [--procs N] [--threads N] [--chunks N]\n\
          experiments: fig1 table2 fig3 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table4 select chunked dist verify all\n\
-         bench: run the lrm-bench throughput harness at the chosen --size\n\
          serve: run the compression service (lrm-cli serve --help-style flags: --addr --threads --max-inflight)\n\
          client: talk to a running service (lrm-cli client <ping|compress|decompress|stats|select|roundtrip|shutdown>)"
     );
-}
-
-/// Drives the `lrm-bench` harness binary: the sibling executable in the
-/// same target directory when present (normal `cargo build` layout),
-/// else via `cargo run`. A subprocess rather than a library call keeps
-/// the dependency graph acyclic (lrm-bench depends on lrm-cli for its
-/// table renderer).
-fn run_bench(size: SizeClass) {
-    println!("== Benchmark: codec throughput (lrm-bench) ==");
-    let size_name = match size {
-        SizeClass::Tiny => "tiny",
-        SizeClass::Small => "small",
-        SizeClass::Paper => "paper",
-    };
-    let sibling = std::env::current_exe().ok().and_then(|p| {
-        let cand = p.with_file_name("lrm-bench");
-        cand.exists().then_some(cand)
-    });
-    let status = match sibling {
-        Some(bin) => std::process::Command::new(bin)
-            .args(["--size", size_name])
-            .status(),
-        None => std::process::Command::new("cargo")
-            .args([
-                "run",
-                "--release",
-                "-q",
-                "-p",
-                "lrm-bench",
-                "--",
-                "--size",
-                size_name,
-            ])
-            .status(),
-    };
-    match status {
-        Ok(s) if s.success() => {}
-        Ok(s) => {
-            eprintln!("lrm-bench exited with {s}");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("failed to launch lrm-bench: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 fn run_fig1(size: SizeClass) {
@@ -411,10 +364,7 @@ fn run_select(size: SizeClass) {
     };
     use lrm_datasets::{generate, DatasetKind};
     let base = PipelineConfig::sz(ReducedModelKind::Direct);
-    let options = SelectionOptions {
-        exhaustive: true,
-        ..SelectionOptions::default()
-    };
+    let options = SelectionOptions { exhaustive: true };
     let rows: Vec<Vec<String>> = DatasetKind::ALL
         .into_iter()
         .map(|kind| {
@@ -681,7 +631,6 @@ fn main() {
         "chunked" => held &= run_chunked(args.size, args.threads, args.chunks),
         "dist" => run_dist(args.size),
         "verify" => held &= run_verify(args.size),
-        "bench" => run_bench(args.size),
         other => {
             eprintln!("unknown experiment {other:?}");
             print_help();

@@ -54,7 +54,7 @@ struct Flags {
     positional: Vec<String>,
 }
 
-const SWITCHES: &[&str] = &["--scan-1d", "--exhaustive", "--quick"];
+const SWITCHES: &[&str] = &["--scan-1d", "--exhaustive"];
 
 impl Flags {
     fn parse(args: &[String]) -> Flags {

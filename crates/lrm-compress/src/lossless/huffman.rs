@@ -10,7 +10,7 @@
 //! held byte-identical by the `kernel_equivalence` suite):
 //!
 //! * frequencies are counted in a dense array when the alphabet is small
-//!   (the SZ quant-code case: symbols fit in `2^quant_bits + 1`), with a
+//!   (the SZ quant-code case: symbols fit in `2^16 + 1`), with a
 //!   `HashMap` fallback for arbitrary `u64` symbols;
 //! * codes are pre-reversed once so each symbol is emitted with a single
 //!   `write_bits` call instead of a per-bit loop (the wire stays MSB-first
@@ -38,7 +38,7 @@ const TABLE_BITS: u32 = 11;
 
 /// Alphabets whose max symbol is below this use dense-array frequency
 /// counting and a dense symbol→code map (SZ quant codes max out at
-/// `2^16 + 1` under the default 16-bit quantizer, well within range).
+/// `2^16 + 1` under SZ's 16-bit quantizer, well within range).
 const DENSE_LIMIT: u64 = 1 << 17;
 
 /// Reverses the low `len` (>= 1) bits of `code`. Codes are assigned

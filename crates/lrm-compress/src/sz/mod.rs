@@ -6,14 +6,14 @@
 //!    over already-reconstructed neighbors (so encoder and decoder stay in
 //!    lock-step).
 //! 2. **Linear-scaling quantization** — the prediction error is quantized
-//!    to an `m`-bit code (default `m = 16`); a hit encodes the error as a
-//!    bin index, guaranteeing the bound.
+//!    to a 16-bit code; a hit encodes the error as a bin index,
+//!    guaranteeing the bound.
 //! 3. **Binary representation analysis** — prediction misses store the
 //!    value with exactly enough mantissa bits to honor the bound.
 //! 4. **Entropy stages** — codes are Huffman-encoded and the result passes
 //!    through an LZSS dictionary stage.
 //!
-//! Three bound modes are provided:
+//! Two bound modes are provided:
 //!
 //! * [`SzErrorBound::Abs`] — uniform absolute bound.
 //! * [`SzErrorBound::BlockRel`] — SZ 1.4.11's **block-based point-wise
@@ -26,10 +26,12 @@
 //!   blocks near the base plane have tiny magnitudes, hence tiny bounds,
 //!   but blocks of small values embedded in large-scale structure are not
 //!   penalized point by point.
-//! * [`SzErrorBound::PointwiseRel`] — a *strict* per-point relative bound
-//!   via logarithmic preprocessing (`log2 |v|` compressed under an
-//!   absolute bound, signs and exact zeros on the side), as later SZ
-//!   versions offer.
+//!
+//! A stream's first byte names its mode: 0 is absolute and 2 is
+//! block-relative. Tag 1 named a strict per-point relative mode that no
+//! `LossyCodec` could select; it stays unassigned, so a stream carrying
+//! it is [`DecodeError::UnknownTag`] rather than decoded under another
+//! mode's layout.
 
 pub mod predictor;
 
@@ -46,6 +48,10 @@ pub const BLOCK_LEN: usize = 256;
 /// Sentinel exponent marking an all-zero block.
 const ZERO_BLOCK: i16 = i16::MIN;
 
+/// Width of a quantization code. The stream does not record it, so
+/// encoder and decoder share this one value.
+const QUANT_BITS: u32 = 16;
+
 /// Error-bound mode for [`Sz`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SzErrorBound {
@@ -55,16 +61,12 @@ pub enum SzErrorBound {
     /// `|v' - v| <= rel * max|block|` for every point, with exact
     /// reproduction of all-zero blocks.
     BlockRel(f64),
-    /// Strict point-wise relative bound: `|v' - v| <= rel * |v|` for
-    /// every point (exact zeros reproduced exactly).
-    PointwiseRel(f64),
 }
 
 /// SZ-like codec; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sz {
     bound: SzErrorBound,
-    quant_bits: u32,
 }
 
 impl Sz {
@@ -73,7 +75,6 @@ impl Sz {
         assert!(e > 0.0 && e.is_finite(), "sz: bound must be positive");
         Self {
             bound: SzErrorBound::Abs(e),
-            quant_bits: 16,
         }
     }
 
@@ -83,26 +84,7 @@ impl Sz {
         assert!(rel > 0.0 && rel.is_finite(), "sz: bound must be positive");
         Self {
             bound: SzErrorBound::BlockRel(rel),
-            quant_bits: 16,
         }
-    }
-
-    /// Codec with a strict per-point relative bound.
-    pub fn pointwise_rel(rel: f64) -> Self {
-        assert!(rel > 0.0 && rel.is_finite(), "sz: bound must be positive");
-        Self {
-            bound: SzErrorBound::PointwiseRel(rel),
-            quant_bits: 16,
-        }
-    }
-
-    /// Overrides the quantization-code width `m` (4..=30 bits,
-    /// default 16). Larger widths trade entropy-coding efficiency for
-    /// fewer prediction misses.
-    pub fn with_quant_bits(mut self, m: u32) -> Self {
-        assert!((4..=30).contains(&m), "sz: quant bits out of range");
-        self.quant_bits = m;
-        self
     }
 
     /// The configured error bound.
@@ -246,8 +228,8 @@ fn mantissa_bits_needed(v: f64, ee: i32) -> u32 {
 }
 
 /// Core compressor over a shaped field with per-point bounds.
-fn core_compress(data: &[f64], shape: Shape, bounds: &Bounds, quant_bits: u32) -> Vec<u8> {
-    let radius: i64 = 1i64 << (quant_bits - 1);
+fn core_compress(data: &[f64], shape: Shape, bounds: &Bounds) -> Vec<u8> {
+    let radius: i64 = 1i64 << (QUANT_BITS - 1);
     let mut codes: Vec<u64> = Vec::with_capacity(data.len());
     let mut outliers = BitWriter::new();
     let mut recon = vec![0.0f64; data.len()];
@@ -329,13 +311,8 @@ fn core_compress(data: &[f64], shape: Shape, bounds: &Bounds, quant_bits: u32) -
 }
 
 /// Inverse of [`core_compress`].
-fn core_decompress(
-    bytes: &[u8],
-    shape: Shape,
-    bounds: &Bounds,
-    quant_bits: u32,
-) -> DecodeResult<Vec<f64>> {
-    let radius: i64 = 1i64 << (quant_bits - 1);
+fn core_decompress(bytes: &[u8], shape: Shape, bounds: &Bounds) -> DecodeResult<Vec<f64>> {
+    let radius: i64 = 1i64 << (QUANT_BITS - 1);
     let body = pipeline_decompress(bytes)?;
     let mut pos = 0usize;
     let hlen = decode_uvarint(&body, &mut pos).ok_or(DecodeError::Truncated {
@@ -435,9 +412,8 @@ fn core_decompress(
     Ok(recon)
 }
 
-/// Header tags for the bound modes.
+/// Header tags for the bound modes (tag 1 is unassigned).
 const TAG_ABS: u8 = 0;
-const TAG_PWREL: u8 = 1;
 const TAG_BLOCKREL: u8 = 2;
 
 impl Codec for Sz {
@@ -452,12 +428,7 @@ impl Codec for Sz {
             SzErrorBound::Abs(e) => {
                 out.push(TAG_ABS);
                 out.extend_from_slice(&e.to_le_bytes());
-                out.extend_from_slice(&core_compress(
-                    data,
-                    shape,
-                    &Bounds::Uniform(e),
-                    self.quant_bits,
-                ));
+                out.extend_from_slice(&core_compress(data, shape, &Bounds::Uniform(e)));
             }
             SzErrorBound::BlockRel(rel) => {
                 out.push(TAG_BLOCKREL);
@@ -471,38 +442,7 @@ impl Codec for Sz {
                 let table = pipeline_compress(&raw);
                 encode_uvarint(table.len() as u64, &mut out);
                 out.extend_from_slice(&table);
-                out.extend_from_slice(&core_compress(
-                    data,
-                    shape,
-                    &Bounds::PerBlock(exps),
-                    self.quant_bits,
-                ));
-            }
-            SzErrorBound::PointwiseRel(rel) => {
-                out.push(TAG_PWREL);
-                out.extend_from_slice(&rel.to_le_bytes());
-                // Log transform: t = log2|v|; zeros and signs on the side.
-                let mut signs = BitWriter::new();
-                let mut zeros = BitWriter::new();
-                let mut logs = Vec::with_capacity(data.len());
-                for &v in data {
-                    zeros.write_bit((v == 0.0 || !v.is_finite()) as u64);
-                    signs.write_bit((v.is_sign_negative()) as u64);
-                    logs.push(if v == 0.0 || !v.is_finite() {
-                        0.0
-                    } else {
-                        v.abs().log2()
-                    });
-                }
-                let e_t = (1.0 + rel).log2() / 2.0;
-                let body = core_compress(&logs, shape, &Bounds::Uniform(e_t), self.quant_bits);
-                let sb = pipeline_compress(&signs.into_bytes());
-                let zb = pipeline_compress(&zeros.into_bytes());
-                encode_uvarint(sb.len() as u64, &mut out);
-                out.extend_from_slice(&sb);
-                encode_uvarint(zb.len() as u64, &mut out);
-                out.extend_from_slice(&zb);
-                out.extend_from_slice(&body);
+                out.extend_from_slice(&core_compress(data, shape, &Bounds::PerBlock(exps)));
             }
         }
         out
@@ -525,7 +465,7 @@ impl Codec for Sz {
                 let body = bytes
                     .get(9..)
                     .ok_or(DecodeError::Truncated { what: "sz body" })?;
-                core_decompress(body, shape, &Bounds::Uniform(param), self.quant_bits)
+                core_decompress(body, shape, &Bounds::Uniform(param))
             }
             TAG_BLOCKREL => {
                 let mut pos = 9usize;
@@ -555,55 +495,7 @@ impl Codec for Sz {
                 let body = bytes
                     .get(pos..)
                     .ok_or(DecodeError::Truncated { what: "sz body" })?;
-                core_decompress(body, shape, &Bounds::PerBlock(exps), self.quant_bits)
-            }
-            TAG_PWREL => {
-                let rel = param;
-                let mut pos = 9usize;
-                let sl = decode_uvarint(bytes, &mut pos).ok_or(DecodeError::Truncated {
-                    what: "sz sign-stream length",
-                })? as usize;
-                let sb = bytes
-                    .get(pos..pos.saturating_add(sl))
-                    .ok_or(DecodeError::Truncated {
-                        what: "sz sign stream",
-                    })?;
-                let signs_bytes = pipeline_decompress(sb)?;
-                pos += sl;
-                let zl = decode_uvarint(bytes, &mut pos).ok_or(DecodeError::Truncated {
-                    what: "sz zero-stream length",
-                })? as usize;
-                let zb = bytes
-                    .get(pos..pos.saturating_add(zl))
-                    .ok_or(DecodeError::Truncated {
-                        what: "sz zero stream",
-                    })?;
-                let zeros_bytes = pipeline_decompress(zb)?;
-                pos += zl;
-                let e_t = (1.0 + rel).log2() / 2.0;
-                let body = bytes
-                    .get(pos..)
-                    .ok_or(DecodeError::Truncated { what: "sz body" })?;
-                let logs = core_decompress(body, shape, &Bounds::Uniform(e_t), self.quant_bits)?;
-                let mut signs = BitReader::new(&signs_bytes);
-                let mut zeros = BitReader::new(&zeros_bytes);
-                Ok(logs
-                    .iter()
-                    .map(|&t| {
-                        let z = zeros.read_bit();
-                        let s = signs.read_bit();
-                        if z == 1 {
-                            0.0
-                        } else {
-                            let mag = t.exp2();
-                            if s == 1 {
-                                -mag
-                            } else {
-                                mag
-                            }
-                        }
-                    })
-                    .collect())
+                core_decompress(body, shape, &Bounds::PerBlock(exps))
             }
             tag => Err(DecodeError::UnknownTag {
                 what: "sz mode",
@@ -644,23 +536,6 @@ mod tests {
                 .expect("decode");
             for (a, b) in v.iter().zip(&d) {
                 assert!((a - b).abs() <= e * 1.000001, "e={e}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn pointwise_rel_bound_is_honored() {
-        let (v, shape) = smooth_3d(10);
-        for &rel in &[1e-3, 1e-5] {
-            let sz = Sz::pointwise_rel(rel);
-            let d = sz
-                .decompress(&sz.compress(&v, shape), shape)
-                .expect("decode");
-            for (a, b) in v.iter().zip(&d) {
-                assert!(
-                    (a - b).abs() <= rel * a.abs() * 1.000001,
-                    "rel={rel}: {a} vs {b}"
-                );
             }
         }
     }
@@ -708,56 +583,22 @@ mod tests {
     }
 
     #[test]
-    fn block_rel_compresses_deltas_better_than_strict_pointwise() {
-        // The property the paper's preconditioning relies on: a delta field
-        // (small magnitudes, sign changes, smooth structure) is cheap
-        // under block-relative bounds.
-        let shape = Shape::d3(12, 12, 12);
-        let mut delta = vec![0.0; shape.len()];
-        for z in 0..12 {
-            for y in 0..12 {
-                for x in 0..12 {
-                    let zf = z as f64 / 11.0 - 0.5;
-                    delta[shape.idx(x, y, z)] = zf * 10.0 + 1e-6 * ((x * y) as f64).sin();
-                }
-            }
-        }
-        let block = Sz::block_rel(1e-3).compress(&delta, shape).len();
-        let strict = Sz::pointwise_rel(1e-3).compress(&delta, shape).len();
-        assert!(block < strict, "block {block} vs strict {strict}");
-    }
-
-    #[test]
-    fn exact_zeros_are_preserved_in_pointwise_mode() {
-        // The Fish dataset contains many exact zeros; the strict mode must
-        // reproduce them exactly.
-        let shape = Shape::d2(10, 10);
-        let mut v = vec![0.0; 100];
-        for i in (0..100).step_by(3) {
-            v[i] = (i as f64 * 0.7).sin() + 2.0;
-        }
-        let sz = Sz::pointwise_rel(1e-5);
-        let d = sz
-            .decompress(&sz.compress(&v, shape), shape)
-            .expect("decode");
-        for (a, b) in v.iter().zip(&d) {
-            if *a == 0.0 {
-                assert_eq!(*b, 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn negative_values_keep_sign() {
-        let shape = Shape::d1(50);
-        let v: Vec<f64> = (0..50).map(|i| ((i as f64) - 25.0) * 1.3 - 0.5).collect();
-        let sz = Sz::pointwise_rel(1e-4);
-        let d = sz
-            .decompress(&sz.compress(&v, shape), shape)
-            .expect("decode");
-        for (a, b) in v.iter().zip(&d) {
-            assert_eq!(a.signum(), b.signum(), "{a} vs {b}");
-            assert!((a - b).abs() <= 1e-4 * a.abs() * 1.01);
+    fn unassigned_mode_tags_are_unknown() {
+        // Tag 1 belonged to a removed strict point-wise relative mode; it
+        // stays unassigned, so a stream carrying it is rejected rather
+        // than decoded under some other mode's layout.
+        let (v, shape) = smooth_3d(6);
+        let valid = Sz::absolute(1e-3).compress(&v, shape);
+        for tag in [1u8, 3, 255] {
+            let mut bytes = valid.clone();
+            bytes[0] = tag;
+            assert!(
+                matches!(
+                    Sz::absolute(1e-3).decompress(&bytes, shape),
+                    Err(DecodeError::UnknownTag { what: "sz mode", tag: t }) if t == tag
+                ),
+                "tag {tag}"
+            );
         }
     }
 
@@ -808,20 +649,6 @@ mod tests {
     }
 
     #[test]
-    fn quant_bits_setting_roundtrips() {
-        let (v, shape) = smooth_3d(8);
-        for &m in &[8u32, 12, 20] {
-            let sz = Sz::absolute(1e-4).with_quant_bits(m);
-            let d = sz
-                .decompress(&sz.compress(&v, shape), shape)
-                .expect("decode");
-            for (a, b) in v.iter().zip(&d) {
-                assert!((a - b).abs() <= 1e-4 * 1.01, "m={m}");
-            }
-        }
-    }
-
-    #[test]
     fn prop_abs_bound() {
         for seed in 0..32u64 {
             let mut rng = lrm_rng::Rng64::new(seed);
@@ -834,23 +661,6 @@ mod tests {
                 .expect("decode");
             for (a, b) in vals.iter().zip(&d) {
                 assert!((a - b).abs() <= 1e-3 * 1.000001);
-            }
-        }
-    }
-
-    #[test]
-    fn prop_pointwise_rel_bound() {
-        for seed in 0..32u64 {
-            let mut rng = lrm_rng::Rng64::new(seed);
-            let n = 1 + rng.range_usize(199);
-            let vals = rng.vec_f64(-1e6, 1e6, n);
-            let shape = Shape::d1(vals.len());
-            let sz = Sz::pointwise_rel(1e-4);
-            let d = sz
-                .decompress(&sz.compress(&vals, shape), shape)
-                .expect("decode");
-            for (a, b) in vals.iter().zip(&d) {
-                assert!((a - b).abs() <= 1e-4 * a.abs() * 1.000001);
             }
         }
     }

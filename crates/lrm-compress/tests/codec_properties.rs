@@ -83,7 +83,6 @@ fn all_codecs_handle_single_value_fields() {
     for c in [
         Box::new(Sz::absolute(1e-6)) as Box<dyn Codec>,
         Box::new(Sz::block_rel(1e-6)),
-        Box::new(Sz::pointwise_rel(1e-6)),
         Box::new(Zfp::fixed_precision(52)),
         Box::new(Fpc::new(8)),
     ] {
@@ -101,7 +100,6 @@ fn all_codecs_handle_all_zero_fields() {
     for c in [
         Box::new(Sz::absolute(1e-6)) as Box<dyn Codec>,
         Box::new(Sz::block_rel(1e-6)),
-        Box::new(Sz::pointwise_rel(1e-6)),
         Box::new(Zfp::fixed_precision(16)),
         Box::new(Fpc::new(8)),
     ] {

@@ -24,7 +24,6 @@ fn codecs() -> Vec<(&'static str, Box<dyn Codec>)> {
     vec![
         ("sz-abs", Box::new(Sz::absolute(1e-3))),
         ("sz-blockrel", Box::new(Sz::block_rel(1e-4))),
-        ("sz-pwrel", Box::new(Sz::pointwise_rel(1e-4))),
         ("zfp-precision", Box::new(Zfp::fixed_precision(16))),
         ("fpc", Box::new(Fpc::new(16))),
     ]

@@ -5,8 +5,8 @@
 //! holding it to the original's relative bound would over-spend bits.
 //! The paper's settings, reproduced by the constructors here:
 //!
-//! * SZ — point-wise relative `1e-5` for original data / reduced
-//!   representations, `1e-3` for deltas;
+//! * SZ — block-based point-wise relative `1e-5` for original data /
+//!   reduced representations, `1e-3` for deltas;
 //! * ZFP — fixed precision 16 bits for original data, 8 bits for deltas;
 //! * FPC — lossless, for the Fig. 3 baseline bars and for callers that
 //!   need bit-exact deltas.
@@ -103,7 +103,9 @@ impl LossyCodec {
         out
     }
 
-    /// Inverse of [`LossyCodec::to_bytes`].
+    /// Inverse of [`LossyCodec::to_bytes`]. An SZ bound that is not
+    /// finite and positive is [`DecodeError::Corrupt`]: no encoder writes
+    /// one, and the SZ constructors reject it.
     pub fn from_bytes(b: &[u8]) -> DecodeResult<Self> {
         let raw = b.get(..9).ok_or(DecodeError::Truncated {
             what: "lossy-codec descriptor",
@@ -113,6 +115,12 @@ impl LossyCodec {
         ];
         let param = f64::from_le_bytes(param_bytes);
         let int_param = u64::from_le_bytes(param_bytes) as u32;
+        // Tags 0 and 1 are SZ, whose constructors assert this domain.
+        if raw[0] <= 1 && !(param.is_finite() && param > 0.0) {
+            return Err(DecodeError::Corrupt {
+                what: "lossy-codec sz bound",
+            });
+        }
         match raw[0] {
             0 => Ok(LossyCodec::SzRel(param)),
             1 => Ok(LossyCodec::SzAbs(param)),
@@ -196,6 +204,22 @@ mod tests {
             LossyCodec::from_bytes(&[0]),
             Err(DecodeError::Truncated { .. })
         ));
+        // SZ bounds outside the constructors' domain (finite and > 0)
+        // are corrupt descriptors, not codecs that panic when built.
+        for c in [
+            LossyCodec::SzRel(f64::NAN),
+            LossyCodec::SzRel(-1.0),
+            LossyCodec::SzRel(0.0),
+            LossyCodec::SzAbs(f64::INFINITY),
+        ] {
+            assert_eq!(
+                LossyCodec::from_bytes(&c.to_bytes()),
+                Err(DecodeError::Corrupt {
+                    what: "lossy-codec sz bound"
+                }),
+                "{c:?}"
+            );
+        }
     }
 
     #[test]

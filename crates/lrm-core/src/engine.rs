@@ -107,20 +107,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Cumulative-variance rule for PCA/SVD component selection
-    /// (default 0.95, as in the paper).
-    pub fn variance_fraction(mut self, f: f64) -> Self {
-        self.cfg.variance_fraction = f;
-        self
-    }
-
-    /// Wavelet threshold as a fraction of the max coefficient
-    /// (default 0.05, as in the paper).
-    pub fn theta_fraction(mut self, f: f64) -> Self {
-        self.cfg.theta_fraction = f;
-        self
-    }
-
     /// Compress deltas in flat 1-D scan order (see
     /// [`PipelineConfig::scan_1d`]).
     pub fn scan_1d(mut self, on: bool) -> Self {

@@ -22,30 +22,22 @@ pub struct CandidateResult {
     pub report: CompressionReport,
 }
 
+/// A sampled trial keeps every this-many-th z-plane (3-D), row (2-D) or
+/// value (1-D): about 5% of the field, in whole slabs, so every
+/// candidate still sees real spatial structure.
+const SAMPLE_STRIDE: usize = 20;
+
+/// Fields at or below this many values always run full-field: on tiny
+/// fields the trials are already cheap and a subsample would be too
+/// small to rank models faithfully.
+const MIN_SAMPLE_LEN: usize = 4096;
+
 /// How [`select_best_model_with`] runs its candidate trials.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SelectionOptions {
-    /// Target fraction of the field each trial sees (default `0.05`).
-    /// Sampling is strided — whole z-planes (3-D) or rows (2-D) — so
-    /// every candidate still sees real spatial structure.
-    pub sample_fraction: f64,
-    /// Fields at or below this many values always run full-field: on
-    /// tiny fields the trials are already cheap and a subsample would
-    /// be too small to rank models faithfully (default `4096`).
-    pub min_sample_len: usize,
     /// Force full-field trials regardless of size (the original
     /// brute-force behavior).
     pub exhaustive: bool,
-}
-
-impl Default for SelectionOptions {
-    fn default() -> Self {
-        Self {
-            sample_fraction: 0.05,
-            min_sample_len: 4096,
-            exhaustive: false,
-        }
-    }
 }
 
 /// What [`select_best_model_with`] found.
@@ -66,10 +58,10 @@ pub struct SelectionOutcome {
 /// `base` supplies the codecs/bounds; its `model` field is ignored.
 /// Candidates that cannot apply (e.g. one-base on a 1-D field) are
 /// skipped. Unless [`SelectionOptions::exhaustive`] is set, trials run
-/// on a strided subsample of the field ([`SelectionOptions`]'s
-/// `sample_fraction`), falling back to the full field when it is too
-/// small to subsample — this is what makes a long-lived service's
-/// SelectModel request cheap enough to run per-field.
+/// on a strided subsample of about 5% of the field, falling back to the
+/// full field when it is too small to subsample — this is what makes a
+/// long-lived service's SelectModel request cheap enough to run
+/// per-field.
 pub fn select_best_model_with(
     field: &Field,
     candidates: &[ReducedModelKind],
@@ -79,7 +71,7 @@ pub fn select_best_model_with(
     let subsample = if options.exhaustive {
         None
     } else {
-        strided_subsample(field, options)
+        strided_subsample(field)
     };
     let sampled = subsample.is_some();
     let subject = subsample.as_ref().unwrap_or(field);
@@ -115,23 +107,18 @@ pub fn select_best_model_with(
     })
 }
 
-/// Builds the strided trial field: every `stride`-th z-plane (3-D) or
-/// row (2-D) or element (1-D), keeping enough slabs that blocked models
-/// still see structure. Returns `None` when the field is too small to
-/// subsample — the caller then runs full-field.
-fn strided_subsample(field: &Field, options: &SelectionOptions) -> Option<Field> {
+/// Builds the strided trial field: every `SAMPLE_STRIDE`-th z-plane
+/// (3-D) or row (2-D) or element (1-D), keeping enough slabs that
+/// blocked models still see structure. Returns `None` when the field is
+/// too small to subsample — the caller then runs full-field.
+fn strided_subsample(field: &Field) -> Option<Field> {
     let n = field.shape.len();
-    if n <= options.min_sample_len
-        || options.sample_fraction.is_nan()
-        || options.sample_fraction <= 0.0
-        || options.sample_fraction >= 1.0
-    {
+    if n <= MIN_SAMPLE_LEN {
         return None;
     }
     let [nx, ny, nz] = field.shape.dims;
-    let stride = (1.0 / options.sample_fraction).ceil().clamp(1.0, 1e9) as usize;
     if nz > 1 {
-        let keep = slab_indices(nz, stride, 4)?;
+        let keep = slab_indices(nz)?;
         let plane = nx * ny;
         let mut data = Vec::with_capacity(keep.len() * plane);
         for &z in &keep {
@@ -140,7 +127,7 @@ fn strided_subsample(field: &Field, options: &SelectionOptions) -> Option<Field>
         let shape = Shape::d3(nx, ny, keep.len());
         Some(Field::new(format!("{}~sample", field.name), data, shape))
     } else if ny > 1 {
-        let keep = slab_indices(ny, stride, 4)?;
+        let keep = slab_indices(ny)?;
         let mut data = Vec::with_capacity(keep.len() * nx);
         for &y in &keep {
             data.extend_from_slice(&field.data[y * nx..(y + 1) * nx]);
@@ -148,7 +135,7 @@ fn strided_subsample(field: &Field, options: &SelectionOptions) -> Option<Field>
         let shape = Shape::d2(nx, keep.len());
         Some(Field::new(format!("{}~sample", field.name), data, shape))
     } else {
-        let keep: Vec<f64> = field.data.iter().step_by(stride).copied().collect();
+        let keep: Vec<f64> = field.data.iter().step_by(SAMPLE_STRIDE).copied().collect();
         if keep.len() < 16 || keep.len() >= n {
             return None;
         }
@@ -157,20 +144,12 @@ fn strided_subsample(field: &Field, options: &SelectionOptions) -> Option<Field>
     }
 }
 
-/// Indices of the slabs a strided sample keeps: every `stride`-th of
-/// `count`, with `stride` shrunk so at least `min_keep` slabs survive.
+/// Indices of the slabs a strided sample keeps: every `SAMPLE_STRIDE`-th
+/// of `count`, with the stride shrunk so at least 4 slabs survive.
 /// `None` means the sample would not actually shrink the field.
-fn slab_indices(count: usize, stride: usize, min_keep: usize) -> Option<Vec<usize>> {
-    let stride = stride.min(count.div_ceil(min_keep)).max(1);
-    if stride <= 1 {
-        return None;
-    }
-    let keep: Vec<usize> = (0..count).step_by(stride).collect();
-    if keep.len() >= count {
-        None
-    } else {
-        Some(keep)
-    }
+fn slab_indices(count: usize) -> Option<Vec<usize>> {
+    let stride = SAMPLE_STRIDE.min(count.div_ceil(4));
+    (stride > 1).then(|| (0..count).step_by(stride).collect())
 }
 
 /// The default candidate set: direct plus every self-contained reduced
@@ -193,10 +172,7 @@ mod tests {
 
     /// Full-field trials over the default candidates.
     fn exhaustive(f: &Field, base: &PipelineConfig) -> SelectionOutcome {
-        let options = SelectionOptions {
-            exhaustive: true,
-            ..SelectionOptions::default()
-        };
+        let options = SelectionOptions { exhaustive: true };
         select_best_model_with(f, &default_candidates(), base, &options).expect("candidates apply")
     }
 
@@ -268,7 +244,7 @@ mod tests {
 
     #[test]
     fn tiny_fields_fall_back_to_full_field() {
-        // At or below min_sample_len the trials must run full-field.
+        // At or below MIN_SAMPLE_LEN the trials must run full-field.
         let shape = Shape::d3(8, 8, 8);
         let data: Vec<f64> = (0..shape.len()).map(|i| (i as f64 * 0.01).sin()).collect();
         let f = Field::new("tiny", data, shape);
@@ -288,7 +264,7 @@ mod tests {
         let shape = Shape::d3(16, 16, 64);
         let data: Vec<f64> = (0..shape.len()).map(|i| i as f64).collect();
         let f = Field::new("big", data, shape);
-        let sub = strided_subsample(&f, &SelectionOptions::default()).expect("sampled");
+        let sub = strided_subsample(&f).expect("sampled");
         let [nx, ny, nz] = sub.shape.dims;
         assert_eq!((nx, ny), (16, 16));
         assert!((4..64).contains(&nz), "kept {nz} planes");
@@ -301,10 +277,7 @@ mod tests {
         use lrm_datasets::{generate, DatasetKind, SizeClass};
         let base = PipelineConfig::sz(ReducedModelKind::Direct);
         let sampled_opts = SelectionOptions::default();
-        let exhaustive_opts = SelectionOptions {
-            exhaustive: true,
-            ..SelectionOptions::default()
-        };
+        let exhaustive_opts = SelectionOptions { exhaustive: true };
         for kind in [DatasetKind::Heat3d, DatasetKind::Laplace, DatasetKind::Fish] {
             let field = generate(kind, SizeClass::Small).full;
             let sampled =

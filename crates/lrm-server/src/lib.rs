@@ -21,7 +21,7 @@
 //! * [`client`] — a session-based [`Connection`] holding one socket
 //!   across many requests (`send` → [`RequestHandle`] → `wait`, or a
 //!   blocking `call`), used by `lrm-cli client`, the loopback tests,
-//!   and the `serve` bench rows.
+//!   and perfbench's `serve-mixed` workload.
 //!
 //! The server is a consumer of the workspace layers: `lrm-compress`
 //! codecs, the `lrm-core` pipeline (which writes the `lrm-io` artifact

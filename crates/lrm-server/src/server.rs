@@ -346,7 +346,6 @@ fn execute(request: &Request, config: &ServerConfig) -> Response {
             };
             let options = SelectionOptions {
                 exhaustive: sel.exhaustive,
-                ..SelectionOptions::default()
             };
             let field = Field::new("wire", sel.data.clone(), sel.shape);
             match lrm_core::selection::select_best_model_with(

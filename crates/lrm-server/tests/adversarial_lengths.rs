@@ -251,6 +251,51 @@ fn duo_model_artifact_with_an_empty_coarse_field_gets_typed_malformed() {
 }
 
 #[test]
+fn sz_bound_outside_its_domain_gets_typed_malformed() {
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+
+    // An artifact whose meta names SZ with a NaN bound (the original
+    // codec, meta bytes 5..14). Building that codec would trip the SZ
+    // constructor's assert, and a panicking worker answers `Internal`,
+    // not `Malformed`.
+    let shape = Shape::d3(8, 8, 8);
+    let data = (0..shape.len()).map(|i| (i as f64 * 0.1).sin()).collect();
+    let artifact = Pipeline::from_config(PipelineConfig::sz(ReducedModelKind::OneBase))
+        .compress(&Field::new("wave", data, shape))
+        .bytes;
+    let parsed = Artifact::from_bytes(&artifact).expect("parse");
+    let mut crafted = Artifact::new();
+    for (name, section) in parsed.sections() {
+        let mut section = section.to_vec();
+        if name == "meta" {
+            section[5..14].copy_from_slice(&LossyCodec::SzRel(f64::NAN).to_bytes());
+        }
+        crafted.push(name, section);
+    }
+    let mut conn = Connection::open(addr).expect("open");
+    match conn.decompress(&crafted.to_bytes()) {
+        Err(ClientError::Server {
+            kind: ServerErrorKind::Malformed,
+            ..
+        }) => {}
+        other => panic!("expected Malformed frame, got {other:?}"),
+    }
+
+    // A compress request whose original codec (payload bytes 5..14,
+    // after the model tag and parameter) is SZ with a NaN bound.
+    let mut payload = small_compress_payload();
+    payload[5..14].copy_from_slice(&LossyCodec::SzAbs(f64::NAN).to_bytes());
+    let frame = Frame::encode(REQ_COMPRESS, 1, &payload);
+    assert_eq!(send_raw(addr, &frame), Some(RESP_ERR_MALFORMED));
+
+    assert_alive_then_shutdown(addr);
+    handle.join().expect("join");
+}
+
+#[test]
 fn wavelet_rep_with_a_non_power_of_two_grid_gets_typed_malformed() {
     let (addr, handle) = start(ServerConfig {
         threads: 1,

@@ -1,9 +1,11 @@
 //! Reconstruction-error metrics, total over all of `f64`.
 //!
 //! The paper assesses compression quality with RMSE (Fig. 10) and sweeps
-//! rate–distortion curves of compression ratio vs RMSE (Fig. 11). Error
-//! bounds for the SZ-like codec are *pointwise relative*, which
-//! [`max_pointwise_rel_error`] verifies.
+//! rate–distortion curves of compression ratio vs RMSE (Fig. 11). The
+//! SZ-like codec bounds error absolutely or relative to each block's
+//! largest magnitude; [`max_abs_error`] checks the first, and
+//! [`max_pointwise_rel_error`] measures the stricter per-point relative
+//! error.
 //!
 //! Decoded data can carry NaN or infinity — a corrupt stream, an outlier
 //! path, or genuinely non-finite simulation output — and the metric layer

@@ -46,10 +46,7 @@ fn main() {
 
     // 2. Let the selector choose the reduced model.
     let base = PipelineConfig::sz(ReducedModelKind::Direct).with_scan_1d(true);
-    let options = SelectionOptions {
-        exhaustive: true,
-        ..SelectionOptions::default()
-    };
+    let options = SelectionOptions { exhaustive: true };
     let Some(outcome) = select_best_model_with(&field, &default_candidates(), &base, &options)
     else {
         println!("no candidate model applies to this field");

@@ -12,10 +12,7 @@ use lrm::datasets::{generate, DatasetKind, SizeClass};
 
 fn main() {
     let base = PipelineConfig::sz(ReducedModelKind::Direct).with_scan_1d(true);
-    let options = SelectionOptions {
-        exhaustive: true,
-        ..SelectionOptions::default()
-    };
+    let options = SelectionOptions { exhaustive: true };
     println!(
         "{:<14} {:<12} {:>10} {:>12} {:>7}",
         "dataset", "winner", "best ratio", "direct ratio", "gain"

@@ -70,10 +70,7 @@ fn main() {
 
     // 5. Not sure which reduced model fits your data? Ask the selector
     //    (the paper's future-work extension).
-    let options = lrm::core::SelectionOptions {
-        exhaustive: true,
-        ..Default::default()
-    };
+    let options = lrm::core::SelectionOptions { exhaustive: true };
     let Some(outcome) = lrm::core::select_best_model_with(
         &field,
         &lrm::core::default_candidates(),

@@ -28,6 +28,6 @@ pub mod prelude {
         LossyCodec, Pipeline, PipelineBuilder, PipelineConfig, PreconditionedArtifact,
         ReducedModelKind,
     };
-    pub use lrm_datasets::{Dataset, DatasetKind, Field};
+    pub use lrm_datasets::{DatasetKind, Field};
     pub use lrm_stats::DataCharacteristics;
 }

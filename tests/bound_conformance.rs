@@ -5,13 +5,11 @@
 //! never a panic.
 //!
 //! The paper evaluates SZ in its block-based point-wise relative mode;
-//! this suite pins down what each mode actually promises:
+//! this suite pins down what each of SZ's two modes actually promises:
 //!
 //! * `Abs(e)` — `|v' - v| <= e` at every point.
 //! * `BlockRel(r)` — `|v' - v| <= r * max|block|` per scan-order block
 //!   of `BLOCK_LEN` points; all-zero blocks are exact.
-//! * `PointwiseRel(r)` — `|v' - v| <= r * |v|` at every point; exact
-//!   zeros reproduced exactly.
 
 use lrm::compress::sz::BLOCK_LEN;
 use lrm::compress::{Codec, Sz};
@@ -87,30 +85,6 @@ fn block_relative_bound_holds_per_block_on_every_dataset() {
                     report.worst_utilization
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn pointwise_relative_bound_holds_on_every_dataset() {
-    for kind in DatasetKind::ALL {
-        let field = generate(kind, SizeClass::Tiny).full;
-        for rel in SWEEP {
-            let sz = Sz::pointwise_rel(rel);
-            let bytes = sz.compress(&field.data, field.shape);
-            let rec = sz
-                .decompress(&bytes, field.shape)
-                .expect("own output decodes");
-            // floor = 0 makes Bound::Relative exactly |v'-v| <= rel*|v|,
-            // which also forces exact zeros to be reproduced exactly.
-            let report =
-                BoundReport::try_check(&field.data, &rec, Bound::Relative { rel, floor: 0.0 })
-                    .expect("finite data verifies");
-            assert_eq!(
-                report.violations, 0,
-                "{kind:?} pw-rel {rel:e}: worst utilization {}",
-                report.worst_utilization
-            );
         }
     }
 }

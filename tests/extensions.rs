@@ -74,10 +74,7 @@ fn raw_file_import_feeds_the_selector() {
     lrm::datasets::write_raw(&field, &p).expect("write");
     let loaded = lrm::datasets::read_raw(&p, field.shape, "import").expect("read");
     let base = PipelineConfig::sz(ReducedModelKind::Direct).with_scan_1d(true);
-    let options = SelectionOptions {
-        exhaustive: true,
-        ..SelectionOptions::default()
-    };
+    let options = SelectionOptions { exhaustive: true };
     let select = || {
         select_best_model_with(&loaded, &default_candidates(), &base, &options)
             .expect("candidates apply")

@@ -149,25 +149,25 @@ fn nan_inputs_do_not_poison_neighbors() {
     }
 }
 
-/// `bytes` with its `rep` section replaced by `rep`.
-fn with_rep(bytes: &[u8], rep: Vec<u8>) -> Vec<u8> {
+/// `bytes` with its section `name` replaced by `replacement`.
+fn with_section(bytes: &[u8], name: &str, replacement: &[u8]) -> Vec<u8> {
     let parsed = Artifact::from_bytes(bytes).expect("parse");
     let mut out = Artifact::new();
-    for (name, section) in parsed.sections() {
-        let section = if name == "rep" {
-            rep.clone()
+    for (section_name, section) in parsed.sections() {
+        let section = if section_name == name {
+            replacement
         } else {
-            section.to_vec()
+            section
         };
-        out.push(name, section);
+        out.push(section_name, section.to_vec());
     }
     out.to_bytes()
 }
 
-/// The `rep` section of `bytes`.
-fn rep_of(bytes: &[u8]) -> Vec<u8> {
+/// The section `name` of `bytes`.
+fn section_of(bytes: &[u8], name: &str) -> Vec<u8> {
     let parsed = Artifact::from_bytes(bytes).expect("parse");
-    parsed.get("rep").expect("rep").to_vec()
+    parsed.get(name).expect("section").to_vec()
 }
 
 /// A field whose matrix view has 32 columns and `rows` rows.
@@ -219,11 +219,11 @@ fn rep_header_that_disagrees_with_the_delta_is_corrupt() {
         let cfg = PipelineConfig::sz(model);
         let art = compress(&field, &cfg);
         // A self-consistent representation of only the first 16 rows.
-        let half = rep_of(&compress(&square_field(16), &cfg).bytes);
+        let half = section_of(&compress(&square_field(16), &cfg).bytes, "rep");
         let mut crafted = vec![("half the rows", half)];
         if matches!(model, ReducedModelKind::Svd | ReducedModelKind::Pca) {
             // The rank word, after m and n, raised past min(m, n) = 32.
-            let mut rep = rep_of(&art.bytes);
+            let mut rep = section_of(&art.bytes, "rep");
             rep[8..12].copy_from_slice(&33u32.to_le_bytes());
             crafted.push(("k = 33", rep));
         }
@@ -233,10 +233,42 @@ fn rep_header_that_disagrees_with_the_delta_is_corrupt() {
         for (what, rep) in crafted {
             let got = Pipeline::builder()
                 .build()
-                .reconstruct(&with_rep(&art.bytes, rep));
+                .reconstruct(&with_section(&art.bytes, "rep", &rep));
             assert!(
                 matches!(got, Err(DecodeError::Corrupt { .. })),
                 "{model:?}, {what}: {:?}",
+                got.map(|(data, shape)| (data.len(), shape))
+            );
+        }
+    }
+}
+
+#[test]
+fn sz_bound_outside_its_domain_in_the_meta_is_corrupt() {
+    // The meta's original codec sits at bytes 5..14 and its delta codec
+    // at 14..23. An SZ bound there that is not finite and positive is
+    // one no encoder writes, and building the codec from it would trip
+    // the SZ constructor's assert.
+    let art = compress(
+        &sample_field(),
+        &PipelineConfig::sz(ReducedModelKind::OneBase),
+    );
+    let meta = section_of(&art.bytes, "meta");
+    for codec in [
+        LossyCodec::SzRel(f64::NAN),
+        LossyCodec::SzRel(-1.0),
+        LossyCodec::SzRel(0.0),
+        LossyCodec::SzAbs(f64::INFINITY),
+    ] {
+        for offset in [5, 14] {
+            let mut crafted = meta.clone();
+            crafted[offset..offset + 9].copy_from_slice(&codec.to_bytes());
+            let got = Pipeline::builder()
+                .build()
+                .reconstruct(&with_section(&art.bytes, "meta", &crafted));
+            assert!(
+                matches!(got, Err(DecodeError::Corrupt { .. })),
+                "{codec:?} at meta byte {offset}: {:?}",
                 got.map(|(data, shape)| (data.len(), shape))
             );
         }
@@ -296,7 +328,7 @@ fn wavelet_rep_with_a_grid_the_encoder_never_writes_is_corrupt() {
         let art = compress(field, &cfg);
         let got = Pipeline::builder()
             .build()
-            .reconstruct(&with_rep(&art.bytes, rep));
+            .reconstruct(&with_section(&art.bytes, "rep", &rep));
         assert!(
             matches!(got, Err(DecodeError::Corrupt { .. })),
             "{what}: {:?}",
