@@ -47,36 +47,50 @@ fn parse_model(s: &str) -> Option<ReducedModelKind> {
     }
 }
 
-/// Flag map over `--key value` pairs plus boolean switches.
+/// Flag map over `--key value` pairs plus boolean switches, checked
+/// against the subcommand's usage line: `[--key]` there is a switch,
+/// `[--key N]` a count, `[--key X]` a number, and `[--key WORD]` any
+/// value.
 struct Flags {
     pairs: Vec<(String, String)>,
     switches: Vec<String>,
-    positional: Vec<String>,
 }
 
-const SWITCHES: &[&str] = &["--scan-1d", "--exhaustive"];
-
 impl Flags {
-    fn parse(args: &[String]) -> Flags {
+    /// Rejects, naming the flag, a key `usage` does not list, a key with
+    /// no value, and a count or number that does not parse; any other
+    /// argument is unexpected.
+    fn parse(args: &[String], usage: &str) -> Result<Flags, String> {
         let mut flags = Flags {
             pairs: Vec::new(),
             switches: Vec::new(),
-            positional: Vec::new(),
         };
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            if SWITCHES.contains(&a.as_str()) {
+            if !a.starts_with("--") {
+                return Err(format!("unexpected argument {a:?}"));
+            } else if usage.contains(&format!("[{a}]")) {
                 flags.switches.push(a.clone());
-            } else if let Some(key) = a.strip_prefix("--") {
-                match it.next() {
-                    Some(v) => flags.pairs.push((key.to_string(), v.clone())),
-                    None => flags.positional.push(a.clone()),
+            } else if let Some((_, tail)) = usage.split_once(&format!("[{a} ")) {
+                let placeholder = tail.split([' ', ']']).next().unwrap_or("");
+                let value = it
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or(format!("{a} needs a value"))?;
+                let parses = match placeholder {
+                    "N" => value.parse::<usize>().is_ok(),
+                    "X" => value.parse::<f64>().is_ok(),
+                    _ => true,
+                };
+                if !parses {
+                    return Err(format!("{a} needs a number, got {value:?}"));
                 }
+                flags.pairs.push((a[2..].to_string(), value.clone()));
             } else {
-                flags.positional.push(a.clone());
+                return Err(format!("unknown flag {a}"));
             }
         }
-        flags
+        Ok(flags)
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -109,10 +123,10 @@ const SERVE_USAGE: &str = "lrm-cli serve [--addr HOST:PORT] [--threads N] [--max
 
 /// `lrm-cli serve`: bind, announce, serve until a Shutdown request.
 pub fn run_serve(args: &[String]) -> i32 {
-    let flags = Flags::parse(args);
-    if let Some(p) = flags.positional.first() {
-        return fail(&format!("serve: unexpected argument {p:?}\n{SERVE_USAGE}"));
-    }
+    let flags = match Flags::parse(args, SERVE_USAGE) {
+        Ok(f) => f,
+        Err(e) => return fail(&format!("serve: {e}\n{SERVE_USAGE}")),
+    };
     let config = ServerConfig {
         threads: flags.usize_or("threads", 0),
         max_inflight: flags.usize_or("max-inflight", 32).max(1),
@@ -188,7 +202,10 @@ pub fn run_client(args: &[String]) -> i32 {
     let Some(command) = args.first().map(String::as_str) else {
         return fail(CLIENT_USAGE);
     };
-    let flags = Flags::parse(&args[1..]);
+    let flags = match Flags::parse(&args[1..], CLIENT_USAGE) {
+        Ok(f) => f,
+        Err(e) => return fail(&format!("client: {e}\n{CLIENT_USAGE}")),
+    };
     let (mut conn, addr) = match connect(&flags) {
         Ok(c) => c,
         Err(e) => return fail(&format!("client: {e}")),
@@ -422,17 +439,39 @@ mod tests {
         assert_eq!(parse_model("duo"), None);
     }
 
+    fn client_flags(args: &[&str]) -> Result<Flags, String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        Flags::parse(&args, CLIENT_USAGE)
+    }
+
     #[test]
     fn flags_parse_pairs_switches_and_positional() {
-        let args: Vec<String> = ["--addr", "1.2.3.4:9", "--scan-1d", "extra"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let f = Flags::parse(&args);
+        let f = client_flags(&["--addr", "1.2.3.4:9", "--scan-1d"]).expect("listed");
         assert_eq!(f.get("addr"), Some("1.2.3.4:9"));
         assert!(f.has("--scan-1d"));
-        assert_eq!(f.positional, vec!["extra".to_string()]);
         assert_eq!(f.usize_or("missing", 7), 7);
+        let e = client_flags(&["--scan-1d", "extra"]).err();
+        assert!(e.is_some_and(|e| e.contains("extra")));
+    }
+
+    #[test]
+    fn misspelt_flag_is_rejected_by_name() {
+        let e = client_flags(&["--dataset", "heat3d", "--modle", "svd"]).err();
+        assert!(e.is_some_and(|e| e.contains("--modle")));
+    }
+
+    #[test]
+    fn trailing_flag_without_a_value_is_rejected() {
+        let e = client_flags(&["--dataset", "heat3d", "--addr"]).err();
+        assert!(e.is_some_and(|e| e.contains("--addr")));
+    }
+
+    #[test]
+    fn unparsable_count_is_rejected() {
+        let e = client_flags(&["--requests", "abc"]).err();
+        assert!(e.is_some_and(|e| e.contains("--requests")));
+        let f = client_flags(&["--requests", "3", "--max-err", "1e-3"]).expect("numbers");
+        assert_eq!(f.usize_or("requests", 8), 3);
     }
 
     #[test]
@@ -456,7 +495,7 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let flags = Flags::parse(&args);
+        let flags = Flags::parse(&args, CLIENT_USAGE).expect("listed flags");
         let (mut conn, _) = connect(&flags).expect("connect");
         assert_eq!(run_roundtrip(&mut conn, &flags), 0);
         // The pipelined smoke runs over the same session.

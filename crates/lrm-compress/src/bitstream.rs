@@ -12,6 +12,130 @@
 //! [`crate::reference::RefBitReader`] and enforced byte-for-byte by the
 //! `kernel_equivalence` differential suite), so every previously written
 //! stream still decodes.
+//!
+//! [`ByteReader`] is the byte-level counterpart every container, header
+//! and wire payload is parsed through: it alone decides how an untrusted
+//! length, float or shape becomes a value, and which typed
+//! [`DecodeError`] a short or overflowing read gives.
+
+use crate::error::{DecodeError, DecodeResult};
+use crate::lossless::varint::decode_uvarint;
+use crate::Shape;
+
+/// Bounds-checked little-endian cursor over untrusted bytes. Every
+/// accessor takes the `what` its call site names and returns
+/// [`DecodeError::Truncated`] when the bytes run out, or
+/// [`DecodeError::Corrupt`] when a claimed size overflows; none panics.
+#[derive(Debug, Clone)]
+pub struct ByteReader<'a> {
+    b: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> ByteReader<'a> {
+    /// A cursor at the first byte of `b`.
+    pub fn new(b: &'a [u8]) -> Self {
+        Self { b, pos: 0 }
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize, what: &'static str) -> DecodeResult<&'a [u8]> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .ok_or(DecodeError::Corrupt { what })?;
+        let s = self
+            .b
+            .get(self.pos..end)
+            .ok_or(DecodeError::Truncated { what })?;
+        self.pos = end;
+        Ok(s)
+    }
+
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self, what: &'static str) -> DecodeResult<[u8; N]> {
+        self.take(N, what)?
+            .try_into()
+            .map_err(|_| DecodeError::Truncated { what })
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, what: &'static str) -> DecodeResult<u8> {
+        self.array::<1>(what).map(|[v]| v)
+    }
+
+    /// A `u16`, little-endian.
+    pub fn u16(&mut self, what: &'static str) -> DecodeResult<u16> {
+        self.array(what).map(u16::from_le_bytes)
+    }
+
+    /// A `u32`, little-endian.
+    pub fn u32(&mut self, what: &'static str) -> DecodeResult<u32> {
+        self.array(what).map(u32::from_le_bytes)
+    }
+
+    /// A `u64`, little-endian.
+    pub fn u64(&mut self, what: &'static str) -> DecodeResult<u64> {
+        self.array(what).map(u64::from_le_bytes)
+    }
+
+    /// An `f64` from its little-endian bits.
+    pub fn f64(&mut self, what: &'static str) -> DecodeResult<f64> {
+        self.array(what).map(f64::from_le_bytes)
+    }
+
+    /// An unsigned LEB128 varint; an over-long one (past 64 bits) reads
+    /// as truncated, as in [`decode_uvarint`].
+    pub fn varint(&mut self, what: &'static str) -> DecodeResult<u64> {
+        decode_uvarint(self.b, &mut self.pos).ok_or(DecodeError::Truncated { what })
+    }
+
+    /// `count` little-endian `f64`s. The buffer is sized from the bytes
+    /// [`ByteReader::take`] bounds-checked, never from the claimed count,
+    /// so a hostile count cannot commit the decoder to a larger buffer.
+    pub fn f64s(&mut self, count: usize, what: &'static str) -> DecodeResult<Vec<f64>> {
+        let nbytes = count.checked_mul(8).ok_or(DecodeError::Corrupt { what })?;
+        let raw = self.take(nbytes, what)?;
+        let mut out = Vec::with_capacity(raw.len() / 8);
+        for c in raw.chunks_exact(8) {
+            let bits = c.try_into().map_err(|_| DecodeError::Truncated { what })?;
+            out.push(f64::from_le_bytes(bits));
+        }
+        Ok(out)
+    }
+
+    /// A grid shape framed as 3 × `u32` extents. The element count is
+    /// checked for overflow here, so [`Shape::len`] cannot overflow on
+    /// the result.
+    pub fn shape(&mut self, what: &'static str) -> DecodeResult<Shape> {
+        let dims = [
+            self.u32(what)? as usize,
+            self.u32(what)? as usize,
+            self.u32(what)? as usize,
+        ];
+        let [d0, d1, d2] = dims;
+        d0.checked_mul(d1.max(1))
+            .and_then(|p| p.checked_mul(d2.max(1)))
+            .ok_or(DecodeError::Corrupt { what })?;
+        Ok(Shape { dims })
+    }
+
+    /// Every remaining byte (consumes the cursor's tail).
+    pub fn rest(&mut self) -> &'a [u8] {
+        let s = self.b.get(self.pos..).unwrap_or(&[]);
+        self.pos = self.b.len();
+        s
+    }
+
+    /// [`DecodeError::Corrupt`] unless every byte was consumed.
+    pub fn finish(&self, what: &'static str) -> DecodeResult<()> {
+        if self.pos == self.b.len() {
+            Ok(())
+        } else {
+            Err(DecodeError::Corrupt { what })
+        }
+    }
+}
 
 /// Append-only bit writer.
 #[derive(Debug, Default, Clone)]
@@ -322,6 +446,31 @@ impl<'a> BitReader<'a> {
 mod tests {
     use super::*;
     use crate::reference::{RefBitReader, RefBitWriter};
+
+    #[test]
+    fn byte_reader_short_and_overflowing_reads_are_typed() {
+        let mut r = ByteReader::new(&[1, 0, 0, 0, 0x7f]);
+        assert_eq!(r.u32("a"), Ok(1));
+        assert_eq!(r.u16("b"), Err(DecodeError::Truncated { what: "b" }));
+        assert_eq!(
+            r.take(usize::MAX, "c"),
+            Err(DecodeError::Corrupt { what: "c" })
+        );
+        assert_eq!(
+            r.f64s(usize::MAX, "d"),
+            Err(DecodeError::Corrupt { what: "d" })
+        );
+        assert_eq!(r.f64s(1, "e"), Err(DecodeError::Truncated { what: "e" }));
+        assert_eq!(r.varint("f"), Ok(0x7f));
+        assert_eq!(r.finish("g"), Ok(()));
+        assert_eq!(r.rest(), &[] as &[u8]);
+        // 3 × u32::MAX extents: the element count overflows a usize.
+        let huge = [0xff; 12];
+        assert_eq!(
+            ByteReader::new(&huge).shape("h"),
+            Err(DecodeError::Corrupt { what: "h" })
+        );
+    }
 
     #[test]
     fn roundtrip_single_bits() {

@@ -10,6 +10,7 @@
 //! The paper runs FPC at *level 20 with a 2^24-byte table*; [`Fpc::new`]
 //! takes the same level parameter (log2 of table entries).
 
+use crate::bitstream::ByteReader;
 use crate::error::{DecodeError, DecodeResult};
 use crate::{Codec, Shape};
 
@@ -150,11 +151,8 @@ impl Codec for Fpc {
     }
 
     fn decompress(&self, bytes: &[u8], shape: Shape) -> DecodeResult<Vec<f64>> {
-        let head: [u8; 8] = bytes
-            .get(..8)
-            .and_then(|s| s.try_into().ok())
-            .ok_or(DecodeError::Truncated { what: "fpc header" })?;
-        let n64 = u64::from_le_bytes(head);
+        let mut r = ByteReader::new(bytes);
+        let n64 = r.u64("fpc header")?;
         if n64 != shape.len() as u64 {
             return Err(DecodeError::ShapeMismatch {
                 expected: shape.len(),
@@ -163,12 +161,7 @@ impl Codec for Fpc {
         }
         let n = shape.len();
         let header_len = n.div_ceil(2);
-        let headers =
-            bytes
-                .get(8..8usize.saturating_add(header_len))
-                .ok_or(DecodeError::Truncated {
-                    what: "fpc nibble headers",
-                })?;
+        let headers = r.take(header_len, "fpc nibble headers")?;
         let mut rpos = 8 + header_len;
 
         let mut pred = Predictors::new(self.table_entries());

@@ -35,6 +35,7 @@ pub mod reference;
 pub mod sz;
 pub mod zfp;
 
+pub use bitstream::ByteReader;
 pub use error::{DecodeError, DecodeResult};
 pub use fpc::Fpc;
 pub use sz::{Sz, SzErrorBound};

@@ -2,7 +2,7 @@
 //!
 //! SZ 1.4 post-processes its quantization codes with Huffman coding and a
 //! dictionary compressor; this module provides both stages plus the small
-//! primitives (varints, zigzag) the codecs share.
+//! varint primitive the codecs share.
 
 use crate::error::{DecodeError, DecodeResult};
 
@@ -12,7 +12,7 @@ pub mod varint;
 
 pub use huffman::{huffman_decode, huffman_encode, HuffmanDecoder};
 pub use lzss::{lzss_compress, lzss_decompress};
-pub use varint::{decode_uvarint, encode_uvarint, zigzag_decode, zigzag_encode};
+pub use varint::{decode_uvarint, encode_uvarint};
 
 /// Compresses a byte buffer with the full lossless pipeline used as SZ's
 /// final stage: LZSS dictionary compression. Returns whichever of

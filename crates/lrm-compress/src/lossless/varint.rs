@@ -1,4 +1,4 @@
-//! LEB128 variable-length integers and zigzag mapping for signed values.
+//! LEB128 variable-length integers.
 
 /// Appends `v` to `out` as an unsigned LEB128 varint.
 pub fn encode_uvarint(mut v: u64, out: &mut Vec<u8>) {
@@ -32,19 +32,6 @@ pub fn decode_uvarint(data: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-/// Maps a signed integer to an unsigned one with small magnitudes staying
-/// small: 0, -1, 1, -2, 2 → 0, 1, 2, 3, 4.
-#[inline]
-pub fn zigzag_encode(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag_encode`].
-#[inline]
-pub fn zigzag_decode(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,21 +60,6 @@ mod tests {
         assert_eq!(decode_uvarint(&[0x80], &mut pos), None);
         let mut pos = 0;
         assert_eq!(decode_uvarint(&[], &mut pos), None);
-    }
-
-    #[test]
-    fn zigzag_roundtrip() {
-        for v in [0i64, 1, -1, 2, -2, i64::MAX, i64::MIN, 42, -4096] {
-            assert_eq!(zigzag_decode(zigzag_encode(v)), v);
-        }
-    }
-
-    #[test]
-    fn zigzag_keeps_small_magnitudes_small() {
-        assert_eq!(zigzag_encode(0), 0);
-        assert_eq!(zigzag_encode(-1), 1);
-        assert_eq!(zigzag_encode(1), 2);
-        assert_eq!(zigzag_encode(-2), 3);
     }
 
     #[test]

@@ -31,13 +31,18 @@
 //! block-relative. Tag 1 named a strict per-point relative mode that no
 //! `LossyCodec` could select; it stays unassigned, so a stream carrying
 //! it is [`DecodeError::UnknownTag`] rather than decoded under another
-//! mode's layout.
+//! mode's layout. The decoding [`Sz`] decides the mode and the bound: a
+//! stream whose header names another mode or bound is
+//! [`DecodeError::Corrupt`]. Only the header is checked. A block-relative
+//! body decodes under its own per-block exponent table, which is not
+//! checked against the bound, so a stream encoded under a looser bound
+//! whose header bits were rewritten still decodes.
 
 pub mod predictor;
 
-use crate::bitstream::{BitReader, BitWriter};
+use crate::bitstream::{BitReader, BitWriter, ByteReader};
 use crate::error::{DecodeError, DecodeResult};
-use crate::lossless::varint::{decode_uvarint, encode_uvarint};
+use crate::lossless::varint::encode_uvarint;
 use crate::lossless::{huffman_encode, pipeline_compress, pipeline_decompress, HuffmanDecoder};
 use crate::{Codec, Shape};
 use predictor::{lorenzo_predict, lorenzo_predict_interior};
@@ -314,26 +319,11 @@ fn core_compress(data: &[f64], shape: Shape, bounds: &Bounds) -> Vec<u8> {
 fn core_decompress(bytes: &[u8], shape: Shape, bounds: &Bounds) -> DecodeResult<Vec<f64>> {
     let radius: i64 = 1i64 << (QUANT_BITS - 1);
     let body = pipeline_decompress(bytes)?;
-    let mut pos = 0usize;
-    let hlen = decode_uvarint(&body, &mut pos).ok_or(DecodeError::Truncated {
-        what: "sz huffman length",
-    })? as usize;
-    let huff = body
-        .get(pos..pos.saturating_add(hlen))
-        .ok_or(DecodeError::Truncated {
-            what: "sz huffman block",
-        })?;
-    let mut codes = HuffmanDecoder::new(huff)?;
-    pos += hlen;
-    let olen = decode_uvarint(&body, &mut pos).ok_or(DecodeError::Truncated {
-        what: "sz outlier length",
-    })? as usize;
-    let obytes = body
-        .get(pos..pos.saturating_add(olen))
-        .ok_or(DecodeError::Truncated {
-            what: "sz outlier block",
-        })?;
-    let mut outliers = BitReader::new(obytes);
+    let mut r = ByteReader::new(&body);
+    let hlen = r.varint("sz huffman length")? as usize;
+    let mut codes = HuffmanDecoder::new(r.take(hlen, "sz huffman block")?)?;
+    let olen = r.varint("sz outlier length")? as usize;
+    let mut outliers = BitReader::new(r.take(olen, "sz outlier block")?);
 
     let mut recon = vec![0.0f64; shape.len()];
     // The returned field differs from the reconstruction buffer only at
@@ -449,37 +439,31 @@ impl Codec for Sz {
     }
 
     fn decompress(&self, bytes: &[u8], shape: Shape) -> DecodeResult<Vec<f64>> {
-        let tag = *bytes.first().ok_or(DecodeError::Truncated {
-            what: "sz mode tag",
-        })?;
-        let phead: [u8; 8] =
-            bytes
-                .get(1..9)
-                .and_then(|s| s.try_into().ok())
-                .ok_or(DecodeError::Truncated {
-                    what: "sz bound parameter",
-                })?;
-        let param = f64::from_le_bytes(phead);
-        match tag {
-            TAG_ABS => {
-                let body = bytes
-                    .get(9..)
-                    .ok_or(DecodeError::Truncated { what: "sz body" })?;
-                core_decompress(body, shape, &Bounds::Uniform(param))
-            }
-            TAG_BLOCKREL => {
-                let mut pos = 9usize;
-                let tlen = decode_uvarint(bytes, &mut pos).ok_or(DecodeError::Truncated {
-                    what: "sz exponent-table length",
-                })? as usize;
-                let table =
-                    bytes
-                        .get(pos..pos.saturating_add(tlen))
-                        .ok_or(DecodeError::Truncated {
-                            what: "sz exponent table",
-                        })?;
-                let raw = pipeline_decompress(table)?;
-                pos += tlen;
+        let mut r = ByteReader::new(bytes);
+        let tag = r.u8("sz mode tag")?;
+        let param = r.f64("sz bound parameter")?;
+        if tag != TAG_ABS && tag != TAG_BLOCKREL {
+            return Err(DecodeError::UnknownTag {
+                what: "sz mode",
+                tag,
+            });
+        }
+        // The codec, built from the artifact's descriptor, decides the
+        // mode and the bound; a stream that names others is corrupt.
+        let (own_tag, own_bound) = match self.bound {
+            SzErrorBound::Abs(e) => (TAG_ABS, e),
+            SzErrorBound::BlockRel(rel) => (TAG_BLOCKREL, rel),
+        };
+        if tag != own_tag || param.to_bits() != own_bound.to_bits() {
+            return Err(DecodeError::Corrupt {
+                what: "sz stream mode or bound differs from the codec",
+            });
+        }
+        match self.bound {
+            SzErrorBound::Abs(e) => core_decompress(r.rest(), shape, &Bounds::Uniform(e)),
+            SzErrorBound::BlockRel(_) => {
+                let tlen = r.varint("sz exponent-table length")? as usize;
+                let raw = pipeline_decompress(r.take(tlen, "sz exponent table")?)?;
                 let exps: Vec<i16> = raw
                     .chunks_exact(2)
                     // lint:allow(no-index): chunks_exact(2) yields exactly 2-byte slices
@@ -492,15 +476,8 @@ impl Codec for Sz {
                         what: "sz exponent table size",
                     });
                 }
-                let body = bytes
-                    .get(pos..)
-                    .ok_or(DecodeError::Truncated { what: "sz body" })?;
-                core_decompress(body, shape, &Bounds::PerBlock(exps))
+                core_decompress(r.rest(), shape, &Bounds::PerBlock(exps))
             }
-            tag => Err(DecodeError::UnknownTag {
-                what: "sz mode",
-                tag,
-            }),
         }
     }
 }

@@ -15,9 +15,9 @@ pub mod block;
 pub mod codec;
 pub mod transform;
 
-use crate::bitstream::{BitReader, BitWriter};
+use crate::bitstream::{BitReader, BitWriter, ByteReader};
 use crate::error::{DecodeError, DecodeResult};
-use crate::lossless::varint::{decode_uvarint, encode_uvarint};
+use crate::lossless::varint::encode_uvarint;
 use crate::{Codec, Shape};
 pub use codec::ldexp;
 
@@ -81,13 +81,9 @@ impl Codec for Zfp {
     }
 
     fn decompress(&self, bytes: &[u8], shape: Shape) -> DecodeResult<Vec<f64>> {
-        let mut pos = 0usize;
-        let total_bits = decode_uvarint(bytes, &mut pos).ok_or(DecodeError::Truncated {
-            what: "zfp bit-count header",
-        })?;
-        let payload = bytes.get(pos..).ok_or(DecodeError::Truncated {
-            what: "zfp payload",
-        })?;
+        let mut r = ByteReader::new(bytes);
+        let total_bits = r.varint("zfp bit-count header")?;
+        let payload = r.rest();
         if (payload.len() as u64).saturating_mul(8) < total_bits {
             return Err(DecodeError::Truncated {
                 what: "zfp bit stream",

@@ -16,7 +16,7 @@
 //! itself implements [`Codec`] by delegation, so it can be passed anywhere
 //! a `&dyn Codec` is expected.
 
-use lrm_compress::{Codec, DecodeError, DecodeResult, Fpc, Shape, Sz, Zfp};
+use lrm_compress::{ByteReader, Codec, DecodeError, DecodeResult, Fpc, Shape, Sz, Zfp};
 
 /// A concrete lossy-codec configuration, serializable into artifact
 /// metadata.
@@ -107,25 +107,21 @@ impl LossyCodec {
     /// finite and positive is [`DecodeError::Corrupt`]: no encoder writes
     /// one, and the SZ constructors reject it.
     pub fn from_bytes(b: &[u8]) -> DecodeResult<Self> {
-        let raw = b.get(..9).ok_or(DecodeError::Truncated {
-            what: "lossy-codec descriptor",
-        })?;
-        let param_bytes = [
-            raw[1], raw[2], raw[3], raw[4], raw[5], raw[6], raw[7], raw[8],
-        ];
-        let param = f64::from_le_bytes(param_bytes);
-        let int_param = u64::from_le_bytes(param_bytes) as u32;
+        let mut r = ByteReader::new(b);
+        let tag = r.u8("lossy-codec descriptor")?;
+        let raw = r.u64("lossy-codec descriptor")?;
+        let param = f64::from_bits(raw);
         // Tags 0 and 1 are SZ, whose constructors assert this domain.
-        if raw[0] <= 1 && !(param.is_finite() && param > 0.0) {
+        if tag <= 1 && !(param.is_finite() && param > 0.0) {
             return Err(DecodeError::Corrupt {
                 what: "lossy-codec sz bound",
             });
         }
-        match raw[0] {
+        match tag {
             0 => Ok(LossyCodec::SzRel(param)),
             1 => Ok(LossyCodec::SzAbs(param)),
-            2 => Ok(LossyCodec::ZfpPrecision(int_param)),
-            3 => Ok(LossyCodec::FpcLossless(int_param)),
+            2 => Ok(LossyCodec::ZfpPrecision(raw as u32)),
+            3 => Ok(LossyCodec::FpcLossless(raw as u32)),
             tag => Err(DecodeError::UnknownTag {
                 what: "lossy-codec descriptor",
                 tag,
@@ -161,11 +157,6 @@ pub fn sz_paper_bounds() -> (LossyCodec, LossyCodec) {
 /// deltas.
 pub fn zfp_paper_bounds() -> (LossyCodec, LossyCodec) {
     (LossyCodec::ZfpPrecision(16), LossyCodec::ZfpPrecision(8))
-}
-
-/// Lossless FPC at the paper's level-20 setting, for the Fig. 3 FPC bars.
-pub fn fpc_paper() -> Fpc {
-    Fpc::new(20)
 }
 
 /// The FPC baseline as a [`LossyCodec`] configuration (level 20, as in

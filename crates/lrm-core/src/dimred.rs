@@ -27,7 +27,7 @@
 //! not exceed `n` (PCA) or `min(m, n)` (SVD).
 
 use crate::codec::LossyCodec;
-use lrm_compress::{DecodeError, DecodeResult, Shape};
+use lrm_compress::{ByteReader, DecodeError, DecodeResult, Shape};
 use lrm_datasets::Field;
 use lrm_linalg::svd::{rank_for_energy, svd_truncated};
 use lrm_linalg::{Matrix, Pca};
@@ -47,35 +47,10 @@ pub(crate) fn put_u32(out: &mut Vec<u8>, v: usize) {
     out.extend_from_slice(&(v as u32).to_le_bytes());
 }
 
-pub(crate) fn get_u32(b: &[u8], pos: &mut usize) -> DecodeResult<usize> {
-    let s = b
-        .get(*pos..pos.saturating_add(4))
-        .ok_or(DecodeError::Truncated {
-            what: "reduced-model header field",
-        })?;
-    *pos += 4;
-    Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]) as usize)
-}
-
 fn put_f64s(out: &mut Vec<u8>, vals: &[f64]) {
     for v in vals {
         out.extend_from_slice(&v.to_le_bytes());
     }
-}
-
-fn get_f64s(b: &[u8], pos: &mut usize, count: usize) -> DecodeResult<Vec<f64>> {
-    let nbytes = count.checked_mul(8).ok_or(DecodeError::Corrupt {
-        what: "reduced-model block size overflow",
-    })?;
-    let s = b
-        .get(*pos..pos.saturating_add(nbytes))
-        .ok_or(DecodeError::Truncated {
-            what: "reduced-model f64 block",
-        })?;
-    *pos += nbytes;
-    Ok(s.chunks_exact(8)
-        .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-        .collect())
 }
 
 /// Appends `bytes` behind a `u32` length prefix.
@@ -84,25 +59,11 @@ fn put_stream(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-/// Reads a `u32`-length-prefixed byte stream.
-pub(crate) fn get_stream<'b>(
-    b: &'b [u8],
-    pos: &mut usize,
-    what: &'static str,
-) -> DecodeResult<&'b [u8]> {
-    let len = get_u32(b, pos)?;
-    let s = b
-        .get(*pos..pos.saturating_add(len))
-        .ok_or(DecodeError::Truncated { what })?;
-    *pos += len;
-    Ok(s)
-}
-
 /// Reads a whole-field `m, n` header and checks it against the length
 /// of the delta the base is added to.
-fn get_dims(b: &[u8], pos: &mut usize, len: usize) -> DecodeResult<(usize, usize)> {
-    let m = get_u32(b, pos)?;
-    let n = get_u32(b, pos)?;
+fn get_dims(r: &mut ByteReader<'_>, len: usize) -> DecodeResult<(usize, usize)> {
+    let m = r.u32("reduced-model rows")? as usize;
+    let n = r.u32("reduced-model columns")? as usize;
     if m.checked_mul(n) != Some(len) {
         return Err(DecodeError::Corrupt {
             what: "reduced-model extents do not match the delta",
@@ -112,8 +73,8 @@ fn get_dims(b: &[u8], pos: &mut usize, len: usize) -> DecodeResult<(usize, usize
 }
 
 /// Reads a rank `k` and checks it against its ceiling `max`.
-fn get_k(b: &[u8], pos: &mut usize, max: usize) -> DecodeResult<usize> {
-    let k = get_u32(b, pos)?;
+fn get_k(r: &mut ByteReader<'_>, max: usize) -> DecodeResult<usize> {
+    let k = r.u32("reduced-model rank")? as usize;
     if k > max {
         return Err(DecodeError::Corrupt {
             what: "reduced-model rank exceeds the matrix",
@@ -164,18 +125,18 @@ pub(crate) fn fit_pca(mat: &Matrix, variance_fraction: f64, codec: &LossyCodec) 
     }
 }
 
-/// Decodes a [`fit_pca`] body at `pos` into the `m × n` base.
+/// Decodes the [`fit_pca`] body at `r` into the `m × n` base.
 pub(crate) fn rebuild_pca(
-    b: &[u8],
-    pos: &mut usize,
+    r: &mut ByteReader<'_>,
     m: usize,
     n: usize,
     codec: &LossyCodec,
 ) -> DecodeResult<Vec<f64>> {
-    let k = get_k(b, pos, n)?;
-    let means = get_f64s(b, pos, n)?;
-    let basis = Matrix::from_vec(n, k, get_f64s(b, pos, n.saturating_mul(k))?);
-    let stream = get_stream(b, pos, "pca score stream")?;
+    let k = get_k(r, n)?;
+    let means = r.f64s(n, "pca means")?;
+    let basis = Matrix::from_vec(n, k, r.f64s(n.saturating_mul(k), "pca basis")?);
+    let len = r.u32("pca score stream")? as usize;
+    let stream = r.take(len, "pca score stream")?;
     let scores = Matrix::from_vec(m, k, codec.decompress(stream, Shape::d2(k, m))?);
     Ok(pca_base(&scores, &basis, &means))
 }
@@ -213,18 +174,18 @@ pub(crate) fn fit_svd(mat: &Matrix, energy_fraction: f64, codec: &LossyCodec) ->
     }
 }
 
-/// Decodes a [`fit_svd`] body at `pos` into the `m × n` base.
+/// Decodes the [`fit_svd`] body at `r` into the `m × n` base.
 pub(crate) fn rebuild_svd(
-    b: &[u8],
-    pos: &mut usize,
+    r: &mut ByteReader<'_>,
     m: usize,
     n: usize,
     codec: &LossyCodec,
 ) -> DecodeResult<Vec<f64>> {
-    let k = get_k(b, pos, m.min(n))?;
-    let sigma = get_f64s(b, pos, k)?;
-    let vk = Matrix::from_vec(n, k, get_f64s(b, pos, n.saturating_mul(k))?);
-    let stream = get_stream(b, pos, "svd u stream")?;
+    let k = get_k(r, m.min(n))?;
+    let sigma = r.f64s(k, "svd sigma")?;
+    let vk = Matrix::from_vec(n, k, r.f64s(n.saturating_mul(k), "svd v")?);
+    let len = r.u32("svd u stream")? as usize;
+    let stream = r.take(len, "svd u stream")?;
     let u = codec.decompress(stream, Shape::d2(k, m))?;
     Ok(svd_base(u, m, &sigma, &vk))
 }
@@ -277,9 +238,9 @@ pub fn pca_reconstruct(
     delta: &[f64],
     orig_codec: &LossyCodec,
 ) -> DecodeResult<Vec<f64>> {
-    let mut pos = 0usize;
-    let (m, n) = get_dims(rep_bytes, &mut pos, delta.len())?;
-    let base = rebuild_pca(rep_bytes, &mut pos, m, n, orig_codec)?;
+    let mut r = ByteReader::new(rep_bytes);
+    let (m, n) = get_dims(&mut r, delta.len())?;
+    let base = rebuild_pca(&mut r, m, n, orig_codec)?;
     Ok(plus(&base, delta))
 }
 
@@ -300,9 +261,9 @@ pub fn svd_reconstruct(
     delta: &[f64],
     orig_codec: &LossyCodec,
 ) -> DecodeResult<Vec<f64>> {
-    let mut pos = 0usize;
-    let (m, n) = get_dims(rep_bytes, &mut pos, delta.len())?;
-    let base = rebuild_svd(rep_bytes, &mut pos, m, n, orig_codec)?;
+    let mut r = ByteReader::new(rep_bytes);
+    let (m, n) = get_dims(&mut r, delta.len())?;
+    let base = rebuild_svd(&mut r, m, n, orig_codec)?;
     Ok(plus(&base, delta))
 }
 
@@ -324,9 +285,10 @@ pub fn wavelet_precondition(field: &Field, theta_fraction: f64) -> DimRedOutput 
 
 /// Inverse of [`wavelet_precondition`]'s representation, plus delta.
 pub fn wavelet_reconstruct(rep_bytes: &[u8], delta: &[f64]) -> DecodeResult<Vec<f64>> {
-    let mut pos = 0usize;
-    let (m, n) = get_dims(rep_bytes, &mut pos, delta.len())?;
-    let sparse_bytes = get_stream(rep_bytes, &mut pos, "wavelet sparse block")?;
+    let mut r = ByteReader::new(rep_bytes);
+    let (m, n) = get_dims(&mut r, delta.len())?;
+    let len = r.u32("wavelet sparse block")? as usize;
+    let sparse_bytes = r.take(len, "wavelet sparse block")?;
     let coeffs =
         lrm_wavelet::SparseMatrix::from_bytes(sparse_bytes).ok_or(DecodeError::Corrupt {
             what: "wavelet sparse block",

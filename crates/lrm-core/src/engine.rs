@@ -7,8 +7,8 @@
 //! the precondition + dual-bound compression independently per slab on a
 //! work-stealing worker pool, and merges the per-slab outputs into one
 //! multi-chunk [`ChunkedArtifact`] container. Reconstruction is
-//! symmetric: chunks decode in parallel and scatter back into the global
-//! array.
+//! symmetric: chunks decode in parallel and are joined in directory
+//! order, once the directory is checked to tile the field.
 //!
 //! # Error-bound semantics
 //!
@@ -358,28 +358,42 @@ impl Pipeline {
                 what: "chunked global dims overflow",
             })?;
         let shape = Shape::d3(nx, ny, nz);
-        let plane = nx * ny;
-        let parts: Vec<(usize, Vec<u8>)> = container
-            .chunks()
-            .map(|(e, p)| (e.z_offset as usize, p.to_vec()))
-            .collect();
-        let decoded: Vec<(usize, DecodeResult<Vec<f64>>)> =
-            self.pool().run(parts, |_, (z0, payload)| {
-                (z0, reconstruct_impl(&payload).map(|(data, _)| data))
+        // The directory must tile the field: full-plane slabs in z order,
+        // contiguous from 0, with nothing left over or covered twice.
+        let mut next_z = 0usize;
+        for (e, _) in container.chunks() {
+            let [cx, cy, cz] = e.dims.map(|d| d as usize);
+            if e.z_offset as usize != next_z || [cx, cy] != [nx, ny] {
+                return Err(DecodeError::Corrupt {
+                    what: "chunk directory does not tile the field",
+                });
+            }
+            next_z = next_z.saturating_add(cz);
+        }
+        if next_z != nz {
+            return Err(DecodeError::Corrupt {
+                what: "chunk directory does not tile the field",
             });
+        }
+        let payloads: Vec<&[u8]> = container.chunks().map(|(_, p)| p).collect();
+        let decoded = self
+            .pool()
+            .run(payloads, |_, payload| reconstruct_impl(payload));
 
-        let mut out = vec![0.0f64; shape.len()];
-        for (z0, data) in decoded {
-            let data = data?;
-            let start = z0.checked_mul(plane).ok_or(DecodeError::Corrupt {
-                what: "chunk offset overflow",
-            })?;
-            let slot = out.get_mut(start..start.saturating_add(data.len())).ok_or(
-                DecodeError::Corrupt {
-                    what: "chunk exceeds global extent",
-                },
-            )?;
-            slot.copy_from_slice(&data);
+        let mut out = Vec::with_capacity(shape.len());
+        for ((e, _), chunk) in container.chunks().zip(decoded) {
+            let (data, chunk_shape) = chunk?;
+            if chunk_shape.dims != e.dims.map(|d| d as usize) {
+                return Err(DecodeError::Corrupt {
+                    what: "chunk shape differs from its directory entry",
+                });
+            }
+            out.extend_from_slice(&data);
+        }
+        if out.len() != shape.len() {
+            return Err(DecodeError::Corrupt {
+                what: "chunks do not fill the field",
+            });
         }
         Ok((out, shape))
     }

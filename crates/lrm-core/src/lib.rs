@@ -37,7 +37,7 @@ pub mod projection;
 pub mod selection;
 pub(crate) mod wire_meta;
 
-pub use codec::{fpc_paper, fpc_paper_codec, sz_paper_bounds, zfp_paper_bounds, LossyCodec};
+pub use codec::{fpc_paper_codec, sz_paper_bounds, zfp_paper_bounds, LossyCodec};
 pub use engine::{ChunkReport, ChunkedCompression, Pipeline, PipelineBuilder};
 pub use lrm_compress::{DecodeError, DecodeResult};
 pub use partitioned::{partitioned_precondition, partitioned_reconstruct, PartitionedMethod};

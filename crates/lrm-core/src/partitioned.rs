@@ -22,10 +22,9 @@
 
 use crate::codec::LossyCodec;
 use crate::dimred::{
-    fit_pca, fit_svd, get_stream, get_u32, plus, put_u32, rebuild_pca, rebuild_svd, DimRedOutput,
-    Factors,
+    fit_pca, fit_svd, plus, put_u32, rebuild_pca, rebuild_svd, DimRedOutput, Factors,
 };
-use lrm_compress::{DecodeError, DecodeResult};
+use lrm_compress::{ByteReader, DecodeError, DecodeResult};
 use lrm_datasets::Field;
 use lrm_linalg::Matrix;
 use lrm_parallel::WorkerPool;
@@ -97,29 +96,24 @@ pub fn partitioned_reconstruct(
     delta: &[f64],
     codec: &LossyCodec,
 ) -> DecodeResult<Vec<f64>> {
-    let method = match rep_bytes.first() {
-        Some(0) => PartitionedMethod::Pca,
-        Some(1) => PartitionedMethod::Svd,
-        Some(&tag) => {
+    let mut r = ByteReader::new(rep_bytes);
+    let method = match r.u8("partitioned method tag")? {
+        0 => PartitionedMethod::Pca,
+        1 => PartitionedMethod::Svd,
+        tag => {
             return Err(DecodeError::UnknownTag {
                 what: "partitioned method",
                 tag,
             })
         }
-        None => {
-            return Err(DecodeError::Truncated {
-                what: "partitioned method tag",
-            })
-        }
     };
-    let mut pos = 1usize;
-    let n = get_u32(rep_bytes, &mut pos)?;
-    let nblocks = get_u32(rep_bytes, &mut pos)?;
+    let n = r.u32("partitioned columns")? as usize;
+    let nblocks = r.u32("partitioned block count")?;
     let mut approx = Vec::with_capacity(delta.len());
     for _ in 0..nblocks {
-        let block = get_stream(rep_bytes, &mut pos, "partitioned block")?;
-        let mut bp = 0usize;
-        let mrows = get_u32(block, &mut bp)?;
+        let len = r.u32("partitioned block")? as usize;
+        let mut block = ByteReader::new(r.take(len, "partitioned block")?);
+        let mrows = block.u32("partitioned block rows")? as usize;
         let left = delta.len().saturating_sub(approx.len());
         if mrows.saturating_mul(n) > left {
             return Err(DecodeError::Corrupt {
@@ -127,8 +121,8 @@ pub fn partitioned_reconstruct(
             });
         }
         approx.extend(match method {
-            PartitionedMethod::Pca => rebuild_pca(block, &mut bp, mrows, n, codec)?,
-            PartitionedMethod::Svd => rebuild_svd(block, &mut bp, mrows, n, codec)?,
+            PartitionedMethod::Pca => rebuild_pca(&mut block, mrows, n, codec)?,
+            PartitionedMethod::Svd => rebuild_svd(&mut block, mrows, n, codec)?,
         });
     }
     if approx.len() != delta.len() {

@@ -86,6 +86,27 @@ impl ReducedModelKind {
             ReducedModelKind::SvdBlocked(b) => (8, b as u32),
         }
     }
+
+    /// Inverse of [`ReducedModelKind::tag`]; a block or plane count of 0
+    /// reads as 1.
+    pub fn from_tag(tag: u8, param: u32) -> DecodeResult<Self> {
+        let count = (param as usize).max(1);
+        match tag {
+            0 => Ok(ReducedModelKind::Direct),
+            1 => Ok(ReducedModelKind::OneBase),
+            2 => Ok(ReducedModelKind::MultiBase(count)),
+            3 => Ok(ReducedModelKind::DuoModel),
+            4 => Ok(ReducedModelKind::Pca),
+            5 => Ok(ReducedModelKind::Svd),
+            6 => Ok(ReducedModelKind::Wavelet),
+            7 => Ok(ReducedModelKind::PcaBlocked(count)),
+            8 => Ok(ReducedModelKind::SvdBlocked(count)),
+            tag => Err(DecodeError::UnknownTag {
+                what: "reduced-model",
+                tag,
+            }),
+        }
+    }
 }
 
 /// Pipeline configuration: the model plus the dual-bound codecs.
@@ -302,7 +323,15 @@ pub(crate) fn reconstruct_impl(bytes: &[u8]) -> DecodeResult<(Vec<f64>, Shape)> 
         what: "artifact missing delta section",
     })?;
 
-    let delta_codec = if meta.tag == 0 { meta.orig } else { meta.delta };
+    // Tag 9 named the randomized SVD, since removed. Its artifacts use
+    // the SVD representation, so they still decode.
+    let tag = if meta.tag == 9 { 5 } else { meta.tag };
+    let model = ReducedModelKind::from_tag(tag, meta.param)?;
+    let delta_codec = if model == ReducedModelKind::Direct {
+        meta.orig
+    } else {
+        meta.delta
+    };
     let delta_shape = if meta.scan_1d {
         Shape::d1(meta.shape.len())
     } else {
@@ -310,22 +339,20 @@ pub(crate) fn reconstruct_impl(bytes: &[u8]) -> DecodeResult<(Vec<f64>, Shape)> 
     };
     let delta = delta_codec.decompress(delta_bytes, delta_shape)?;
 
-    let data = match meta.tag {
-        0 => delta,
-        1 => one_base_reconstruct(rep, &delta, meta.shape, &meta.orig)?,
-        2 => multi_base_reconstruct(rep, &delta, meta.shape, meta.param as usize, &meta.orig)?,
-        3 => duo_model_reconstruct(rep, &delta, meta.shape, meta.aux_shape, &meta.orig)?,
-        4 => pca_reconstruct(rep, &delta, &meta.orig)?,
-        // Tag 9 named the randomized SVD, since removed. Its artifacts
-        // use the SVD representation, so they still decode.
-        5 | 9 => svd_reconstruct(rep, &delta, &meta.orig)?,
-        6 => wavelet_reconstruct(rep, &delta)?,
-        7 | 8 => crate::partitioned::partitioned_reconstruct(rep, &delta, &meta.orig)?,
-        tag => {
-            return Err(DecodeError::UnknownTag {
-                what: "reduced-model",
-                tag,
-            })
+    let data = match model {
+        ReducedModelKind::Direct => delta,
+        ReducedModelKind::OneBase => one_base_reconstruct(rep, &delta, meta.shape, &meta.orig)?,
+        ReducedModelKind::MultiBase(gz) => {
+            multi_base_reconstruct(rep, &delta, meta.shape, gz, &meta.orig)?
+        }
+        ReducedModelKind::DuoModel => {
+            duo_model_reconstruct(rep, &delta, meta.shape, meta.aux_shape, &meta.orig)?
+        }
+        ReducedModelKind::Pca => pca_reconstruct(rep, &delta, &meta.orig)?,
+        ReducedModelKind::Svd => svd_reconstruct(rep, &delta, &meta.orig)?,
+        ReducedModelKind::Wavelet => wavelet_reconstruct(rep, &delta)?,
+        ReducedModelKind::PcaBlocked(_) | ReducedModelKind::SvdBlocked(_) => {
+            crate::partitioned::partitioned_reconstruct(rep, &delta, &meta.orig)?
         }
     };
     Ok((data, meta.shape))

@@ -14,13 +14,14 @@
 //! | 47     | 1    | 1-D scan flag                  |
 //!
 //! This module is registered under `[decode]` (and `[taint]`) in
-//! `lint.toml`: decoding treats the bytes as hostile — every access is
-//! bounds-checked and both shapes are validated against element-count
-//! overflow before anything is sized from them.
+//! `lint.toml`: decoding treats the bytes as hostile — every field is
+//! read through [`ByteReader`], which bounds-checks each access and
+//! validates both shapes against element-count overflow before anything
+//! is sized from them.
 
 use crate::codec::LossyCodec;
 use crate::pipeline::ReducedModelKind;
-use lrm_compress::{DecodeError, DecodeResult, Shape};
+use lrm_compress::{ByteReader, DecodeError, DecodeResult, Shape};
 
 /// Exact length of the encoded record.
 const META_LEN: usize = 1 + 4 + 9 + 9 + 24 + 1;
@@ -61,55 +62,17 @@ pub(crate) fn encode_meta(
 }
 
 pub(crate) fn decode_meta(b: &[u8]) -> DecodeResult<Meta> {
-    if b.len() < META_LEN {
-        return Err(DecodeError::Truncated {
-            what: "pipeline meta",
-        });
-    }
-    let byte_at = |pos: usize| -> DecodeResult<u8> {
-        b.get(pos).copied().ok_or(DecodeError::Truncated {
-            what: "pipeline meta byte",
-        })
-    };
-    let u32_at = |pos: usize| -> DecodeResult<u32> {
-        b.get(pos..pos.saturating_add(4))
-            .and_then(|s| s.try_into().ok())
-            .map(u32::from_le_bytes)
-            .ok_or(DecodeError::Truncated {
-                what: "pipeline meta field",
-            })
-    };
-    let codec_at = |pos: usize| -> DecodeResult<LossyCodec> {
-        LossyCodec::from_bytes(
-            b.get(pos..pos.saturating_add(9))
-                .ok_or(DecodeError::Truncated {
-                    what: "pipeline meta codec",
-                })?,
-        )
-    };
-    let checked_shape = |dims: [usize; 3], what: &'static str| -> DecodeResult<Shape> {
-        // Shape::len multiplies the extents; a corrupt header must not
-        // make that overflow (or commit the decoder to absurd buffers).
-        let [d0, d1, d2] = dims;
-        d0.checked_mul(d1.max(1))
-            .and_then(|p| p.checked_mul(d2.max(1)))
-            .ok_or(DecodeError::Corrupt { what })?;
-        Ok(Shape { dims })
-    };
-    let dim = |i: usize| -> DecodeResult<usize> {
-        u32_at(23usize.saturating_add(4usize.saturating_mul(i))).map(|d| d as usize)
-    };
+    let mut r = ByteReader::new(b.get(..META_LEN).ok_or(DecodeError::Truncated {
+        what: "pipeline meta",
+    })?);
     Ok(Meta {
-        tag: byte_at(0)?,
-        param: u32_at(1)?,
-        orig: codec_at(5)?,
-        delta: codec_at(14)?,
-        shape: checked_shape([dim(0)?, dim(1)?, dim(2)?], "pipeline meta shape overflow")?,
-        aux_shape: checked_shape(
-            [dim(3)?, dim(4)?, dim(5)?],
-            "pipeline meta aux shape overflow",
-        )?,
-        scan_1d: byte_at(47)? != 0,
+        tag: r.u8("pipeline meta model tag")?,
+        param: r.u32("pipeline meta model param")?,
+        orig: LossyCodec::from_bytes(r.take(9, "pipeline meta codec")?)?,
+        delta: LossyCodec::from_bytes(r.take(9, "pipeline meta codec")?)?,
+        shape: r.shape("pipeline meta shape")?,
+        aux_shape: r.shape("pipeline meta aux shape")?,
+        scan_1d: r.u8("pipeline meta scan flag")? != 0,
     })
 }
 

@@ -6,7 +6,7 @@
 //! layout, so it can be written as a single object and parsed back
 //! without external framing.
 
-use lrm_compress::{DecodeError, DecodeResult};
+use lrm_compress::{ByteReader, DecodeError, DecodeResult};
 
 /// Magic bytes identifying an artifact stream.
 const MAGIC: &[u8; 4] = b"LRM1";
@@ -78,62 +78,27 @@ impl Artifact {
     /// Parses a buffer produced by [`Artifact::to_bytes`]. Returns a
     /// [`DecodeError`] on bad magic or truncation; never panics.
     pub fn from_bytes(data: &[u8]) -> DecodeResult<Self> {
-        if data.len() < 8 {
-            return Err(DecodeError::Truncated {
-                what: "artifact header",
-            });
-        }
-        if data.get(..4) != Some(MAGIC.as_slice()) {
+        let mut r = ByteReader::new(data);
+        let mut header = ByteReader::new(r.take(8, "artifact header")?);
+        if header.take(4, "artifact header")? != MAGIC {
             return Err(DecodeError::Corrupt {
                 what: "artifact magic",
             });
         }
-        let count = data
-            .get(4..8)
-            .and_then(|s| s.try_into().ok())
-            .map(|s: [u8; 4]| u32::from_le_bytes(s) as usize)
-            .ok_or(DecodeError::Truncated {
-                what: "artifact section count",
-            })?;
+        let count = header.u32("artifact section count")? as usize;
         // A section costs at least 12 bytes (name length + payload
         // length); cap the pre-allocation so a corrupt count cannot
         // trigger a huge allocation before the truncation is detected.
-        let mut pos = 8usize;
         let mut sections = Vec::with_capacity(count.min(data.len() / 12));
         for _ in 0..count {
-            let nlen = data
-                .get(pos..pos.saturating_add(4))
-                .and_then(|s| s.try_into().ok())
-                .map(|s: [u8; 4]| u32::from_le_bytes(s) as usize)
-                .ok_or(DecodeError::Truncated {
-                    what: "artifact name length",
-                })?;
-            pos += 4;
-            let name = std::str::from_utf8(data.get(pos..pos.saturating_add(nlen)).ok_or(
-                DecodeError::Truncated {
-                    what: "artifact section name",
-                },
-            )?)
-            .map_err(|_| DecodeError::Corrupt {
-                what: "artifact name not utf-8",
-            })?
-            .to_string();
-            pos += nlen;
-            let blen = data
-                .get(pos..pos.saturating_add(8))
-                .and_then(|s| s.try_into().ok())
-                .map(|s: [u8; 8]| u64::from_le_bytes(s) as usize)
-                .ok_or(DecodeError::Truncated {
-                    what: "artifact payload length",
-                })?;
-            pos += 8;
-            let bytes = data
-                .get(pos..pos.saturating_add(blen))
-                .ok_or(DecodeError::Truncated {
-                    what: "artifact section payload",
+            let nlen = r.u32("artifact name length")? as usize;
+            let name = std::str::from_utf8(r.take(nlen, "artifact section name")?)
+                .map_err(|_| DecodeError::Corrupt {
+                    what: "artifact name not utf-8",
                 })?
-                .to_vec();
-            pos += blen;
+                .to_string();
+            let blen = r.u64("artifact payload length")? as usize;
+            let bytes = r.take(blen, "artifact section payload")?.to_vec();
             sections.push((name, bytes));
         }
         Ok(Self { sections })

@@ -32,7 +32,7 @@
 //! * Version numbers only grow; decoders reject versions they don't
 //!   know rather than guessing at the layout.
 
-use lrm_compress::{DecodeError, DecodeResult};
+use lrm_compress::{ByteReader, DecodeError, DecodeResult};
 
 /// Magic bytes identifying a chunked artifact stream.
 const MAGIC: &[u8; 4] = b"LRMC";
@@ -86,7 +86,8 @@ impl ChunkedArtifact {
     }
 
     /// Appends a chunk. Chunks must be pushed in ascending `z_offset`
-    /// order — the decoder scatters them back by directory order.
+    /// order, tiling the field: the decoder joins them in directory
+    /// order and rejects any other directory.
     pub fn push(&mut self, entry: ChunkEntry, payload: Vec<u8>) {
         self.chunks.push((entry, payload));
     }
@@ -163,39 +164,26 @@ impl ChunkedArtifact {
                 )],
             });
         }
-        if b.len() < HEADER_LEN {
-            return Err(DecodeError::Truncated {
-                what: "chunked header",
-            });
-        }
-        if b.get(..4) != Some(MAGIC.as_slice()) {
+        let mut r = ByteReader::new(b);
+        let mut header = ByteReader::new(r.take(HEADER_LEN, "chunked header")?);
+        if header.take(4, "chunked header")? != MAGIC {
             return Err(DecodeError::Corrupt {
                 what: "chunked magic",
             });
         }
-        let u32_at = |pos: usize| -> DecodeResult<u32> {
-            b.get(pos..pos.saturating_add(4))
-                .and_then(|s| s.try_into().ok())
-                .map(u32::from_le_bytes)
-                .ok_or(DecodeError::Truncated {
-                    what: "chunked header field",
-                })
-        };
-        let version = b
-            .get(4..6)
-            .and_then(|s| s.try_into().ok())
-            .map(u16::from_le_bytes)
-            .ok_or(DecodeError::Truncated {
-                what: "chunked version",
-            })?;
+        let version = header.u16("chunked version")?;
         if version != FORMAT_VERSION {
             return Err(DecodeError::UnsupportedVersion {
                 found: version.min(u8::MAX as u16) as u8,
                 supported: FORMAT_VERSION as u8,
             });
         }
-        let global_dims = [u32_at(6)?, u32_at(10)?, u32_at(14)?];
-        let count = u32_at(18)? as usize;
+        let global_dims = [
+            header.u32("chunked header field")?,
+            header.u32("chunked header field")?,
+            header.u32("chunked header field")?,
+        ];
+        let count = header.u32("chunked header field")? as usize;
         if count > MAX_CHUNK_COUNT {
             return Err(DecodeError::Corrupt {
                 what: "chunked chunk count",
@@ -204,57 +192,25 @@ impl ChunkedArtifact {
 
         // The whole directory must also fit before anything is allocated,
         // so a corrupt count cannot trigger a huge up-front allocation.
-        let dir_len = count
-            .checked_mul(ENTRY_LEN)
-            .and_then(|d| d.checked_add(HEADER_LEN))
-            .ok_or(DecodeError::Corrupt {
-                what: "chunked directory size overflow",
-            })?;
-        if b.len() < dir_len {
-            return Err(DecodeError::Truncated {
-                what: "chunked directory",
-            });
-        }
-
-        let mut entries = Vec::with_capacity(count);
-        let mut lens = Vec::with_capacity(count);
-        for i in 0..count {
-            let pos = HEADER_LEN + i * ENTRY_LEN;
-            let tag = *b.get(pos + 16).ok_or(DecodeError::Truncated {
-                what: "chunked entry tag",
-            })?;
-            entries.push(ChunkEntry {
-                z_offset: u32_at(pos)?,
-                dims: [u32_at(pos + 4)?, u32_at(pos + 8)?, u32_at(pos + 12)?],
-                model_tag: tag,
-            });
-            let len = b
-                .get(pos.saturating_add(17)..pos.saturating_add(25))
-                .and_then(|s| s.try_into().ok())
-                .map(|s: [u8; 8]| u64::from_le_bytes(s) as usize)
-                .ok_or(DecodeError::Truncated {
-                    what: "chunked entry length",
-                })?;
-            lens.push(len);
-        }
-
-        let mut pos = dir_len;
+        let dir_len = count.checked_mul(ENTRY_LEN).ok_or(DecodeError::Corrupt {
+            what: "chunked directory size overflow",
+        })?;
+        let mut dir = ByteReader::new(r.take(dir_len, "chunked directory")?);
         let mut chunks = Vec::with_capacity(count);
-        for (entry, len) in entries.into_iter().zip(lens) {
-            let payload = b
-                .get(pos..pos.saturating_add(len))
-                .ok_or(DecodeError::Truncated {
-                    what: "chunked payload",
-                })?
-                .to_vec();
-            pos += len;
-            chunks.push((entry, payload));
+        for _ in 0..count {
+            let entry = ChunkEntry {
+                z_offset: dir.u32("chunked entry")?,
+                dims: [
+                    dir.u32("chunked entry")?,
+                    dir.u32("chunked entry")?,
+                    dir.u32("chunked entry")?,
+                ],
+                model_tag: dir.u8("chunked entry tag")?,
+            };
+            let len = dir.u64("chunked entry length")? as usize;
+            chunks.push((entry, r.take(len, "chunked payload")?.to_vec()));
         }
-        if pos != b.len() {
-            return Err(DecodeError::Corrupt {
-                what: "chunked trailing bytes",
-            });
-        }
+        r.finish("chunked trailing bytes")?;
         Ok(Self {
             global_dims,
             chunks,

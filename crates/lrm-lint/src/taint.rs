@@ -6,7 +6,8 @@
 //! summaries — from **sources** to **sinks**:
 //!
 //! * **Sources** (seed taint): `u*::from_le_bytes` / `from_be_bytes`,
-//!   the framed-reader accessors `.u8(`/`.u16(`/`.u32(`/`.u64(`, calls
+//!   the byte-reader accessors `.u8(`/`.u16(`/`.u32(`/`.u64(`, and
+//!   `.varint(` and `.shape(` (a length, a grid shape), calls
 //!   to `read_*` / `decode_*` / `decode` helpers (bit-level
 //!   `read_bit`/`read_bits` excepted — they yield symbols, not
 //!   lengths), the conventional `payload_len` name, and — inside
@@ -356,7 +357,7 @@ fn seeded(expr: &str) -> bool {
     if has_word(expr, "from_le_bytes") || has_word(expr, "from_be_bytes") {
         return true;
     }
-    for acc in [".u8(", ".u16(", ".u32(", ".u64("] {
+    for acc in [".u8(", ".u16(", ".u32(", ".u64(", ".varint(", ".shape("] {
         if expr.contains(acc) {
             return true;
         }

@@ -25,6 +25,22 @@ fn frame_body(payload_len: usize) -> Vec<u8> {
     vec![0u8; payload_len] //~ wire-alloc-unclamped
 }
 
+// Bad: the shared byte reader's varint and shape accessors seed taint
+// like its fixed-width ones.
+fn decode_table(r: &mut ByteReader) -> Result<(Vec<u16>, Vec<f64>), Error> {
+    let n = r.varint("table length")? as usize;
+    let shape = r.shape("table shape")?;
+    let table = Vec::with_capacity(n); //~ wire-alloc-unclamped
+    let grid = vec![0.0; shape.len()]; //~ wire-alloc-unclamped
+    Ok((table, grid))
+}
+
+// Bad: so does a length read as a `u64`.
+fn decode_section(r: &mut ByteReader) -> Vec<u8> {
+    let len = r.u64("section length")? as usize;
+    Vec::with_capacity(len) //~ wire-alloc-unclamped
+}
+
 // Good: `.min()` clamps before sizing.
 fn decode_clamped(count: u32) -> Vec<u8> {
     let n = (count as usize).min(MAX_SAMPLES);

@@ -37,7 +37,7 @@
 //! `crates/lrm-server/src/protocol.rs` is registered in `lint.toml`
 //! under both `[decode]` and `[wire]`.
 
-use lrm_compress::{DecodeError, DecodeResult, Shape};
+use lrm_compress::{ByteReader, DecodeError, DecodeResult, Shape};
 use lrm_core::{CompressionReport, LossyCodec, ReducedModelKind};
 
 /// Magic bytes opening every frame.
@@ -227,131 +227,13 @@ impl Frame {
 }
 
 // ---------------------------------------------------------------------------
-// Payload cursor
+// Shapes, samples and model tags
 // ---------------------------------------------------------------------------
-
-/// Bounds-checked cursor over a payload; every accessor returns a typed
-/// error instead of panicking.
-struct Reader<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(b: &'a [u8]) -> Self {
-        Self { b, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &'static str) -> DecodeResult<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(DecodeError::Corrupt { what })?;
-        let s = self
-            .b
-            .get(self.pos..end)
-            .ok_or(DecodeError::Truncated { what })?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &'static str) -> DecodeResult<u8> {
-        Ok(*self
-            .take(1, what)?
-            .first()
-            .ok_or(DecodeError::Truncated { what })?)
-    }
-
-    fn u16(&mut self, what: &'static str) -> DecodeResult<u16> {
-        self.take(2, what)?
-            .try_into()
-            .map(u16::from_le_bytes)
-            .map_err(|_| DecodeError::Truncated { what })
-    }
-
-    fn u32(&mut self, what: &'static str) -> DecodeResult<u32> {
-        self.take(4, what)?
-            .try_into()
-            .map(u32::from_le_bytes)
-            .map_err(|_| DecodeError::Truncated { what })
-    }
-
-    fn u64(&mut self, what: &'static str) -> DecodeResult<u64> {
-        self.take(8, what)?
-            .try_into()
-            .map(u64::from_le_bytes)
-            .map_err(|_| DecodeError::Truncated { what })
-    }
-
-    fn f64(&mut self, what: &'static str) -> DecodeResult<f64> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    /// Remaining bytes (consumes the cursor's tail).
-    fn rest(&mut self) -> &'a [u8] {
-        let s = self.b.get(self.pos..).unwrap_or(&[]);
-        self.pos = self.b.len();
-        s
-    }
-
-    /// Errors unless the payload was consumed exactly.
-    fn finish(&self, what: &'static str) -> DecodeResult<()> {
-        if self.pos == self.b.len() {
-            Ok(())
-        } else {
-            Err(DecodeError::Corrupt { what })
-        }
-    }
-}
-
-/// A grid shape as framed on the wire: 3 × `u32` extents, validated so
-/// the element count cannot overflow (nor commit the decoder to absurd
-/// buffers before the sample count is checked against the payload).
-fn decode_shape(r: &mut Reader<'_>) -> DecodeResult<Shape> {
-    let d0 = r.u32("shape extent")? as usize;
-    let d1 = r.u32("shape extent")? as usize;
-    let d2 = r.u32("shape extent")? as usize;
-    d0.checked_mul(d1.max(1))
-        .and_then(|p| p.checked_mul(d2.max(1)))
-        .ok_or(DecodeError::Corrupt {
-            what: "shape overflow",
-        })?;
-    Ok(Shape { dims: [d0, d1, d2] })
-}
 
 fn encode_shape(out: &mut Vec<u8>, shape: Shape) {
     for d in shape.dims {
         out.extend_from_slice(&(d as u32).to_le_bytes());
     }
-}
-
-/// Decodes the remaining payload as `shape.len()` LE `f64` samples.
-fn decode_samples(r: &mut Reader<'_>, shape: Shape) -> DecodeResult<Vec<f64>> {
-    let count = shape.len();
-    let nbytes = count.checked_mul(8).ok_or(DecodeError::Corrupt {
-        what: "sample count overflow",
-    })?;
-    let raw = r.take(nbytes, "field samples")?;
-    // Sized from bytes already in memory, not from the claimed count:
-    // `take` has bounds-checked `raw` against the real payload, so a
-    // hostile shape cannot commit the decoder to a larger buffer.
-    let mut data = Vec::with_capacity(raw.len() / 8);
-    for c in raw.chunks_exact(8) {
-        let bits = c
-            .try_into()
-            .map(u64::from_le_bytes)
-            .map_err(|_| DecodeError::Truncated {
-                what: "field sample",
-            })?;
-        data.push(f64::from_bits(bits));
-    }
-    if data.len() != count {
-        return Err(DecodeError::ShapeMismatch {
-            expected: count,
-            found: data.len(),
-        });
-    }
-    Ok(data)
 }
 
 fn encode_samples(out: &mut Vec<u8>, data: &[f64]) {
@@ -361,30 +243,16 @@ fn encode_samples(out: &mut Vec<u8>, data: &[f64]) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Reduced-model wire tags
-// ---------------------------------------------------------------------------
-
-/// Inverse of [`ReducedModelKind::tag`]. `DuoModel` (tag 3) is rejected:
+/// The model a request or reply names. `DuoModel` (tag 3) is rejected:
 /// it needs an auxiliary coarse field no request carries, and accepting
 /// it would put a panic within reach of the wire.
-pub fn model_from_tag(tag: u8, param: u32) -> DecodeResult<ReducedModelKind> {
-    match tag {
-        0 => Ok(ReducedModelKind::Direct),
-        1 => Ok(ReducedModelKind::OneBase),
-        2 => Ok(ReducedModelKind::MultiBase((param as usize).max(1))),
-        3 => Err(DecodeError::Corrupt {
+fn served_model(r: &mut ByteReader<'_>, what: &'static str) -> DecodeResult<ReducedModelKind> {
+    let tag = r.u8(what)?;
+    match ReducedModelKind::from_tag(tag, r.u32(what)?)? {
+        ReducedModelKind::DuoModel => Err(DecodeError::Corrupt {
             what: "DuoModel cannot be served (needs an aux field)",
         }),
-        4 => Ok(ReducedModelKind::Pca),
-        5 => Ok(ReducedModelKind::Svd),
-        6 => Ok(ReducedModelKind::Wavelet),
-        7 => Ok(ReducedModelKind::PcaBlocked((param as usize).max(1))),
-        8 => Ok(ReducedModelKind::SvdBlocked((param as usize).max(1))),
-        tag => Err(DecodeError::UnknownTag {
-            what: "reduced-model",
-            tag,
-        }),
+        model => Ok(model),
     }
 }
 
@@ -518,21 +386,19 @@ impl Request {
     /// defect is a typed [`DecodeError`]; this never panics on hostile
     /// bytes.
     pub fn decode(kind: u8, payload: &[u8]) -> DecodeResult<Request> {
-        let mut r = Reader::new(payload);
+        let mut r = ByteReader::new(payload);
         match kind {
             REQ_PING => Ok(Request::Ping {
                 echo: r.rest().to_vec(),
             }),
             REQ_COMPRESS => {
-                let tag = r.u8("compress model tag")?;
-                let param = r.u32("compress model param")?;
-                let model = model_from_tag(tag, param)?;
+                let model = served_model(&mut r, "compress model")?;
                 let orig = LossyCodec::from_bytes(r.take(9, "compress orig codec")?)?;
                 let delta = LossyCodec::from_bytes(r.take(9, "compress delta codec")?)?;
                 let scan_1d = r.u8("compress scan_1d flag")? != 0;
                 let chunks = r.u16("compress chunk count")?;
-                let shape = decode_shape(&mut r)?;
-                let data = decode_samples(&mut r, shape)?;
+                let shape = r.shape("field shape")?;
+                let data = r.f64s(shape.len(), "field samples")?;
                 r.finish("compress trailing bytes")?;
                 Ok(Request::Compress(CompressRequest {
                     model,
@@ -548,8 +414,8 @@ impl Request {
                 artifact: r.rest().to_vec(),
             }),
             REQ_FIELD_STATS => {
-                let shape = decode_shape(&mut r)?;
-                let data = decode_samples(&mut r, shape)?;
+                let shape = r.shape("field shape")?;
+                let data = r.f64s(shape.len(), "field samples")?;
                 r.finish("stats trailing bytes")?;
                 Ok(Request::FieldStats { shape, data })
             }
@@ -557,8 +423,8 @@ impl Request {
                 let exhaustive = r.u8("select exhaustive flag")? != 0;
                 let orig = LossyCodec::from_bytes(r.take(9, "select orig codec")?)?;
                 let delta = LossyCodec::from_bytes(r.take(9, "select delta codec")?)?;
-                let shape = decode_shape(&mut r)?;
-                let data = decode_samples(&mut r, shape)?;
+                let shape = r.shape("field shape")?;
+                let data = r.f64s(shape.len(), "field samples")?;
                 r.finish("select trailing bytes")?;
                 Ok(Request::SelectModel(SelectRequest {
                     exhaustive,
@@ -802,7 +668,7 @@ impl Response {
     /// defect is a typed [`DecodeError`]; this never panics on hostile
     /// bytes.
     pub fn decode(kind: u8, payload: &[u8]) -> DecodeResult<Response> {
-        let mut r = Reader::new(payload);
+        let mut r = ByteReader::new(payload);
         match kind {
             RESP_PONG => Ok(Response::Pong {
                 echo: r.rest().to_vec(),
@@ -819,8 +685,8 @@ impl Response {
                 })
             }
             RESP_DECOMPRESSED => {
-                let shape = decode_shape(&mut r)?;
-                let data = decode_samples(&mut r, shape)?;
+                let shape = r.shape("field shape")?;
+                let data = r.f64s(shape.len(), "field samples")?;
                 r.finish("decompressed trailing bytes")?;
                 Ok(Response::Decompressed { shape, data })
             }
@@ -837,17 +703,13 @@ impl Response {
                 Ok(Response::Stats(reply))
             }
             RESP_SELECTED => {
-                let tag = r.u8("selected winner tag")?;
-                let param = r.u32("selected winner param")?;
-                let winner = model_from_tag(tag, param)?;
+                let winner = served_model(&mut r, "selected winner")?;
                 let sampled = r.u8("selected sampled flag")? != 0;
                 let count = r.u16("selected trial count")? as usize;
                 let mut trials = Vec::with_capacity(count.min(1024));
                 for _ in 0..count {
-                    let tag = r.u8("trial model tag")?;
-                    let param = r.u32("trial model param")?;
                     trials.push(TrialReport {
-                        model: model_from_tag(tag, param)?,
+                        model: served_model(&mut r, "trial model")?,
                         raw_bytes: r.u64("trial raw bytes")?,
                         total_bytes: r.u64("trial total bytes")?,
                     });
@@ -1107,15 +969,19 @@ mod tests {
 
     #[test]
     fn duo_model_tag_is_rejected_on_the_wire() {
-        assert!(model_from_tag(3, 0).is_err());
+        let served = |tag: u8, param: u32| {
+            let mut b = vec![tag];
+            b.extend_from_slice(&param.to_le_bytes());
+            served_model(&mut ByteReader::new(&b), "model")
+        };
+        assert!(matches!(served(3, 0), Err(DecodeError::Corrupt { .. })));
         for tag in [0u8, 1, 2, 4, 5, 6, 7, 8] {
-            let model = model_from_tag(tag, 2).expect("tag");
-            assert_eq!(model.tag().0, tag);
+            assert_eq!(served(tag, 2).expect("tag").tag().0, tag);
         }
         // Tag 9 named the removed randomized SVD.
         for tag in [9u8, 42] {
             assert!(matches!(
-                model_from_tag(tag, 0),
+                served(tag, 0),
                 Err(DecodeError::UnknownTag { .. })
             ));
         }

@@ -10,9 +10,10 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use lrm_compress::{Codec, Sz};
 use lrm_core::{LossyCodec, Pipeline, PipelineConfig, ReducedModelKind};
-use lrm_datasets::Field;
-use lrm_io::Artifact;
+use lrm_datasets::{generate, DatasetKind, Field, SizeClass};
+use lrm_io::{Artifact, ChunkedArtifact};
 use lrm_server::protocol::{
     HEADER_LEN, REQ_COMPRESS, REQ_PING, RESP_ERR_MALFORMED, RESP_ERR_TOO_LARGE,
 };
@@ -147,6 +148,71 @@ fn u32_max_chunk_count_artifact_gets_typed_malformed() {
         other => panic!("expected Malformed frame, got {other:?}"),
     }
 
+    assert_eq!(conn.ping(b"alive").expect("ping"), b"alive");
+    conn.shutdown().expect("shutdown");
+    handle.join().expect("join");
+}
+
+/// Decompresses `artifact` over `conn` and requires a `Malformed` reply.
+fn assert_decompress_malformed(conn: &mut Connection, artifact: &[u8]) {
+    match conn.decompress(artifact) {
+        Err(ClientError::Server {
+            kind: ServerErrorKind::Malformed,
+            ..
+        }) => {}
+        other => panic!("expected Malformed frame, got {other:?}"),
+    }
+}
+
+#[test]
+fn chunk_directory_that_does_not_tile_the_field_gets_typed_malformed() {
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+
+    // A 16³ artifact in four chunks, re-framed without its last
+    // directory entry: decoding it would zero the last four planes.
+    let field = generate(DatasetKind::Heat3d, SizeClass::Tiny).full;
+    let bytes = Pipeline::builder().chunks(4).build().compress(&field).bytes;
+    let container = ChunkedArtifact::from_bytes(&bytes).expect("parse");
+    let mut crafted = ChunkedArtifact::new(container.global_dims);
+    for (e, p) in container.chunks().take(3) {
+        crafted.push(*e, p.to_vec());
+    }
+
+    let mut conn = Connection::open(addr).expect("open");
+    assert_decompress_malformed(&mut conn, &crafted.to_bytes());
+    assert_eq!(conn.ping(b"alive").expect("ping"), b"alive");
+    conn.shutdown().expect("shutdown");
+    handle.join().expect("join");
+}
+
+#[test]
+fn sz_stream_that_contradicts_the_meta_codec_gets_typed_malformed() {
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+
+    // A Direct artifact whose meta says SzRel(1e-5) but whose delta is
+    // an `Sz::absolute(1.0)` stream.
+    let field = generate(DatasetKind::Heat3d, SizeClass::Tiny).full;
+    let artifact = Pipeline::from_config(PipelineConfig::sz(ReducedModelKind::Direct))
+        .compress(&field)
+        .bytes;
+    let parsed = Artifact::from_bytes(&artifact).expect("parse");
+    let mut crafted = Artifact::new();
+    for (name, section) in parsed.sections() {
+        let section = match name {
+            "delta" => Sz::absolute(1.0).compress(&field.data, field.shape),
+            _ => section.to_vec(),
+        };
+        crafted.push(name, section);
+    }
+
+    let mut conn = Connection::open(addr).expect("open");
+    assert_decompress_malformed(&mut conn, &crafted.to_bytes());
     assert_eq!(conn.ping(b"alive").expect("ping"), b"alive");
     conn.shutdown().expect("shutdown");
     handle.join().expect("join");

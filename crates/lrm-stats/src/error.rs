@@ -4,8 +4,8 @@
 //! rate–distortion curves of compression ratio vs RMSE (Fig. 11). The
 //! SZ-like codec bounds error absolutely or relative to each block's
 //! largest magnitude; [`max_abs_error`] checks the first, and
-//! [`max_pointwise_rel_error`] measures the stricter per-point relative
-//! error.
+//! [`ErrorReport::compare`] also measures the stricter per-point
+//! relative error.
 //!
 //! Decoded data can carry NaN or infinity — a corrupt stream, an outlier
 //! path, or genuinely non-finite simulation output — and the metric layer
@@ -215,27 +215,6 @@ pub fn max_abs_error(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Maximum pointwise *relative* error `|a_i - b_i| / |a_i|`, skipping
-/// reference points whose magnitude is at or below `floor` (where
-/// relative error is ill-defined) and pairs with NaN/inf on either
-/// side. This is the error semantics of SZ's point-wise relative bound
-/// mode used throughout the paper's evaluation; use
-/// [`ErrorReport::compare`] when the skip counts matter.
-pub fn max_pointwise_rel_error(a: &[f64], b: &[f64], floor: f64) -> f64 {
-    assert_eq!(a.len(), b.len(), "max_pointwise_rel_error: length mismatch");
-    let mut worst: f64 = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        if !x.is_finite() || !y.is_finite() {
-            continue;
-        }
-        let xa = x.abs();
-        if xa > floor {
-            worst = worst.max((x - y).abs() / xa);
-        }
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,31 +269,35 @@ mod tests {
         assert!((max_abs_error(&a, &b) - 0.5).abs() < 1e-15);
     }
 
+    fn max_rel(a: &[f64], b: &[f64], floor: f64) -> f64 {
+        ErrorReport::compare(a, b, floor).expect("compare").max_rel
+    }
+
     #[test]
     fn rel_error_skips_tiny_reference_values() {
         let a = [1e-300, 10.0];
         let b = [1.0, 10.1];
-        let e = max_pointwise_rel_error(&a, &b, 1e-100);
+        let e = max_rel(&a, &b, 1e-100);
         assert!((e - 0.01).abs() < 1e-12, "e = {e}");
     }
 
     #[test]
     fn rel_error_zero_for_identical() {
         let a = [5.0, -5.0];
-        assert_eq!(max_pointwise_rel_error(&a, &a, 0.0), 0.0);
+        assert_eq!(max_rel(&a, &a, 0.0), 0.0);
     }
 
     #[test]
     fn rel_error_with_zero_reference_is_finite() {
-        // The pre-fix behavior: a zero reference with floor 0 produced
-        // 0/0 = NaN (identical) or inf (differing) and poisoned `worst`.
+        // A zero reference with floor 0 must be skipped, not divided by:
+        // 0/0 = NaN (identical) or inf (differing) would poison the max.
         let a = [0.0, 10.0];
         let b = [0.0, 10.1];
-        let e = max_pointwise_rel_error(&a, &b, 0.0);
+        let e = max_rel(&a, &b, 0.0);
         assert!(e.is_finite());
         assert!((e - 0.01).abs() < 1e-12, "e = {e}");
         let b2 = [0.5, 10.1];
-        assert!(max_pointwise_rel_error(&a, &b2, 0.0).is_finite());
+        assert!(max_rel(&a, &b2, 0.0).is_finite());
     }
 
     #[test]
@@ -324,7 +307,7 @@ mod tests {
         assert!((mse(&a, &b) - 0.125).abs() < 1e-15);
         assert!(mse(&a, &b).is_finite());
         assert!((max_abs_error(&a, &b) - 0.5).abs() < 1e-15);
-        assert!(max_pointwise_rel_error(&a, &b, 0.0).is_finite());
+        assert!(max_rel(&a, &b, 0.0).is_finite());
         assert!(nrmse(&a, &b).is_finite());
         assert!(psnr(&a, &b).is_finite());
     }
@@ -349,7 +332,8 @@ mod tests {
         assert!((r.mse - mse(&a, &b)).abs() < 1e-15);
         assert!((r.rmse - rmse(&a, &b)).abs() < 1e-15);
         assert!((r.max_abs - max_abs_error(&a, &b)).abs() < 1e-15);
-        assert!((r.max_rel - max_pointwise_rel_error(&a, &b, 0.0)).abs() < 1e-15);
+        // Worst relative error is at index 0 (0.1 / 1) and 3 (0.4 / 4).
+        assert!((r.max_rel - 0.1).abs() < 1e-15, "max_rel = {}", r.max_rel);
     }
 
     #[test]

@@ -23,9 +23,7 @@ pub mod verify;
 
 pub use bytes::{byte_entropy, byte_mean, bytes_of, serial_correlation};
 pub use cdf::{ks_distance, EmpiricalCdf};
-pub use error::{
-    max_abs_error, max_pointwise_rel_error, mse, nrmse, psnr, rmse, ErrorReport, StatsError,
-};
+pub use error::{max_abs_error, mse, nrmse, psnr, rmse, ErrorReport, StatsError};
 pub use moments::{max, mean, min, variance, Summary};
 pub use verify::{Bound, BoundReport};
 

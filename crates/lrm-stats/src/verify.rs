@@ -11,14 +11,6 @@
 pub enum Bound {
     /// `|a - b| <= e` everywhere.
     Absolute(f64),
-    /// `|a - b| <= rel * |a|` pointwise (points with `|a|` below the
-    /// floor are checked absolutely against `rel * floor`).
-    Relative {
-        /// The relative tolerance.
-        rel: f64,
-        /// Magnitude floor below which the check switches to absolute.
-        floor: f64,
-    },
 }
 
 use crate::error::StatsError;
@@ -49,12 +41,9 @@ impl BoundReport {
         let mut worst_index = 0usize;
         let mut sum = 0.0f64;
         let mut violations = 0usize;
+        let Bound::Absolute(allowed) = bound;
         for (i, (&a, &b)) in orig.iter().zip(recon).enumerate() {
             let err = (a - b).abs();
-            let allowed = match bound {
-                Bound::Absolute(e) => e,
-                Bound::Relative { rel, floor } => rel * a.abs().max(floor),
-            };
             let u = if allowed > 0.0 {
                 err / allowed
             } else if err == 0.0 {
@@ -124,23 +113,6 @@ mod tests {
         assert_eq!(r.worst_index, 3);
         assert!((r.worst_utilization - 2.0).abs() < 1e-12);
         assert!(!r.holds());
-    }
-
-    #[test]
-    fn relative_bound_report() {
-        let orig = [100.0, 0.001];
-        let recon = [100.5, 0.0011];
-        let r = BoundReport::check(
-            &orig,
-            &recon,
-            Bound::Relative {
-                rel: 0.01,
-                floor: 1e-6,
-            },
-        );
-        // 0.5/1.0 = 0.5 and 1e-4/1e-5 = 10 -> violation at index 1.
-        assert_eq!(r.violations, 1);
-        assert_eq!(r.worst_index, 1);
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! delta-varint positions plus raw values, which is the storage cost
 //! Fig. 9 compares against PCA's and SVD's factors.
 
+use lrm_compress::lossless::encode_uvarint;
+use lrm_compress::ByteReader;
+
 /// A sparse view of a row-major matrix: sorted linear positions plus
 /// values.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,18 +77,8 @@ impl SparseMatrix {
         out.extend_from_slice(&(self.nnz() as u64).to_le_bytes());
         let mut prev = 0u64;
         for &p in &self.positions {
-            let delta = p - prev;
+            encode_uvarint(p - prev, &mut out);
             prev = p;
-            let mut v = delta;
-            loop {
-                let byte = (v & 0x7f) as u8;
-                v >>= 7;
-                if v == 0 {
-                    out.push(byte);
-                    break;
-                }
-                out.push(byte | 0x80);
-            }
         }
         for &v in &self.values {
             out.extend_from_slice(&v.to_le_bytes());
@@ -97,44 +90,25 @@ impl SparseMatrix {
     /// input, including a position that overflows or falls outside the
     /// grid (an empty grid holds no position).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let rows = u32::from_le_bytes(bytes.get(0..4)?.try_into().ok()?) as usize;
-        let cols = u32::from_le_bytes(bytes.get(4..8)?.try_into().ok()?) as usize;
-        let nnz = u64::from_le_bytes(bytes.get(8..16)?.try_into().ok()?) as usize;
+        let mut r = ByteReader::new(bytes);
+        let rows = r.u32("sparse rows").ok()? as usize;
+        let cols = r.u32("sparse cols").ok()? as usize;
+        let nnz = r.u64("sparse entry count").ok()? as usize;
         // Every entry costs at least 9 bytes (1 varint byte + 8 value
         // bytes); reject impossible counts before allocating for them.
         if nnz > bytes.len() {
             return None;
         }
-        let mut pos = 16usize;
         let mut positions = Vec::with_capacity(nnz);
         let mut prev = 0u64;
         for _ in 0..nnz {
-            let mut v = 0u64;
-            let mut shift = 0u32;
-            loop {
-                let &b = bytes.get(pos)?;
-                pos += 1;
-                if shift >= 64 {
-                    return None;
-                }
-                v |= ((b & 0x7f) as u64) << shift;
-                if b & 0x80 == 0 {
-                    break;
-                }
-                shift += 7;
-            }
-            prev = prev.checked_add(v)?;
+            prev = prev.checked_add(r.varint("sparse position").ok()?)?;
             if prev >= (rows * cols) as u64 {
                 return None;
             }
             positions.push(prev);
         }
-        let mut values = Vec::with_capacity(nnz);
-        for _ in 0..nnz {
-            let b = bytes.get(pos..pos.checked_add(8)?)?;
-            values.push(f64::from_le_bytes(b.try_into().ok()?));
-            pos += 8;
-        }
+        let values = r.f64s(nnz, "sparse values").ok()?;
         Some(Self {
             rows,
             cols,

@@ -1,11 +1,12 @@
 //! Robustness integration tests: corrupt inputs, adversarial fields, and
 //! failure-injection around the pipeline's parsing layers.
 
+use lrm::compress::{Codec, Sz};
 use lrm::core::{
     DecodeError, LossyCodec, Pipeline, PipelineConfig, PreconditionedArtifact, ReducedModelKind,
 };
-use lrm::datasets::Field;
-use lrm::io::Artifact;
+use lrm::datasets::{generate, DatasetKind, Field, SizeClass};
+use lrm::io::{Artifact, ChunkEntry, ChunkedArtifact};
 use lrm_compress::Shape;
 
 fn compress(field: &Field, cfg: &PipelineConfig) -> PreconditionedArtifact {
@@ -373,6 +374,66 @@ fn duo_model_with_an_empty_coarse_field_is_corrupt() {
         assert!(
             matches!(got, Err(DecodeError::Corrupt { .. })),
             "{orig:?}: {:?}",
+            got.map(|(data, shape)| (data.len(), shape))
+        );
+    }
+}
+
+#[test]
+fn chunked_directory_that_does_not_tile_the_field_is_corrupt() {
+    // A 16³ Direct artifact written as four 4-plane chunks. Each crafted
+    // directory keeps the global dims and points at real chunk payloads;
+    // decoding any of them would leave planes of made-up zeros.
+    let field = generate(DatasetKind::Heat3d, SizeClass::Tiny).full;
+    let pipeline = Pipeline::builder().chunks(4).build();
+    let bytes = pipeline.compress(&field).bytes;
+    let container = ChunkedArtifact::from_bytes(&bytes).expect("parse");
+    assert_eq!(container.len(), 4);
+    let chunks: Vec<(ChunkEntry, &[u8])> = container.chunks().map(|(e, p)| (*e, p)).collect();
+    let entry = |z_offset, nz| ChunkEntry {
+        z_offset,
+        dims: [16, 16, nz],
+        ..chunks[0].0
+    };
+    let crafted = [
+        ("last entry dropped", vec![chunks[0], chunks[1], chunks[2]]),
+        (
+            "chunk 0 listed twice",
+            vec![chunks[0], chunks[0], chunks[1], chunks[2]],
+        ),
+        (
+            "entries that claim 8 planes each",
+            vec![(entry(0, 8), chunks[0].1), (entry(8, 8), chunks[2].1)],
+        ),
+    ];
+    for (what, parts) in crafted {
+        let mut c = ChunkedArtifact::new(container.global_dims);
+        for (e, p) in parts {
+            c.push(e, p.to_vec());
+        }
+        let got = pipeline.reconstruct(&c.to_bytes());
+        assert!(
+            matches!(got, Err(DecodeError::Corrupt { .. })),
+            "{what}: {:?}",
+            got.map(|(data, shape)| (data.iter().filter(|v| **v == 0.0).count(), shape))
+        );
+    }
+}
+
+#[test]
+fn sz_stream_that_contradicts_the_meta_codec_is_corrupt() {
+    // The meta names SzRel(1e-5) for this Direct artifact; its delta
+    // section is swapped for SZ streams under another mode or bound.
+    let field = generate(DatasetKind::Heat3d, SizeClass::Tiny).full;
+    let art = compress(&field, &PipelineConfig::sz(ReducedModelKind::Direct));
+    for sz in [Sz::absolute(1.0), Sz::block_rel(1e-3)] {
+        let delta = sz.compress(&field.data, field.shape);
+        let got = Pipeline::builder()
+            .build()
+            .reconstruct(&with_section(&art.bytes, "delta", &delta));
+        assert!(
+            matches!(got, Err(DecodeError::Corrupt { .. })),
+            "{sz:?}: {:?}",
             got.map(|(data, shape)| (data.len(), shape))
         );
     }
