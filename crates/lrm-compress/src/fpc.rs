@@ -9,10 +9,19 @@
 //!
 //! The paper runs FPC at *level 20 with a 2^24-byte table*; [`Fpc::new`]
 //! takes the same level parameter (log2 of table entries).
+//!
+//! Both tables start every call all zero, but a call pays for its data,
+//! not for its tables. Each thread keeps one pair of tables for levels up
+//! to 20 (`KEPT_LEVEL`), and a call at such a level uses their prefix.
+//! Afterwards it zeroes the slots it wrote by replaying its hash
+//! sequence. Only then does the pair go back to the thread: a call that
+//! returns an error or unwinds drops it instead. Levels 21–24 allocate
+//! their tables per call.
 
 use crate::bitstream::ByteReader;
 use crate::error::{DecodeError, DecodeResult};
 use crate::{Codec, Shape};
+use std::cell::Cell;
 
 /// FPC codec with a configurable table size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +52,21 @@ impl Fpc {
     }
 }
 
+/// Highest level whose predictor tables a thread keeps between calls:
+/// the paper's level 20, two tables of 8 MiB. A call above it allocates
+/// its own pair, so a request naming level 24 cannot pin 256 MiB on every
+/// thread that ever served one.
+const KEPT_LEVEL: u32 = 20;
+
+thread_local! {
+    /// This thread's FCM and DFCM tables for levels up to [`KEPT_LEVEL`].
+    /// They are all zero whenever they sit here: a call takes them out
+    /// and puts them back only once it has zeroed what it wrote, so a
+    /// call that returns an error or unwinds drops them, and the next
+    /// call starts from fresh tables.
+    static KEPT: Cell<Option<(Vec<u64>, Vec<u64>)>> = const { Cell::new(None) };
+}
+
 struct Predictors {
     fcm: Vec<u64>,
     dfcm: Vec<u64>,
@@ -53,10 +77,22 @@ struct Predictors {
 }
 
 impl Predictors {
+    /// Predictors over all-zero tables of at least `entries` slots, of
+    /// which the first `entries` are used: this thread's kept tables when
+    /// they are large enough, else a fresh pair.
     fn new(entries: usize) -> Self {
+        let kept = if entries <= 1 << KEPT_LEVEL {
+            KEPT.try_with(Cell::take).ok().flatten()
+        } else {
+            None
+        };
+        let (fcm, dfcm) = match kept {
+            Some((fcm, dfcm)) if fcm.len() >= entries => (fcm, dfcm),
+            _ => (vec![0; entries], vec![0; entries]),
+        };
         Self {
-            fcm: vec![0; entries],
-            dfcm: vec![0; entries],
+            fcm,
+            dfcm,
             fcm_hash: 0,
             dfcm_hash: 0,
             last: 0,
@@ -77,12 +113,36 @@ impl Predictors {
     /// and decode paths).
     #[inline]
     fn update(&mut self, val: u64) {
-        self.fcm[self.fcm_hash] = val;
-        self.fcm_hash = ((self.fcm_hash << 6) ^ (val >> 48) as usize) & self.mask;
         let delta = val.wrapping_sub(self.last);
+        self.fcm[self.fcm_hash] = val;
         self.dfcm[self.dfcm_hash] = delta;
+        self.advance(val, delta);
+    }
+
+    /// Moves both hashes, and the last value, past `val`.
+    #[inline]
+    fn advance(&mut self, val: u64, delta: u64) {
+        self.fcm_hash = ((self.fcm_hash << 6) ^ (val >> 48) as usize) & self.mask;
         self.dfcm_hash = ((self.dfcm_hash << 2) ^ (delta >> 40) as usize) & self.mask;
         self.last = val;
+    }
+
+    /// Zeroes what feeding `values` from the start wrote, and gives the
+    /// tables back to this thread if their level is kept.
+    fn release(mut self, values: &[f64]) {
+        if self.mask + 1 > 1 << KEPT_LEVEL {
+            return;
+        }
+        // The same hash sequence as the call, writing zeros.
+        (self.fcm_hash, self.dfcm_hash, self.last) = (0, 0, 0);
+        for v in values {
+            let val = v.to_bits();
+            self.fcm[self.fcm_hash] = 0;
+            self.dfcm[self.dfcm_hash] = 0;
+            self.advance(val, val.wrapping_sub(self.last));
+        }
+        let Self { fcm, dfcm, .. } = self;
+        let _ = KEPT.try_with(|kept| kept.set(Some((fcm, dfcm))));
     }
 }
 
@@ -142,6 +202,7 @@ impl Codec for Fpc {
             }
             pred.update(val);
         }
+        pred.release(data);
 
         let mut out = Vec::with_capacity(8 + headers.len() + residuals.len());
         out.extend_from_slice(&(n as u64).to_le_bytes());
@@ -191,6 +252,7 @@ impl Codec for Fpc {
             out.push(f64::from_bits(val));
             pred.update(val);
         }
+        pred.release(&out);
         Ok(out)
     }
 }
@@ -326,6 +388,67 @@ mod tests {
         let f = Fpc::new(18);
         let shape = Shape::d1(4000);
         assert!(f.ratio(&ramp, shape) > 1.5 * f.ratio(&noise, shape));
+    }
+
+    /// Slots in this thread's kept FCM table, if it holds one.
+    fn kept_entries() -> Option<usize> {
+        let kept = KEPT.with(Cell::take);
+        let entries = kept.as_ref().map(|(fcm, _)| fcm.len());
+        KEPT.with(|k| k.set(kept));
+        entries
+    }
+
+    #[test]
+    fn no_table_state_crosses_calls_on_one_thread() {
+        // Interleaved levels and lengths on this thread: a level-12 call
+        // on the prefix of level-20 tables, a level-12 call with more
+        // values than slots, 2^18 values at level 20, level 24 between
+        // them, and now and then a decode that fails partway. Every
+        // stream must equal the one a fresh thread writes, and decode
+        // back bit for bit.
+        let mut rng = lrm_rng::Rng64::new(16);
+        let smooth: Vec<f64> = (0..1 << 18).map(|i| (i as f64 * 0.01).sin()).collect();
+        let noisy: Vec<f64> = (0..5000).map(|_| rng.any_f64_bits()).collect();
+        // (level, values, end with a decode that fails partway)
+        let calls: [(u32, &[f64], bool); 9] = [
+            (12, &noisy[..100], false),
+            (20, &noisy, false),
+            (24, &smooth[..3000], false),
+            (12, &noisy, true),
+            (20, &smooth, false),
+            (12, &smooth[..700], false),
+            (24, &noisy, false),
+            (20, &noisy[..4000], true),
+            (12, &noisy[..900], false),
+        ];
+        for (level, data, fail) in calls {
+            let f = Fpc::new(level);
+            let shape = Shape::d1(data.len());
+            let fresh = std::thread::scope(|s| s.spawn(|| f.compress(data, shape)).join())
+                .expect("fresh thread");
+            // A compress after the previous call, a decode after the
+            // compress, and a compress after the decode.
+            let c = f.compress(data, shape);
+            assert_eq!(c, fresh, "level {level}, {} values", data.len());
+            let d = f.decompress(&c, shape).expect("decode");
+            assert!(data.iter().zip(&d).all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert_eq!(f.compress(data, shape), fresh, "level {level}");
+
+            // Levels 12 and 20 leave tables at least their size with the
+            // thread; level 24 leaves none larger than level 20's.
+            let kept = kept_entries().expect("kept tables");
+            if level == 24 {
+                assert!(kept <= 1 << 20, "{kept} slots kept");
+            } else {
+                assert!(kept >= 1 << level, "{kept} slots kept");
+            }
+            if fail {
+                // Out of residual bytes at the last value, after nearly
+                // every slot was written: the tables are dropped.
+                assert!(f.decompress(&c[..c.len() - 1], shape).is_err());
+                assert_eq!(kept_entries(), None, "level {level}");
+            }
+        }
     }
 
     #[test]

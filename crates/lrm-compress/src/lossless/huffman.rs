@@ -9,9 +9,16 @@
 //! preserved as [`crate::reference::huffman_decode_ref`] and the two are
 //! held byte-identical by the `kernel_equivalence` suite):
 //!
-//! * frequencies are counted in a dense array when the alphabet is small
-//!   (the SZ quant-code case: symbols fit in `2^16 + 1`), with a
-//!   `HashMap` fallback for arbitrary `u64` symbols;
+//! * code lengths come from a two-queue construction over index arrays
+//!   (leaves sorted once, internal nodes queued in creation order) that
+//!   pops nodes in exactly the order of the original binary heap, so the
+//!   tree is the same;
+//! * when the alphabet is small (the SZ quant-code case: symbols fit in
+//!   `2^16 + 1`), frequencies are counted, and symbols mapped to codes,
+//!   through one per-thread table that is all zero between calls; a call
+//!   touches only the slots of the symbols it holds, so it costs
+//!   O(n + d log d) for `n` symbols with `d` distinct. Arbitrary `u64`
+//!   symbols fall back to a `HashMap`;
 //! * codes are pre-reversed once so each symbol is emitted with a single
 //!   `write_bits` call instead of a per-bit loop (the wire stays MSB-first
 //!   within each code, as before);
@@ -23,7 +30,7 @@
 use super::varint::{decode_uvarint, encode_uvarint};
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error::{DecodeError, DecodeResult};
-use std::collections::BinaryHeap;
+use std::cell::Cell;
 use std::collections::HashMap;
 
 /// Maximum admitted code length. Frequencies are flattened and the tree is
@@ -36,9 +43,10 @@ const MAX_CODE_LEN: u32 = 48;
 /// in practice (the hot central bins are 1..~12 bits long).
 const TABLE_BITS: u32 = 11;
 
-/// Alphabets whose max symbol is below this use dense-array frequency
-/// counting and a dense symbol→code map (SZ quant codes max out at
-/// `2^16 + 1` under SZ's 16-bit quantizer, well within range).
+/// Alphabets whose max symbol is below this are counted and coded through
+/// a per-thread dense table of this many `u64` slots, 1 MiB (SZ quant
+/// codes max out at `2^16 + 1` under SZ's 16-bit quantizer, well within
+/// range).
 const DENSE_LIMIT: u64 = 1 << 17;
 
 /// Reverses the low `len` (>= 1) bits of `code`. Codes are assigned
@@ -52,90 +60,74 @@ fn rev_code(code: u64, len: u32) -> u64 {
 }
 
 /// Computes Huffman code lengths for `freqs` (symbol, count) pairs sorted
-/// by symbol, using a standard heap construction. Sorted input keeps the
-/// heap tie-break ids — and therefore the emitted bytes — deterministic.
+/// by symbol.
+///
+/// Node `i < freqs.len()` is the leaf `freqs[i]`; internal nodes take the
+/// next ids in creation order, and every merge pops the two nodes least
+/// in (weight, id) order. Leaves are sorted by that key once. Internal
+/// nodes are created with non-decreasing weights and rising ids, so they
+/// queue in that order already, and the lesser of the two queue heads is
+/// the node a binary heap would pop. The tree, and so every emitted byte,
+/// is that of the heap construction kept as
+/// [`crate::reference::code_lengths_ref`].
 fn code_lengths(freqs: &[(u64, u64)]) -> Vec<(u64, u32)> {
-    #[derive(PartialEq, Eq)]
-    struct Node {
-        weight: u64,
-        // Tie-break on id for determinism.
-        id: usize,
-        kind: NodeKind,
-    }
-    #[derive(PartialEq, Eq)]
-    enum NodeKind {
-        Leaf(u64),
-        Internal(Box<Node>, Box<Node>),
-    }
-    impl Ord for Node {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // BinaryHeap is a max-heap; invert for min-heap behaviour.
-            other
-                .weight
-                .cmp(&self.weight)
-                .then_with(|| other.id.cmp(&self.id))
-        }
-    }
-    impl PartialOrd for Node {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
     debug_assert!(freqs.windows(2).all(|w| w[0].0 < w[1].0));
-    let mut lengths = Vec::new();
-    if freqs.is_empty() {
-        return lengths;
-    }
-    if let [(s, _)] = freqs {
-        lengths.push((*s, 1));
-        return lengths;
+    let n = freqs.len();
+    if n <= 1 {
+        return freqs.iter().map(|&(s, _)| (s, 1)).collect();
     }
 
     let mut scale = 0u32;
     loop {
-        let mut heap: BinaryHeap<Node> = BinaryHeap::new();
-        let mut id = 0;
-        for &(s, w) in freqs {
-            heap.push(Node {
-                weight: (w >> scale).max(1),
-                id,
-                kind: NodeKind::Leaf(s),
-            });
-            id += 1;
-        }
-        while heap.len() > 1 {
-            let (Some(a), Some(b)) = (heap.pop(), heap.pop()) else {
-                break;
-            };
-            heap.push(Node {
-                weight: a.weight + b.weight,
-                id,
-                kind: NodeKind::Internal(Box::new(a), Box::new(b)),
-            });
-            id += 1;
-        }
-        let Some(root) = heap.pop() else {
-            return lengths;
-        };
-        lengths.clear();
-        let mut max_depth = 0;
-        // Iterative DFS to assign depths.
-        let mut stack = vec![(&root, 0u32)];
-        while let Some((node, depth)) = stack.pop() {
-            match &node.kind {
-                NodeKind::Leaf(s) => {
-                    lengths.push((*s, depth.max(1)));
-                    max_depth = max_depth.max(depth);
+        let mut leaves: Vec<(u64, usize)> = freqs
+            .iter()
+            .enumerate()
+            .map(|(id, &(_, w))| ((w >> scale).max(1), id))
+            .collect();
+        leaves.sort_unstable();
+        // Internal node `n + j` is `merged[j]`: its weight and children.
+        let mut merged: Vec<(u64, [usize; 2])> = Vec::with_capacity(n - 1);
+        let (mut next_leaf, mut next_merged) = (0, 0);
+        let mut pop = |merged: &[(u64, [usize; 2])]| {
+            let leaf = leaves.get(next_leaf).copied();
+            let inner = merged.get(next_merged).map(|&(w, _)| (w, n + next_merged));
+            match (leaf, inner) {
+                (Some(l), Some(m)) if m < l => {
+                    next_merged += 1;
+                    Some(m)
                 }
-                NodeKind::Internal(a, b) => {
-                    stack.push((a, depth + 1));
-                    stack.push((b, depth + 1));
+                (Some(l), _) => {
+                    next_leaf += 1;
+                    Some(l)
+                }
+                (None, m) => {
+                    next_merged += 1;
+                    m
                 }
             }
+        };
+        while merged.len() < n - 1 {
+            let (Some((wa, a)), Some((wb, b))) = (pop(&merged), pop(&merged)) else {
+                break;
+            };
+            merged.push((wa + wb, [a, b]));
         }
+        // A node is created after its children, so walking the internal
+        // nodes from the root down sets each depth before it is read.
+        let mut depth = vec![0u32; n + merged.len()];
+        for (j, &(_, kids)) in merged.iter().enumerate().rev() {
+            let d = depth[n + j] + 1;
+            for k in kids {
+                depth[k] = d;
+            }
+        }
+        let max_depth = depth[..n].iter().copied().max().unwrap_or(0);
         if max_depth <= MAX_CODE_LEN {
-            return lengths;
+            return freqs
+                .iter()
+                .zip(&depth)
+                .map(|(&(s, _), &d)| (s, d))
+                .collect();
         }
         scale += 4; // flatten the distribution and retry
     }
@@ -158,80 +150,105 @@ fn canonical_codes(lengths: &[(u64, u32)]) -> Vec<(u64, u64, u32)> {
     out
 }
 
+thread_local! {
+    /// This thread's `DENSE_LIMIT`-slot table for [`huffman_encode`]. It
+    /// is all zero whenever it sits here: a call takes it out and puts it
+    /// back only once it has zeroed the slots it used, so an unwinding
+    /// call drops it and the next call starts from a fresh one.
+    static DENSE_SLOTS: Cell<Option<Vec<u64>>> = const { Cell::new(None) };
+}
+
 /// Encodes `symbols` into a self-describing Huffman stream.
 ///
 /// Layout: `nsyms` uvarint, then `nsyms` × (symbol uvarint, length uvarint),
 /// then `count` uvarint, then the bit-packed code stream.
+///
+/// An alphabet below `DENSE_LIMIT` (every SZ quantization code) is counted
+/// and coded through this thread's dense slot table, touching only the
+/// slots of the symbols it holds: the cost is O(n + d log d) for `n`
+/// symbols of which `d` are distinct. Larger symbols go through maps.
 pub fn huffman_encode(symbols: &[u64]) -> Vec<u8> {
-    // Frequency counting, sorted by symbol either way: dense array for
-    // small alphabets (the SZ quant-code path), HashMap for arbitrary u64.
-    let max_sym = symbols.iter().copied().max();
-    let freqs: Vec<(u64, u64)> = match max_sym {
-        None => Vec::new(),
-        Some(max_sym) if max_sym < DENSE_LIMIT => {
-            let mut counts = vec![0u64; max_sym as usize + 1];
-            for &s in symbols {
-                // lint:allow(no-index): s <= max_sym by the max() scan above
-                counts[s as usize] += 1;
-            }
-            counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(s, &c)| (s as u64, c))
-                .collect()
-        }
-        Some(_) => {
-            let mut map: HashMap<u64, u64> = HashMap::new();
-            for &s in symbols {
-                *map.entry(s).or_insert(0) += 1;
-            }
-            let mut v: Vec<(u64, u64)> = map.into_iter().collect();
-            v.sort_unstable();
-            v
-        }
-    };
-    let lengths = code_lengths(&freqs);
-    let table = canonical_codes(&lengths);
+    if symbols.iter().any(|&s| s >= DENSE_LIMIT) {
+        return encode_sparse(symbols);
+    }
+    let mut slots = DENSE_SLOTS
+        .try_with(Cell::take)
+        .ok()
+        .flatten()
+        .unwrap_or_else(|| vec![0; DENSE_LIMIT as usize]);
+    let out = encode_dense(symbols, &mut slots);
+    // `encode_dense` left every slot zero again.
+    let _ = DENSE_SLOTS.try_with(|t| t.set(Some(slots)));
+    out
+}
 
+/// [`huffman_encode`] over symbols below `DENSE_LIMIT`. `slots` is all
+/// zero on entry and on return; in between, the slot of each symbol seen
+/// holds its count, then its packed code `(reversed code << 6) | length`.
+fn encode_dense(symbols: &[u64], slots: &mut [u64]) -> Vec<u8> {
+    let mut seen = Vec::new();
+    for &s in symbols {
+        let slot = &mut slots[s as usize];
+        if *slot == 0 {
+            seen.push(s);
+        }
+        *slot += 1;
+    }
+    seen.sort_unstable();
+    let freqs: Vec<(u64, u64)> = seen.iter().map(|&s| (s, slots[s as usize])).collect();
+    let table = canonical_codes(&code_lengths(&freqs));
+    for &(s, c, l) in &table {
+        slots[s as usize] = (rev_code(c, l) << 6) | l as u64;
+    }
+    let out = write_stream(symbols, &table, |s| {
+        let packed = slots[s as usize];
+        (packed >> 6, (packed & 63) as u32)
+    });
+    for &s in &seen {
+        slots[s as usize] = 0;
+    }
+    out
+}
+
+/// [`huffman_encode`] over arbitrary `u64` symbols, counted and coded
+/// through maps.
+fn encode_sparse(symbols: &[u64]) -> Vec<u8> {
+    let mut counts: HashMap<u64, u64> = HashMap::new();
+    for &s in symbols {
+        *counts.entry(s).or_insert(0) += 1;
+    }
+    let mut freqs: Vec<(u64, u64)> = counts.into_iter().collect();
+    freqs.sort_unstable();
+    let table = canonical_codes(&code_lengths(&freqs));
+    let codes: HashMap<u64, (u64, u32)> = table
+        .iter()
+        .map(|&(s, c, l)| (s, (rev_code(c, l), l)))
+        .collect();
+    write_stream(symbols, &table, |s| {
+        codes.get(&s).copied().unwrap_or((0, 0))
+    })
+}
+
+/// Writes the stream of `symbols` under the canonical `table`;
+/// `code_of` gives a symbol's bit-reversed code and its length, so each
+/// symbol is one `write_bits` call.
+fn write_stream(
+    symbols: &[u64],
+    table: &[(u64, u64, u32)],
+    code_of: impl Fn(u64) -> (u64, u32),
+) -> Vec<u8> {
     let mut out = Vec::new();
     encode_uvarint(table.len() as u64, &mut out);
-    for &(sym, _, len) in &table {
+    for &(sym, _, len) in table {
         encode_uvarint(sym, &mut out);
         encode_uvarint(len as u64, &mut out);
     }
     encode_uvarint(symbols.len() as u64, &mut out);
 
-    // Symbol → (bit-reversed code, length), dense-indexed when possible so
-    // the emission loop is a load plus one write_bits call per symbol.
-    let dense_map: Option<Vec<(u64, u32)>> = match max_sym {
-        Some(max_sym) if max_sym < DENSE_LIMIT => {
-            let mut m = vec![(0u64, 0u32); max_sym as usize + 1];
-            for &(s, c, l) in &table {
-                // lint:allow(no-index): s <= max_sym: only observed symbols enter the table
-                m[s as usize] = (rev_code(c, l), l);
-            }
-            Some(m)
-        }
-        _ => None,
-    };
-    let sparse_map: HashMap<u64, (u64, u32)> = if dense_map.is_none() {
-        table
-            .iter()
-            .map(|&(s, c, l)| (s, (rev_code(c, l), l)))
-            .collect()
-    } else {
-        HashMap::new()
-    };
-
     let mut bits = BitWriter::with_capacity_bits(symbols.len() * 4);
     for &s in symbols {
-        let (rc, len) = match &dense_map {
-            // lint:allow(no-index): s <= max_sym by the max() scan above
-            Some(m) => m[s as usize],
-            None => sparse_map.get(&s).copied().unwrap_or((0, 0)),
-        };
-        // Every input symbol was counted into `freqs`, so it has a code.
+        let (rc, len) = code_of(s);
+        // Every input symbol was counted into the table, so it has a code.
         debug_assert!(len > 0, "symbol missing from code table");
         bits.write_bits(rc, len);
     }
@@ -519,7 +536,7 @@ pub fn huffman_decode(data: &[u8]) -> DecodeResult<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::{huffman_decode_ref, huffman_encode_ref};
+    use crate::reference::{code_lengths_ref, huffman_decode_ref, huffman_encode_ref};
 
     #[test]
     fn roundtrip_skewed_distribution() {
@@ -615,6 +632,71 @@ mod tests {
             let n = rng.range_usize(3000);
             let s: Vec<u64> = (0..n).map(|_| rng.range_u64(700)).collect();
             assert_eq!(huffman_encode(&s), huffman_encode_ref(&s));
+        }
+    }
+
+    #[test]
+    fn code_lengths_match_the_heap_builder_through_the_depth_limit() {
+        // Weight tables no real input reaches: Fibonacci weights over 60
+        // symbols build a 59-deep tree, past MAX_CODE_LEN, which only
+        // about 10^10 input symbols could do, so the `scale` retry runs.
+        let mut fib = vec![1u64, 1];
+        while fib.len() < 60 {
+            fib.push(fib[fib.len() - 1] + fib[fib.len() - 2]);
+        }
+        let mut dominant = vec![(0u64, 1u64 << 40)];
+        dominant.extend((1..40u64).map(|s| (s * 3, 1 + s % 3)));
+        let cases: Vec<(&str, Vec<(u64, u64)>)> = vec![
+            (
+                "fibonacci",
+                fib.iter()
+                    .enumerate()
+                    .map(|(s, &w)| (s as u64 * 7, w))
+                    .collect(),
+            ),
+            (
+                "fibonacci, reversed",
+                fib.iter()
+                    .rev()
+                    .enumerate()
+                    .map(|(s, &w)| (s as u64, w))
+                    .collect(),
+            ),
+            ("all equal", (0..1000u64).map(|s| (s, 5)).collect()),
+            ("one dominant", dominant),
+            ("two symbols", vec![(3, 1), (u64::MAX, 9)]),
+        ];
+        for (what, freqs) in cases {
+            let lengths = code_lengths(&freqs);
+            let heap = code_lengths_ref(&freqs.iter().copied().collect());
+            assert_eq!(lengths.len(), heap.len(), "{what}");
+            for (s, len) in &lengths {
+                assert_eq!(heap.get(s), Some(len), "{what}: symbol {s}");
+            }
+            assert!(lengths
+                .iter()
+                .all(|&(_, l)| (1..=MAX_CODE_LEN).contains(&l)));
+        }
+    }
+
+    #[test]
+    fn alternating_alphabets_on_one_thread_match_the_reference() {
+        // The dense table is reused by every call on this thread; each
+        // call must see it clean whatever the previous call counted.
+        let top = DENSE_LIMIT - 1;
+        let calls: Vec<Vec<u64>> = vec![
+            (0..3000).map(|i| 32768 + (i * i) % 13).collect(),
+            vec![top; 50],
+            vec![],
+            (0..5000).map(|i| i % 700).collect(),
+            vec![0, top, DENSE_LIMIT, 5],
+            vec![32768; 900],
+            (0..4096).map(|i| (i * 37) % DENSE_LIMIT).collect(),
+            (0..3000).map(|i| 32768 + (i * i) % 13).collect(),
+            vec![top, 0, top],
+        ];
+        for symbols in calls {
+            assert_eq!(huffman_encode(&symbols), huffman_encode_ref(&symbols));
         }
     }
 

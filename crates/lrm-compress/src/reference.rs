@@ -250,7 +250,7 @@ pub fn huffman_decode_ref(data: &[u8]) -> DecodeResult<Vec<u64>> {
 
 /// Scalar reference Huffman code-length builder: the original
 /// `HashMap`-based heap construction, bit-for-bit the pre-rewrite code.
-fn code_lengths_ref(freqs: &HashMap<u64, u64>) -> HashMap<u64, u32> {
+pub fn code_lengths_ref(freqs: &HashMap<u64, u64>) -> HashMap<u64, u32> {
     #[derive(PartialEq, Eq)]
     struct Node {
         weight: u64,

@@ -33,10 +33,12 @@
 //! it is [`DecodeError::UnknownTag`] rather than decoded under another
 //! mode's layout. The decoding [`Sz`] decides the mode and the bound: a
 //! stream whose header names another mode or bound is
-//! [`DecodeError::Corrupt`]. Only the header is checked. A block-relative
-//! body decodes under its own per-block exponent table, which is not
-//! checked against the bound, so a stream encoded under a looser bound
-//! whose header bits were rewritten still decodes.
+//! [`DecodeError::Corrupt`]. A block-relative body carries its own
+//! per-block exponent table, so after decoding, every block's exponent
+//! `e` is checked against the bound as well: `2^e` may not exceed
+//! `rel · (max|x̂_block| + 2^e)`, which every block the encoder writes
+//! meets. A stream encoded under a looser bound whose header bits were
+//! rewritten is corrupt too.
 
 pub mod predictor;
 
@@ -52,6 +54,15 @@ pub const BLOCK_LEN: usize = 256;
 
 /// Sentinel exponent marking an all-zero block.
 const ZERO_BLOCK: i16 = i16::MIN;
+
+/// The encoder clamps every other block exponent into
+/// `MIN_BLOCK_EXP..=MAX_BLOCK_EXP`, so `2^e` is always a normal number.
+const MIN_BLOCK_EXP: i16 = -1020;
+const MAX_BLOCK_EXP: i16 = 1020;
+
+/// Relative slack on the decoder's exponent check, for the rounding in
+/// the encoder's `⌊log2(rel · max)⌋`.
+const EXP_CHECK_SLACK: f64 = 1e-9;
 
 /// Width of a quantization code. The stream does not record it, so
 /// encoder and decoder share this one value.
@@ -99,14 +110,14 @@ impl Sz {
 }
 
 /// Per-point bound source shared by encoder and decoder.
-enum Bounds {
+enum Bounds<'a> {
     Uniform(f64),
     /// Power-of-two bound exponents per scan-order block; `ZERO_BLOCK`
     /// marks an all-zero block.
-    PerBlock(Vec<i16>),
+    PerBlock(&'a [i16]),
 }
 
-impl Bounds {
+impl Bounds<'_> {
     /// Bound for point `i`; `None` means "inside an all-zero block".
     #[inline]
     fn at(&self, i: usize) -> Option<f64> {
@@ -130,7 +141,7 @@ impl Bounds {
 /// increasing order, so the block bound is resolved once per [`BLOCK_LEN`]
 /// run instead of per point (a divide, a match, and an `exp2` each time).
 struct BoundCursor<'a> {
-    bounds: &'a Bounds,
+    bounds: &'a Bounds<'a>,
     cur: Option<f64>,
     /// `⌊log2 e⌋` for the current bound, cached because the outlier path
     /// needs it per miss and `f64::log2` is a libm call. For per-block
@@ -141,7 +152,7 @@ struct BoundCursor<'a> {
 }
 
 impl<'a> BoundCursor<'a> {
-    fn new(bounds: &'a Bounds) -> Self {
+    fn new(bounds: &'a Bounds<'a>) -> Self {
         Self {
             bounds,
             cur: None,
@@ -213,7 +224,10 @@ fn block_exponents(data: &[f64], rel: f64) -> Vec<i16> {
         if maxv == 0.0 {
             exps.push(ZERO_BLOCK);
         } else {
-            let e = (rel * maxv).log2().floor().clamp(-1020.0, 1020.0) as i16;
+            let e = (rel * maxv)
+                .log2()
+                .floor()
+                .clamp(MIN_BLOCK_EXP.into(), MAX_BLOCK_EXP.into()) as i16;
             exps.push(e);
         }
     }
@@ -233,7 +247,7 @@ fn mantissa_bits_needed(v: f64, ee: i32) -> u32 {
 }
 
 /// Core compressor over a shaped field with per-point bounds.
-fn core_compress(data: &[f64], shape: Shape, bounds: &Bounds) -> Vec<u8> {
+fn core_compress(data: &[f64], shape: Shape, bounds: &Bounds<'_>) -> Vec<u8> {
     let radius: i64 = 1i64 << (QUANT_BITS - 1);
     let mut codes: Vec<u64> = Vec::with_capacity(data.len());
     let mut outliers = BitWriter::new();
@@ -316,7 +330,7 @@ fn core_compress(data: &[f64], shape: Shape, bounds: &Bounds) -> Vec<u8> {
 }
 
 /// Inverse of [`core_compress`].
-fn core_decompress(bytes: &[u8], shape: Shape, bounds: &Bounds) -> DecodeResult<Vec<f64>> {
+fn core_decompress(bytes: &[u8], shape: Shape, bounds: &Bounds<'_>) -> DecodeResult<Vec<f64>> {
     let radius: i64 = 1i64 << (QUANT_BITS - 1);
     let body = pipeline_decompress(bytes)?;
     let mut r = ByteReader::new(&body);
@@ -402,6 +416,33 @@ fn core_decompress(bytes: &[u8], shape: Shape, bounds: &Bounds) -> DecodeResult<
     Ok(recon)
 }
 
+/// Checks a block-relative body's exponent table against `rel`, given
+/// the field it decoded to.
+///
+/// The encoder picks `2^e <= rel · max|x_block|` and keeps every point
+/// within `2^e` of the original, so `max|x_block| <= max|x̂_block| + 2^e`
+/// and every honest block has `2^e <= rel · (max|x̂_block| + 2^e)`: some
+/// point of it reaches `2^e / rel − 2^e`. A block is not checked when it
+/// is all zero or when its exponent sits at the encoder's floor (the true
+/// bound may be smaller still), and one that decoded to a NaN or an
+/// infinity passes (the encoder bounds such blocks by 1).
+fn check_block_exponents(recon: &[f64], exps: &[i16], rel: f64) -> DecodeResult<()> {
+    for (block, &e) in recon.chunks(BLOCK_LEN).zip(exps) {
+        if e == ZERO_BLOCK || e == MIN_BLOCK_EXP {
+            continue;
+        }
+        let bound = exp2i(e);
+        let reach = bound / (rel * (1.0 + EXP_CHECK_SLACK)) - bound;
+        // A NaN or an infinity is not below `reach`, so its block passes.
+        if block.iter().all(|v| v.abs() < reach) {
+            return Err(DecodeError::Corrupt {
+                what: "sz block exponent looser than the codec's bound",
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Header tags for the bound modes (tag 1 is unassigned).
 const TAG_ABS: u8 = 0;
 const TAG_BLOCKREL: u8 = 2;
@@ -432,7 +473,7 @@ impl Codec for Sz {
                 let table = pipeline_compress(&raw);
                 encode_uvarint(table.len() as u64, &mut out);
                 out.extend_from_slice(&table);
-                out.extend_from_slice(&core_compress(data, shape, &Bounds::PerBlock(exps)));
+                out.extend_from_slice(&core_compress(data, shape, &Bounds::PerBlock(&exps)));
             }
         }
         out
@@ -461,7 +502,7 @@ impl Codec for Sz {
         }
         match self.bound {
             SzErrorBound::Abs(e) => core_decompress(r.rest(), shape, &Bounds::Uniform(e)),
-            SzErrorBound::BlockRel(_) => {
+            SzErrorBound::BlockRel(rel) => {
                 let tlen = r.varint("sz exponent-table length")? as usize;
                 let raw = pipeline_decompress(r.take(tlen, "sz exponent table")?)?;
                 let exps: Vec<i16> = raw
@@ -476,7 +517,19 @@ impl Codec for Sz {
                         what: "sz exponent table size",
                     });
                 }
-                core_decompress(r.rest(), shape, &Bounds::PerBlock(exps))
+                // The encoder writes no exponent outside its clamp.
+                let in_range = MIN_BLOCK_EXP..=MAX_BLOCK_EXP;
+                if exps
+                    .iter()
+                    .any(|e| *e != ZERO_BLOCK && !in_range.contains(e))
+                {
+                    return Err(DecodeError::Corrupt {
+                        what: "sz block exponent out of range",
+                    });
+                }
+                let recon = core_decompress(r.rest(), shape, &Bounds::PerBlock(&exps))?;
+                check_block_exponents(&recon, &exps, rel)?;
+                Ok(recon)
             }
         }
     }
@@ -576,6 +629,88 @@ mod tests {
                 ),
                 "tag {tag}"
             );
+        }
+    }
+
+    #[test]
+    fn block_rel_body_looser_than_its_header_is_corrupt() {
+        // A block_rel(1e-3) stream whose header bits were rewritten to
+        // 1e-5: the header matches the codec, but the exponent table lets
+        // every point err by about 80x what 1e-5 promises.
+        let shape = Shape::d1(4096);
+        let v: Vec<f64> = (0..4096)
+            .map(|i| (i as f64 * 0.01).sin() * 50.0 + 80.0)
+            .collect();
+        let mut bytes = Sz::block_rel(1e-3).compress(&v, shape);
+        bytes[1..9].copy_from_slice(&1e-5f64.to_le_bytes());
+        assert_eq!(
+            Sz::block_rel(1e-5).decompress(&bytes, shape),
+            Err(DecodeError::Corrupt {
+                what: "sz block exponent looser than the codec's bound"
+            })
+        );
+    }
+
+    #[test]
+    fn block_rel_exponent_outside_the_encoders_clamp_is_corrupt() {
+        // One block's exponent rewritten past the clamp: 1024 and up make
+        // `exp2i` infinite or wrap, so the table is rejected before any
+        // point is decoded under it.
+        let shape = Shape::d1(1000);
+        let v: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.02).cos() + 2.0).collect();
+        let sz = Sz::block_rel(1e-3);
+        let honest = sz.compress(&v, shape);
+        let mut r = ByteReader::new(&honest[9..]);
+        let tlen = r.varint("len").expect("table length") as usize;
+        let raw = pipeline_decompress(r.take(tlen, "table").expect("table")).expect("table");
+        let body = r.rest();
+        for e in [1021, 1024, i16::MAX, -1021, i16::MIN + 1] {
+            let mut exps = raw.clone();
+            exps[2..4].copy_from_slice(&e.to_le_bytes());
+            let table = pipeline_compress(&exps);
+            let mut bytes = honest[..9].to_vec();
+            encode_uvarint(table.len() as u64, &mut bytes);
+            bytes.extend_from_slice(&table);
+            bytes.extend_from_slice(body);
+            assert_eq!(
+                sz.decompress(&bytes, shape),
+                Err(DecodeError::Corrupt {
+                    what: "sz block exponent out of range"
+                }),
+                "exponent {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn block_rel_exponent_check_passes_honest_edge_cases() {
+        // Clamped exponents (subnormals), blocks the encoder bounds by 1
+        // although their finite values are far smaller (a NaN or an inf
+        // among them), every bit pattern, and exponents at the ceiling.
+        let mut rng = lrm_rng::Rng64::new(17);
+        let subnormal: Vec<f64> = (0..700u64)
+            .map(|i| f64::from_bits(1 + i * 0x0123_4567_89ab))
+            .collect();
+        let mut non_finite: Vec<f64> = (0..700).map(|i| (i as f64 * 0.3).sin() * 1e-3).collect();
+        non_finite[10] = f64::NAN;
+        non_finite[300] = f64::INFINITY;
+        non_finite[600] = f64::NEG_INFINITY;
+        let random_bits: Vec<f64> = (0..2000).map(|_| rng.any_f64_bits()).collect();
+        let near_max: Vec<f64> = (0..700)
+            .map(|i| f64::MAX * (1.0 - i as f64 * 1e-4) * if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
+        for rel in [1e-5, 1e-3, 0.5, 1.0, 3.0] {
+            for (what, v) in [
+                ("subnormal", &subnormal),
+                ("non-finite", &non_finite),
+                ("random bits", &random_bits),
+                ("near f64::MAX", &near_max),
+            ] {
+                let sz = Sz::block_rel(rel);
+                let shape = Shape::d1(v.len());
+                let d = sz.decompress(&sz.compress(v, shape), shape);
+                assert!(d.is_ok(), "{what}, rel {rel}: {:?}", d.map(|d| d.len()));
+            }
         }
     }
 

@@ -72,6 +72,18 @@ pub fn one_base_precondition(field: &Field, orig_codec: &LossyCodec) -> Projecti
     }
 }
 
+/// The encoder's precondition on a projection model's field, checked on
+/// the shape an artifact declares: one-base and multi-base take fields
+/// of at least two dimensions.
+fn check_projection_shape(shape: Shape) -> DecodeResult<()> {
+    if shape.ndims() < 2 {
+        return Err(DecodeError::Corrupt {
+            what: "projection model on a field below 2-D",
+        });
+    }
+    Ok(())
+}
+
 /// Reconstructs a field from the one-base representation and a decoded
 /// delta.
 pub fn one_base_reconstruct(
@@ -80,6 +92,7 @@ pub fn one_base_reconstruct(
     shape: Shape,
     orig_codec: &LossyCodec,
 ) -> DecodeResult<Vec<f64>> {
+    check_projection_shape(shape)?;
     let [nx, ny, _] = shape.dims;
     if shape.ndims() == 2 {
         let row = orig_codec.decompress(rep_bytes, Shape::d1(nx))?;
@@ -175,6 +188,7 @@ pub fn multi_base_reconstruct(
     gz: usize,
     orig_codec: &LossyCodec,
 ) -> DecodeResult<Vec<f64>> {
+    check_projection_shape(shape)?;
     let [nx, ny, nz] = shape.dims;
     if shape.ndims() == 2 {
         let g = gz.clamp(1, ny);

@@ -196,16 +196,67 @@ fn sz_stream_that_contradicts_the_meta_codec_gets_typed_malformed() {
     });
 
     // A Direct artifact whose meta says SzRel(1e-5) but whose delta is
-    // an `Sz::absolute(1.0)` stream.
+    // an `Sz::absolute(1.0)` stream, or a `Sz::block_rel(1e-3)` stream
+    // with the header bits of 1e-5 (only its exponent table differs).
     let field = generate(DatasetKind::Heat3d, SizeClass::Tiny).full;
     let artifact = Pipeline::from_config(PipelineConfig::sz(ReducedModelKind::Direct))
         .compress(&field)
         .bytes;
+    let mut rewritten = Sz::block_rel(1e-3).compress(&field.data, field.shape);
+    rewritten[1..9].copy_from_slice(&1e-5f64.to_le_bytes());
+    let parsed = Artifact::from_bytes(&artifact).expect("parse");
+    let mut conn = Connection::open(addr).expect("open");
+    for delta in [
+        Sz::absolute(1.0).compress(&field.data, field.shape),
+        rewritten,
+    ] {
+        let mut crafted = Artifact::new();
+        for (name, section) in parsed.sections() {
+            let section = match name {
+                "delta" => delta.clone(),
+                _ => section.to_vec(),
+            };
+            crafted.push(name, section);
+        }
+        assert_decompress_malformed(&mut conn, &crafted.to_bytes());
+    }
+    assert_eq!(conn.ping(b"alive").expect("ping"), b"alive");
+    conn.shutdown().expect("shutdown");
+    handle.join().expect("join");
+}
+
+#[test]
+fn projection_model_on_a_field_below_2d_gets_typed_malformed() {
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+
+    // A multi-base artifact whose meta shape (three u32 extents at bytes
+    // 23..35) says [5, 1, 0], an empty 1-D field, with an empty FPC delta
+    // to match. The encoder never writes one; the decoder used to clamp
+    // its group count to 1..=0, and a panicking worker answers
+    // `Internal`, not `Malformed`.
+    let fpc = LossyCodec::FpcLossless(12);
+    let cfg = PipelineConfig {
+        orig: fpc,
+        delta: fpc,
+        ..PipelineConfig::sz(ReducedModelKind::MultiBase(4))
+    };
+    let field = generate(DatasetKind::Heat3d, SizeClass::Tiny).full;
+    let artifact = Pipeline::from_config(cfg).compress(&field).bytes;
     let parsed = Artifact::from_bytes(&artifact).expect("parse");
     let mut crafted = Artifact::new();
     for (name, section) in parsed.sections() {
         let section = match name {
-            "delta" => Sz::absolute(1.0).compress(&field.data, field.shape),
+            "meta" => {
+                let mut meta = section.to_vec();
+                for (i, d) in [5u32, 1, 0].iter().enumerate() {
+                    meta[23 + 4 * i..27 + 4 * i].copy_from_slice(&d.to_le_bytes());
+                }
+                meta
+            }
+            "delta" => fpc.compress(&[], Shape::d3(5, 1, 0)),
             _ => section.to_vec(),
         };
         crafted.push(name, section);

@@ -380,6 +380,36 @@ fn duo_model_with_an_empty_coarse_field_is_corrupt() {
 }
 
 #[test]
+fn projection_model_on_a_field_below_2d_is_corrupt() {
+    // The meta's shape (three u32 extents at bytes 23..35) rewritten to
+    // [5, 1, 0], an empty 1-D field, with an empty FPC delta to match.
+    // One-base and multi-base encoders assert at least two dimensions;
+    // multi-base's decoder used to clamp its group count to 1..=0.
+    let field = generate(DatasetKind::Heat3d, SizeClass::Tiny).full;
+    let fpc = LossyCodec::FpcLossless(12);
+    for model in [ReducedModelKind::OneBase, ReducedModelKind::MultiBase(4)] {
+        let cfg = PipelineConfig {
+            orig: fpc,
+            delta: fpc,
+            ..PipelineConfig::sz(model)
+        };
+        let art = compress(&field, &cfg);
+        let mut meta = section_of(&art.bytes, "meta");
+        for (i, d) in [5u32, 1, 0].iter().enumerate() {
+            meta[23 + 4 * i..27 + 4 * i].copy_from_slice(&d.to_le_bytes());
+        }
+        let crafted = with_section(&art.bytes, "meta", &meta);
+        let crafted = with_section(&crafted, "delta", &fpc.compress(&[], Shape::d3(5, 1, 0)));
+        let got = Pipeline::builder().build().reconstruct(&crafted);
+        assert!(
+            matches!(got, Err(DecodeError::Corrupt { .. })),
+            "{model:?}: {:?}",
+            got.map(|(data, shape)| (data.len(), shape))
+        );
+    }
+}
+
+#[test]
 fn chunked_directory_that_does_not_tile_the_field_is_corrupt() {
     // A 16³ Direct artifact written as four 4-plane chunks. Each crafted
     // directory keeps the global dims and points at real chunk payloads;
@@ -426,14 +456,27 @@ fn sz_stream_that_contradicts_the_meta_codec_is_corrupt() {
     // section is swapped for SZ streams under another mode or bound.
     let field = generate(DatasetKind::Heat3d, SizeClass::Tiny).full;
     let art = compress(&field, &PipelineConfig::sz(ReducedModelKind::Direct));
-    for sz in [Sz::absolute(1.0), Sz::block_rel(1e-3)] {
-        let delta = sz.compress(&field.data, field.shape);
+    let mut rewritten = Sz::block_rel(1e-3).compress(&field.data, field.shape);
+    rewritten[1..9].copy_from_slice(&1e-5f64.to_le_bytes());
+    let deltas = [
+        (
+            "absolute(1.0)",
+            Sz::absolute(1.0).compress(&field.data, field.shape),
+        ),
+        (
+            "block_rel(1e-3)",
+            Sz::block_rel(1e-3).compress(&field.data, field.shape),
+        ),
+        // Only its exponent table tells this stream from a 1e-5 one.
+        ("block_rel(1e-3), header bits of 1e-5", rewritten),
+    ];
+    for (what, delta) in deltas {
         let got = Pipeline::builder()
             .build()
             .reconstruct(&with_section(&art.bytes, "delta", &delta));
         assert!(
             matches!(got, Err(DecodeError::Corrupt { .. })),
-            "{sz:?}: {:?}",
+            "{what}: {:?}",
             got.map(|(data, shape)| (data.len(), shape))
         );
     }
