@@ -312,6 +312,8 @@ mod tests {
             ("BENCH_pr4.json", 27),
             ("BENCH_before_pr6.json", 2),
             ("BENCH_pr6.json", 4),
+            ("BENCH_before_pr24.json", 27),
+            ("BENCH_pr24.json", 27),
         ] {
             let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
             let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));

@@ -11,7 +11,8 @@
 //! implementation (preserved as [`crate::reference::RefBitWriter`] /
 //! [`crate::reference::RefBitReader`] and enforced byte-for-byte by the
 //! `kernel_equivalence` differential suite), so every previously written
-//! stream still decodes.
+//! stream still decodes. Each stream is written front to back by one
+//! writer; no coder splits a stream into pieces to join afterwards.
 //!
 //! [`ByteReader`] is the byte-level counterpart every container, header
 //! and wire payload is parsed through: it alone decides how an untrusted
@@ -213,33 +214,6 @@ impl BitWriter {
     /// Total number of bits written so far.
     pub fn len_bits(&self) -> usize {
         self.bytes.len() * 8 + self.acc_bits as usize
-    }
-
-    /// Appends every bit of `other` to this writer (bit-exact, no
-    /// padding between the streams). This is what lets blocks be encoded
-    /// in parallel into private writers and stitched into one contiguous
-    /// stream afterwards. Byte-aligned appends degenerate to a memcpy.
-    pub fn append(&mut self, other: &BitWriter) {
-        if self.acc_bits == 0 {
-            // Fast path: the join point is byte-aligned.
-            self.bytes.extend_from_slice(&other.bytes);
-            self.acc = other.acc;
-            self.acc_bits = other.acc_bits;
-            if self.acc_bits == 64 {
-                self.flush_word();
-            }
-            return;
-        }
-        let mut chunks = other.bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(chunk);
-            self.write_bits(u64::from_le_bytes(w), 64);
-        }
-        for &b in chunks.remainder() {
-            self.write_bits(b as u64, 8);
-        }
-        self.write_bits(other.acc, other.acc_bits);
     }
 
     /// Finishes the stream, zero-padding the last byte.
@@ -523,65 +497,6 @@ mod tests {
         w.write_bits(0, 6);
         w.write_bit(1); // bit 7 of byte 0
         assert_eq!(w.into_bytes(), vec![0b1000_0001]);
-    }
-
-    #[test]
-    fn append_is_bit_exact_across_alignments() {
-        for head_bits in 0..17u32 {
-            let mut a = BitWriter::new();
-            a.write_bits(0x5A5A, head_bits.min(16));
-            let mut b = BitWriter::new();
-            b.write_bits(0xDEADBEEFCAFE, 48);
-            b.write_bit(1);
-            let b_len = b.len_bits();
-            let mut joined = BitWriter::new();
-            joined.write_bits(0x5A5A, head_bits.min(16));
-            joined.append(&b);
-            assert_eq!(joined.len_bits(), head_bits.min(16) as usize + b_len);
-            let bytes = joined.into_bytes();
-            let mut r = BitReader::new(&bytes);
-            let hb = head_bits.min(16);
-            let mask = if hb == 0 { 0 } else { (1u64 << hb) - 1 };
-            assert_eq!(r.read_bits(hb), 0x5A5A & mask);
-            assert_eq!(r.read_bits(48), 0xDEADBEEFCAFE);
-            assert_eq!(r.read_bit(), 1);
-        }
-    }
-
-    #[test]
-    fn append_empty_is_noop() {
-        let mut a = BitWriter::new();
-        a.write_bits(7, 3);
-        let before = a.len_bits();
-        a.append(&BitWriter::new());
-        assert_eq!(a.len_bits(), before);
-    }
-
-    #[test]
-    fn append_large_streams_across_alignments() {
-        // Exercise the chunked (non-byte-aligned) append path with
-        // multi-word bodies at every join alignment.
-        let mut rng = lrm_rng::Rng64::new(77);
-        for head_bits in 0..65u32 {
-            let mut tail = BitWriter::new();
-            let vals: Vec<(u64, u32)> = (0..40)
-                .map(|_| (rng.next_u64(), 1 + rng.range_u64(64) as u32))
-                .collect();
-            for &(v, n) in &vals {
-                tail.write_bits(v, n);
-            }
-            let mut joined = BitWriter::new();
-            joined.write_bits(0xABCD_EF01_2345_6789, head_bits.min(64));
-            joined.append(&tail);
-            let bytes = joined.into_bytes();
-            let mut r = BitReader::new(&bytes);
-            let hb = head_bits.min(64);
-            r.read_bits(hb);
-            for &(v, n) in &vals {
-                let mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-                assert_eq!(r.read_bits(n), v & mask, "head {head_bits}, n {n}");
-            }
-        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Byte-oriented, 64 KiB sliding window, greedy hash-chain matching.
 //! Token format: groups of 8 tokens share a flag byte (bit i set = token i
 //! is a match). A literal is one byte; a match is a little-endian `u16`
-//! offset (1-based distance) followed by a length byte storing
-//! `length - MIN_MATCH`.
+//! offset (1-based distance, so at most 65,535 back) followed by a length
+//! byte storing `length - MIN_MATCH`.
 
 use crate::error::{DecodeError, DecodeResult};
 
@@ -84,7 +84,7 @@ pub fn lzss_compress(data: &[u8]) -> Vec<u8> {
             let h = hash4(data, i);
             let mut cand = head[h];
             let mut chain = 0;
-            while cand != usize::MAX && i - cand <= WINDOW && chain < MAX_CHAIN {
+            while cand != usize::MAX && i - cand < WINDOW && chain < MAX_CHAIN {
                 let limit = (data.len() - i).min(MAX_MATCH);
                 let l = match_len(data, cand, i, limit);
                 if l > best_len {
@@ -259,6 +259,28 @@ mod tests {
             data[i] = (i % 251) as u8;
             data[30_000 + i] = (i % 251) as u8;
         }
+        assert_eq!(
+            lzss_decompress(&lzss_compress(&data)).expect("decode"),
+            data
+        );
+    }
+
+    #[test]
+    fn match_one_window_back_is_not_taken() {
+        // 70,000 xorshift64 bytes with bytes 100..108 copied exactly one
+        // window length later. A distance of 65,536 does not fit the u16
+        // offset: written, it wrapped to offset 0, which the decoder
+        // rejects as out of range.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut data: Vec<u8> = (0..70_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect();
+        data.copy_within(100..108, 100 + WINDOW);
         assert_eq!(
             lzss_decompress(&lzss_compress(&data)).expect("decode"),
             data

@@ -425,7 +425,7 @@ pub fn lzss_compress_ref(data: &[u8]) -> Vec<u8> {
             let h = hash4(data, i);
             let mut cand = head[h];
             let mut chain = 0;
-            while cand != usize::MAX && i - cand <= WINDOW && chain < MAX_CHAIN {
+            while cand != usize::MAX && i - cand < WINDOW && chain < MAX_CHAIN {
                 let limit = (data.len() - i).min(MAX_MATCH);
                 let mut l = 0;
                 while l < limit && data[cand + l] == data[i + l] {

@@ -13,6 +13,16 @@
 //! 4. **Entropy stages** — codes are Huffman-encoded and the result passes
 //!    through an LZSS dictionary stage.
 //!
+//! The scan is split the way SZ3 splits a prediction compressor, without
+//! changing SZ 1.4's bytes. [`predictor::lorenzo_walk`] visits the points
+//! in scan order and predicts each one, reading interior neighbors from
+//! row slices and carrying the previous value in a register. The encoder
+//! and the decoder are each a per-point [`predictor::PointCoder`] driven
+//! by that one walk. The quantizer multiplies by the exact reciprocal of
+//! `2e` when `2e` is a normal power of two (every block-relative bound),
+//! and rounds inline: no division and no libm call sit on the Lorenzo
+//! recurrence.
+//!
 //! Two bound modes are provided:
 //!
 //! * [`SzErrorBound::Abs`] — uniform absolute bound.
@@ -47,7 +57,8 @@ use crate::error::{DecodeError, DecodeResult};
 use crate::lossless::varint::encode_uvarint;
 use crate::lossless::{huffman_encode, pipeline_compress, pipeline_decompress, HuffmanDecoder};
 use crate::{Codec, Shape};
-use predictor::{lorenzo_predict, lorenzo_predict_interior};
+use predictor::{lorenzo_walk, PointCoder};
+use std::convert::Infallible;
 
 /// Scan-order block length for [`SzErrorBound::BlockRel`].
 pub const BLOCK_LEN: usize = 256;
@@ -67,6 +78,9 @@ const EXP_CHECK_SLACK: f64 = 1e-9;
 /// Width of a quantization code. The stream does not record it, so
 /// encoder and decoder share this one value.
 const QUANT_BITS: u32 = 16;
+
+/// The 52 mantissa bits of an `f64`.
+const MANTISSA_MASK: u64 = (1 << 52) - 1;
 
 /// Error-bound mode for [`Sz`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,83 +132,26 @@ enum Bounds<'a> {
 }
 
 impl Bounds<'_> {
-    /// Bound for point `i`; `None` means "inside an all-zero block".
-    #[inline]
-    fn at(&self, i: usize) -> Option<f64> {
+    /// The quantizer of the run of scan-order points that holds point `i`,
+    /// and the run's exclusive end: the whole field for a uniform bound,
+    /// else `i`'s block. `None` marks an all-zero block, whose points are
+    /// not coded and reconstruct as zero.
+    fn run_at(&self, i: usize) -> (Option<Quantizer>, usize) {
         match self {
-            Bounds::Uniform(e) => Some(*e),
+            Bounds::Uniform(e) => (
+                Some(Quantizer::new(*e, e.log2().floor() as i32)),
+                usize::MAX,
+            ),
             Bounds::PerBlock(exps) => {
-                // lint:allow(no-index): decoder validates the exponent-table
-                // length against the shape before constructing PerBlock
-                let e = exps[i / BLOCK_LEN];
-                if e == ZERO_BLOCK {
-                    None
-                } else {
-                    Some(exp2i(e))
+                let block = i / BLOCK_LEN;
+                let end = (block + 1) * BLOCK_LEN;
+                match exps.get(block) {
+                    // ⌊log2 2^k⌋ is k itself: no libm call.
+                    Some(&k) if k != ZERO_BLOCK => (Some(Quantizer::new(exp2i(k), k.into())), end),
+                    _ => (None, end),
                 }
             }
         }
-    }
-}
-
-/// Sequential-scan view of [`Bounds`]: the scan order visits indices in
-/// increasing order, so the block bound is resolved once per [`BLOCK_LEN`]
-/// run instead of per point (a divide, a match, and an `exp2` each time).
-struct BoundCursor<'a> {
-    bounds: &'a Bounds<'a>,
-    cur: Option<f64>,
-    /// `⌊log2 e⌋` for the current bound, cached because the outlier path
-    /// needs it per miss and `f64::log2` is a libm call. For per-block
-    /// bounds `e = 2^k` so this is the stored exponent itself.
-    exp: i32,
-    /// First index at which `cur` must be refreshed.
-    until: usize,
-}
-
-impl<'a> BoundCursor<'a> {
-    fn new(bounds: &'a Bounds<'a>) -> Self {
-        Self {
-            bounds,
-            cur: None,
-            exp: 0,
-            until: 0,
-        }
-    }
-
-    /// Bound for point `i`; `None` means "inside an all-zero block".
-    /// Callers must present indices in non-decreasing order.
-    #[inline]
-    fn at(&mut self, i: usize) -> Option<f64> {
-        if i >= self.until {
-            self.cur = self.bounds.at(i);
-            self.until = match self.bounds {
-                Bounds::Uniform(_) => usize::MAX,
-                Bounds::PerBlock(_) => (i / BLOCK_LEN + 1) * BLOCK_LEN,
-            };
-            self.exp = match (self.bounds, self.cur) {
-                (Bounds::Uniform(e), _) => e.log2().floor() as i32,
-                // exp2i(k) = 2^k exactly, so log2().floor() would
-                // reproduce k; skip the libm round-trip.
-                // lint:allow(no-index): same index Bounds::at just used
-                (Bounds::PerBlock(exps), Some(_)) => exps[i / BLOCK_LEN] as i32,
-                (Bounds::PerBlock(_), None) => 0, // zero block: never read
-            };
-        }
-        self.cur
-    }
-
-    /// `⌊log2 e⌋` for the bound last returned by [`Self::at`]; only
-    /// meaningful while that result was `Some`.
-    #[inline]
-    fn bound_exp(&self) -> i32 {
-        self.exp
-    }
-
-    /// Exclusive end of the run over which the last [`Self::at`] result
-    /// stays valid; lets the scan skip all-zero blocks wholesale.
-    #[inline]
-    fn run_end(&self) -> usize {
-        self.until
     }
 }
 
@@ -234,93 +191,193 @@ fn block_exponents(data: &[f64], rel: f64) -> Vec<i16> {
     exps
 }
 
-/// Number of mantissa bits needed to store `v` with absolute error <= e/2,
-/// given `ee = ⌊log2 e⌋` (cached per block by [`BoundCursor`]).
-fn mantissa_bits_needed(v: f64, ee: i32) -> u32 {
-    let bits = v.abs().to_bits();
-    let raw_exp = ((bits >> 52) & 0x7ff) as i32;
-    if raw_exp == 0x7ff || raw_exp == 0 {
-        return 52; // non-finite or subnormal: store everything
+/// Offset of a hit's quantization code: a hit stores `q + RADIUS`, and
+/// code 0 marks an outlier.
+const RADIUS: i64 = 1 << (QUANT_BITS - 1);
+
+/// A hit needs `|round(y)| < RADIUS − 1`, which for round-half-away is
+/// `|y| < RADIUS − 1.5`. The test comes before the rounding, which is
+/// exact only for `|y| < 2^51`.
+const QUANT_LIMIT: f64 = (RADIUS - 1) as f64 - 0.5;
+
+/// Linear-scaling quantization under one absolute bound `e`: a point is a
+/// hit when its prediction error rounds to `q` steps of `2e`, `|q|` is
+/// below `RADIUS − 1`, and the reconstruction `pred + q · 2e` lies within
+/// `e` of the value.
+#[derive(Debug, Clone, Copy)]
+struct Quantizer {
+    e: f64,
+    /// `2e`.
+    step: f64,
+    /// `1 / 2e` when `2e` is a normal power of two, else 0. The reciprocal
+    /// of such a step is exact, and IEEE rounds `d · (1 / 2e)` and
+    /// `d / 2e` from the same real number, so the scan multiplies where
+    /// SZ divides. That covers every block-relative bound and any
+    /// power-of-two absolute bound; other bounds keep the division.
+    inv_step: f64,
+    /// `⌊log2 e⌋`, which sizes every outlier's mantissa.
+    exp: i32,
+}
+
+impl Quantizer {
+    fn new(e: f64, exp: i32) -> Self {
+        let step = 2.0 * e;
+        let pow2 = step.is_normal() && step.to_bits() & MANTISSA_MASK == 0;
+        Self {
+            e,
+            step,
+            inv_step: if pow2 { 1.0 / step } else { 0.0 },
+            exp,
+        }
     }
-    let ev = raw_exp - 1023; // v in [2^ev, 2^(ev+1))
-    (ev - ee + 1).clamp(0, 52) as u32
+
+    /// The code and the reconstruction of `v` predicted as `pred`, or
+    /// `None` when `v` is stored as an outlier.
+    #[inline(always)]
+    fn quantize(&self, v: f64, pred: f64) -> Option<(u64, f64)> {
+        let d = v - pred;
+        let y = if self.inv_step != 0.0 {
+            d * self.inv_step
+        } else {
+            d / self.step
+        };
+        // A NaN or an infinity in `v`, in `pred` or in `y` fails this too.
+        if y.abs() < QUANT_LIMIT {
+            let q = round_half_away(y);
+            let r = self.dequantize(pred, q);
+            if (r - v).abs() <= self.e {
+                return Some(((q as i64 + RADIUS) as u64, r));
+            }
+        }
+        None
+    }
+
+    /// The reconstruction of a hit `q` steps from `pred`. While `2e` is
+    /// finite, `q · 2e` equals `(q · 2) · e`, the product SZ forms; a
+    /// bound whose `2e` overflows keeps SZ's order.
+    #[inline(always)]
+    fn dequantize(&self, pred: f64, q: f64) -> f64 {
+        if self.inv_step != 0.0 {
+            pred + q * self.step
+        } else {
+            pred + q * 2.0 * self.e
+        }
+    }
+}
+
+/// `y` rounded to the nearest integer, ties away from zero, without the
+/// libm call: for `|y| < 2^51` this is `y.round() as i64 as f64` bit for
+/// bit. Adding and subtracting `1.5 · 2^52` rounds to the nearest integer
+/// with ties to even, and an exact tie then moves away from zero. A `y`
+/// in `(−0.5, 0]` gives `+0.0`, as the integer conversion does, where
+/// `y.round()` gives `−0.0`: SZ reconstructs a hit from the integer code,
+/// so the encoder's `pred + q · 2e` and the decoder's agree even in the
+/// sign of a zero.
+#[inline(always)]
+fn round_half_away(y: f64) -> f64 {
+    const SHIFTER: f64 = 6_755_399_441_055_744.0;
+    let t = (y + SHIFTER) - SHIFTER;
+    if (y - t).abs() == 0.5 {
+        y + 0.5f64.copysign(y)
+    } else {
+        t
+    }
+}
+
+/// Mantissa bits an outlier with biased exponent `raw_exp` keeps so that
+/// it errs by at most `e/2`, given `bound_exp = ⌊log2 e⌋`. A subnormal or
+/// non-finite value keeps all 52.
+fn mantissa_bits(raw_exp: u64, bound_exp: i32) -> u32 {
+    if raw_exp == 0x7ff || raw_exp == 0 {
+        return 52;
+    }
+    let ev = raw_exp as i32 - 1023; // |v| in [2^ev, 2^(ev+1))
+    (ev - bound_exp + 1).clamp(0, 52) as u32
+}
+
+/// Stores an outlier by binary-representation analysis: its sign, its
+/// exponent and the top [`mantissa_bits`] of its mantissa. Returns the
+/// value the decoder's predictor will see: the stored value, or 0.0 in
+/// place of a non-finite one.
+#[cold]
+fn write_outlier(out: &mut BitWriter, v: f64, bound_exp: i32) -> f64 {
+    let vb = v.to_bits();
+    let sign = vb >> 63;
+    let raw_exp = (vb >> 52) & 0x7ff;
+    let mb = mantissa_bits(raw_exp, bound_exp);
+    let top = (vb & MANTISSA_MASK) >> (52 - mb);
+    out.write_bit(sign);
+    out.write_bits(raw_exp, 11);
+    out.write_bits(top, mb);
+    let stored = f64::from_bits((sign << 63) | (raw_exp << 52) | (top << (52 - mb)));
+    if stored.is_finite() {
+        stored
+    } else {
+        0.0
+    }
+}
+
+/// Inverse of [`write_outlier`]; the mantissa width is recomputed from
+/// the exponent exactly as the encoder computed it.
+fn read_outlier(outliers: &mut BitReader<'_>, bound_exp: i32) -> f64 {
+    let sign = outliers.read_bit();
+    let raw_exp = outliers.read_bits(11);
+    let mb = mantissa_bits(raw_exp, bound_exp);
+    let top = outliers.read_bits(mb);
+    f64::from_bits((sign << 63) | (raw_exp << 52) | (top << (52 - mb)))
+}
+
+/// SZ's encoder at each point: quantize, or store an outlier.
+struct Encoder<'a> {
+    data: &'a [f64],
+    bounds: &'a Bounds<'a>,
+    codes: Vec<u64>,
+    outliers: BitWriter,
+}
+
+impl PointCoder for Encoder<'_> {
+    type Run = Quantizer;
+    type Input = f64;
+    type Error = Infallible;
+
+    fn run_at(&self, i: usize) -> (Option<Quantizer>, usize) {
+        self.bounds.run_at(i)
+    }
+
+    #[inline(always)]
+    fn input(&mut self, i: usize, _: &Quantizer) -> Result<f64, Infallible> {
+        Ok(self.data[i])
+    }
+
+    #[inline(always)]
+    fn value(&mut self, _: usize, v: f64, pred: f64, quant: &Quantizer) -> f64 {
+        match quant.quantize(v, pred) {
+            Some((code, r)) => {
+                self.codes.push(code);
+                r
+            }
+            None => {
+                self.codes.push(0);
+                write_outlier(&mut self.outliers, v, quant.exp)
+            }
+        }
+    }
 }
 
 /// Core compressor over a shaped field with per-point bounds.
 fn core_compress(data: &[f64], shape: Shape, bounds: &Bounds<'_>) -> Vec<u8> {
-    let radius: i64 = 1i64 << (QUANT_BITS - 1);
-    let mut codes: Vec<u64> = Vec::with_capacity(data.len());
-    let mut outliers = BitWriter::new();
+    let mut encoder = Encoder {
+        data,
+        bounds,
+        codes: Vec::with_capacity(data.len()),
+        outliers: BitWriter::new(),
+    };
     let mut recon = vec![0.0f64; data.len()];
-    let mut bounds = BoundCursor::new(bounds);
-
-    let [nx, ny, nz] = shape.dims;
-    let ndims = shape.ndims();
-    let sxy = nx * ny;
-    let xmin = if ndims == 1 { 2 } else { 1 };
-    for z in 0..nz {
-        for y in 0..ny {
-            // Rows with a full complement of preceding neighbors take the
-            // interior predictor (bit-identical, incremental indices).
-            let row_interior = match ndims {
-                1 => true,
-                2 => y >= 1,
-                _ => y >= 1 && z >= 1,
-            };
-            let base = shape.idx(0, y, z);
-            let mut x = 0;
-            while x < nx {
-                let i = base + x;
-                let Some(e) = bounds.at(i) else {
-                    // All-zero block: nothing stored, recon stays 0 — skip
-                    // the rest of the run (clamped to this row) wholesale.
-                    x = bounds.run_end().min(base + nx) - base;
-                    continue;
-                };
-                let v = data[i];
-                let pred = if row_interior && x >= xmin {
-                    lorenzo_predict_interior(&recon, i, nx, sxy, ndims)
-                } else {
-                    lorenzo_predict(&recon, shape, x, y, z)
-                };
-                let q = if v.is_finite() && pred.is_finite() {
-                    ((v - pred) / (2.0 * e)).round()
-                } else {
-                    f64::INFINITY
-                };
-                let hit = q.is_finite() && q.abs() < (radius - 1) as f64 && {
-                    let r = pred + q * 2.0 * e;
-                    (r - v).abs() <= e
-                };
-                if hit {
-                    let qi = q as i64;
-                    codes.push((qi + radius) as u64);
-                    recon[i] = pred + qi as f64 * 2.0 * e;
-                } else {
-                    // Prediction miss: binary-representation analysis.
-                    codes.push(0);
-                    let vb = v.to_bits();
-                    let sign = vb >> 63;
-                    let raw_exp = (vb >> 52) & 0x7ff;
-                    let mb = mantissa_bits_needed(v, bounds.bound_exp());
-                    outliers.write_bit(sign);
-                    outliers.write_bits(raw_exp, 11);
-                    // Store the TOP mb mantissa bits.
-                    let mantissa = vb & 0xf_ffff_ffff_ffff;
-                    outliers.write_bits(mantissa >> (52 - mb), mb);
-                    let stored =
-                        (sign << 63) | (raw_exp << 52) | ((mantissa >> (52 - mb)) << (52 - mb));
-                    let sv = f64::from_bits(stored);
-                    recon[i] = if sv.is_finite() { sv } else { 0.0 };
-                }
-                x += 1;
-            }
-        }
-    }
+    let Ok(()) = lorenzo_walk(&mut recon, shape, &mut encoder);
 
     // Entropy stages: Huffman over codes, then LZSS over everything.
-    let huff = huffman_encode(&codes);
-    let outlier_bytes = outliers.into_bytes();
+    let huff = huffman_encode(&encoder.codes);
+    let outlier_bytes = encoder.outliers.into_bytes();
     let mut body = Vec::with_capacity(huff.len() + outlier_bytes.len() + 32);
     encode_uvarint(huff.len() as u64, &mut body);
     body.extend_from_slice(&huff);
@@ -329,89 +386,82 @@ fn core_compress(data: &[f64], shape: Shape, bounds: &Bounds<'_>) -> Vec<u8> {
     pipeline_compress(&body)
 }
 
+/// SZ's decoder at each point: a quantization code, or an outlier.
+struct Decoder<'a> {
+    bounds: &'a Bounds<'a>,
+    codes: HuffmanDecoder<'a>,
+    outliers: BitReader<'a>,
+    /// Non-finite outliers: the predictor sees 0.0 at these positions, and
+    /// they are patched into the field after the walk, so no second
+    /// full-size output array is kept.
+    patches: Vec<(usize, f64)>,
+}
+
+/// A point as the decoder reads it, before its prediction is known.
+enum Coded {
+    /// A hit `q` steps of `2e` from the prediction.
+    Hit(i64),
+    /// An outlier, as the predictor sees it.
+    Outlier(f64),
+}
+
+impl PointCoder for Decoder<'_> {
+    type Run = Quantizer;
+    type Input = Coded;
+    type Error = DecodeError;
+
+    fn run_at(&self, i: usize) -> (Option<Quantizer>, usize) {
+        self.bounds.run_at(i)
+    }
+
+    #[inline(always)]
+    fn input(&mut self, i: usize, quant: &Quantizer) -> DecodeResult<Coded> {
+        if self.codes.remaining() == 0 {
+            return Err(DecodeError::Corrupt {
+                what: "sz quantization codes exhausted",
+            });
+        }
+        let code = self.codes.next_symbol()?;
+        if code != 0 {
+            return Ok(Coded::Hit((code as i64).wrapping_sub(RADIUS)));
+        }
+        let v = read_outlier(&mut self.outliers, quant.exp);
+        if !v.is_finite() {
+            self.patches.push((i, v));
+            return Ok(Coded::Outlier(0.0));
+        }
+        Ok(Coded::Outlier(v))
+    }
+
+    #[inline(always)]
+    fn value(&mut self, _: usize, coded: Coded, pred: f64, quant: &Quantizer) -> f64 {
+        match coded {
+            Coded::Hit(q) => quant.dequantize(pred, q as f64),
+            Coded::Outlier(v) => v,
+        }
+    }
+}
+
 /// Inverse of [`core_compress`].
 fn core_decompress(bytes: &[u8], shape: Shape, bounds: &Bounds<'_>) -> DecodeResult<Vec<f64>> {
-    let radius: i64 = 1i64 << (QUANT_BITS - 1);
     let body = pipeline_decompress(bytes)?;
     let mut r = ByteReader::new(&body);
     let hlen = r.varint("sz huffman length")? as usize;
-    let mut codes = HuffmanDecoder::new(r.take(hlen, "sz huffman block")?)?;
+    let codes = HuffmanDecoder::new(r.take(hlen, "sz huffman block")?)?;
     let olen = r.varint("sz outlier length")? as usize;
-    let mut outliers = BitReader::new(r.take(olen, "sz outlier block")?);
-
+    let outliers = BitReader::new(r.take(olen, "sz outlier block")?);
+    let mut decoder = Decoder {
+        bounds,
+        codes,
+        outliers,
+        patches: Vec::new(),
+    };
     let mut recon = vec![0.0f64; shape.len()];
-    // The returned field differs from the reconstruction buffer only at
-    // non-finite outliers (prediction must see 0.0 there); those rare
-    // positions are patched in after the scan instead of maintaining a
-    // second full-size output array.
-    let mut patches: Vec<(usize, f64)> = Vec::new();
-    let mut bounds = BoundCursor::new(bounds);
-    let [nx, ny, nz] = shape.dims;
-    let ndims = shape.ndims();
-    let sxy = nx * ny;
-    let xmin = if ndims == 1 { 2 } else { 1 };
-    for z in 0..nz {
-        for y in 0..ny {
-            // Rows with a full complement of preceding neighbors take the
-            // interior predictor (bit-identical, incremental indices).
-            let row_interior = match ndims {
-                1 => true,
-                2 => y >= 1,
-                _ => y >= 1 && z >= 1,
-            };
-            let base = shape.idx(0, y, z);
-            let mut x = 0;
-            while x < nx {
-                let i = base + x;
-                let Some(e) = bounds.at(i) else {
-                    // All-zero block: skip the run (clamped to this row).
-                    x = bounds.run_end().min(base + nx) - base;
-                    continue;
-                };
-                if codes.remaining() == 0 {
-                    return Err(DecodeError::Corrupt {
-                        what: "sz quantization codes exhausted",
-                    });
-                }
-                let code = codes.next_symbol()?;
-                if code != 0 {
-                    let q = (code as i64).wrapping_sub(radius);
-                    let pred = if row_interior && x >= xmin {
-                        lorenzo_predict_interior(&recon, i, nx, sxy, ndims)
-                    } else {
-                        lorenzo_predict(&recon, shape, x, y, z)
-                    };
-                    let v = pred + q as f64 * 2.0 * e;
-                    // lint:allow(no-index): i = shape.idx(x, y, z) < shape.len() = recon.len()
-                    recon[i] = v;
-                } else {
-                    let sign = outliers.read_bit();
-                    let raw_exp = outliers.read_bits(11);
-                    // Recompute mb from the exponent exactly as the encoder.
-                    let mb = if raw_exp == 0x7ff || raw_exp == 0 {
-                        52
-                    } else {
-                        let ev = raw_exp as i32 - 1023;
-                        let ee = bounds.bound_exp();
-                        (ev - ee + 1).clamp(0, 52) as u32
-                    };
-                    let top = outliers.read_bits(mb);
-                    let vb = (sign << 63) | (raw_exp << 52) | (top << (52 - mb));
-                    let v = f64::from_bits(vb);
-                    if v.is_finite() {
-                        // lint:allow(no-index): i = shape.idx(x, y, z) < shape.len() = recon.len()
-                        recon[i] = v;
-                    } else {
-                        patches.push((i, v));
-                    }
-                }
-                x += 1;
-            }
+    lorenzo_walk(&mut recon, shape, &mut decoder)?;
+    for (i, v) in decoder.patches {
+        if let Some(slot) = recon.get_mut(i) {
+            *slot = v;
         }
-    }
-    for &(i, v) in &patches {
-        // lint:allow(no-index): i was produced by the scan loop above
-        recon[i] = v;
     }
     Ok(recon)
 }
@@ -710,6 +760,162 @@ mod tests {
                 let shape = Shape::d1(v.len());
                 let d = sz.decompress(&sz.compress(v, shape), shape);
                 assert!(d.is_ok(), "{what}, rel {rel}: {:?}", d.map(|d| d.len()));
+            }
+        }
+    }
+
+    /// A random `|y| < 2^51` of any magnitude, sign and fraction.
+    fn any_y(rng: &mut lrm_rng::Rng64) -> f64 {
+        let mag = f64::from_bits(rng.next_u64() >> 12 | 0x3ff0_0000_0000_0000) - 1.0;
+        let y = mag * 2f64.powi(rng.range_u64(112) as i32 - 60);
+        if rng.bool(0.5) {
+            -y
+        } else {
+            y
+        }
+    }
+
+    #[test]
+    fn round_half_away_is_the_integer_round_trip_of_round() {
+        let mut ys = vec![0.0, -0.0, 5e-324, -5e-324, 0.49999999999999994, 0.5];
+        ys.extend([
+            1.5,
+            2.5,
+            3.5,
+            32765.5,
+            32766.5,
+            32767.5,
+            2f64.powi(50) + 0.5,
+        ]);
+        for y in ys.clone() {
+            ys.extend([-y, y.next_up(), y.next_down(), -y.next_up(), -y.next_down()]);
+        }
+        let mut rng = lrm_rng::Rng64::new(0x20D);
+        for _ in 0..200_000 {
+            let y = any_y(&mut rng);
+            // Half-integers and their neighbors, up to 2^50.
+            let tie = (rng.next_u64() >> (14 + rng.range_u64(50))) as f64 + 0.5;
+            ys.extend([y, tie, tie.next_up(), tie.next_down(), -tie]);
+        }
+        for y in ys {
+            let got = round_half_away(y);
+            let want = y.round();
+            assert_eq!(got.to_bits(), (want as i64 as f64).to_bits(), "y = {y:e}");
+            if want != 0.0 {
+                assert_eq!(got.to_bits(), want.to_bits(), "y = {y:e}");
+            }
+        }
+        // A y that rounds to zero gives +0.0, as `qi as f64` did.
+        assert_eq!(round_half_away(-0.3).to_bits(), 0);
+        assert_eq!(round_half_away(-0.0).to_bits(), 0);
+    }
+
+    #[test]
+    fn reciprocal_of_a_power_of_two_step_divides_exactly() {
+        // Every normal power-of-two step takes the multiply, and its
+        // products equal the quotients, subnormal ones included.
+        let mut rng = lrm_rng::Rng64::new(0x2E);
+        for k in -1022..=1023 {
+            let step = 2f64.powi(k);
+            let quant = Quantizer::new(step / 2.0, k - 1);
+            assert_eq!(quant.step, step);
+            assert_ne!(quant.inv_step, 0.0, "2^{k}");
+            for _ in 0..300 {
+                let d = f64::from_bits(rng.next_u64() & !(1 << 62));
+                let small = d * 2f64.powi(-1000);
+                for d in [d, -d, small, -small] {
+                    assert_eq!(
+                        (d * quant.inv_step).to_bits(),
+                        (d / step).to_bits(),
+                        "d = {d:e}, 2e = 2^{k}"
+                    );
+                }
+            }
+        }
+        for e in [0.3, 1e-3, 0.75, f64::MAX, 2f64.powi(1023), 5e-324, 1e-320] {
+            assert_eq!(Quantizer::new(e, 0).inv_step, 0.0, "e = {e:e}");
+        }
+    }
+
+    /// SZ 1.4's quantization as this crate wrote it before the scan was
+    /// split: the code and the encoder's reconstruction of a hit.
+    fn sz14_quantize(v: f64, pred: f64, e: f64) -> Option<(u64, f64)> {
+        let q = if v.is_finite() && pred.is_finite() {
+            ((v - pred) / (2.0 * e)).round()
+        } else {
+            f64::INFINITY
+        };
+        let hit = q.is_finite() && q.abs() < (RADIUS - 1) as f64 && {
+            let r = pred + q * 2.0 * e;
+            (r - v).abs() <= e
+        };
+        hit.then(|| {
+            let qi = q as i64;
+            ((qi + RADIUS) as u64, pred + qi as f64 * 2.0 * e)
+        })
+    }
+
+    #[test]
+    fn quantizer_matches_sz14_and_the_decoder_bit_for_bit() {
+        let mut bounds: Vec<f64> = [-1074, -1073, -1023, -1022, -1021, -500, -20, -1, 0]
+            .iter()
+            .chain(&[1, 20, 500, 1021, 1022, 1023])
+            .map(|&j| 2f64.powi(j))
+            .collect();
+        bounds.extend([0.3, 1e-3, 0.75, 1e300, f64::MAX, 3.0 * f64::MIN_POSITIVE]);
+        let fractions = [0.0, 0.5, -0.5, 0.49999999999999994, -0.49999999999999994];
+        let mut rng = lrm_rng::Rng64::new(0x5214);
+        for e in bounds {
+            let quant = Quantizer::new(e, e.log2().floor() as i32);
+            let mut cases = vec![
+                // pred = −0.0 with a hit of zero steps: SZ reconstructs
+                // +0.0 from the integer code.
+                (-(1e-30_f64.min(e / 4.0)), -0.0),
+                (-0.0, -0.0),
+                (0.0, -0.0),
+                (f64::NAN, 1.0),
+                (f64::INFINITY, 1.0),
+                (1.0, f64::NEG_INFINITY),
+                (f64::MAX, -f64::MAX),
+            ];
+            // The edges of the code range: |q| = 32766 is a hit, 32767 not.
+            for n in [32766.0, 32767.0, -32766.0, -32767.0] {
+                for f in fractions {
+                    cases.push((1.0 + (n + f) * 2.0 * e, 1.0));
+                }
+            }
+            for _ in 0..3_000 {
+                let pred = match rng.range_u64(4) {
+                    0 => any_y(&mut rng),
+                    1 => any_y(&mut rng) * e,
+                    2 => rng.any_f64_bits(),
+                    _ => 0.0,
+                };
+                let n = rng.range_u64(80_000) as f64 - 40_000.0;
+                let f = fractions[rng.range_usize(fractions.len())];
+                let f = if rng.bool(0.5) {
+                    f
+                } else {
+                    rng.next_f64() - 0.5
+                };
+                cases.push((pred + (n + f) * 2.0 * e, pred));
+                cases.push((rng.any_f64_bits(), pred));
+            }
+            for (v, pred) in cases {
+                let got = quant.quantize(v, pred);
+                let want = sz14_quantize(v, pred, e);
+                let bits = |c: Option<(u64, f64)>| c.map(|(code, r)| (code, r.to_bits()));
+                assert_eq!(
+                    bits(got),
+                    bits(want),
+                    "e = {e:e}, v = {v:e}, pred = {pred:e}"
+                );
+                if let Some((code, r)) = got {
+                    let q = code as i64 - RADIUS;
+                    let decoded = quant.dequantize(pred, q as f64);
+                    assert_eq!(decoded.to_bits(), r.to_bits(), "e = {e:e}, v = {v:e}");
+                    assert_eq!(decoded.to_bits(), (pred + q as f64 * 2.0 * e).to_bits());
+                }
             }
         }
     }

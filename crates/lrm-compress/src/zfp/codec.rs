@@ -89,10 +89,10 @@ fn block_exponent(block: &[f64]) -> Option<i32> {
     }
 }
 
-/// Reusable per-block scratch buffers. The chunk-parallel loops in
-/// [`crate::zfp`] thread one of these through each worker so no per-block
-/// heap allocation happens on the hot path; `blk` doubles as the
-/// gather/scatter staging area for the caller.
+/// Reusable per-block scratch buffers. The block loops in [`crate::zfp`]
+/// hold one for the whole field, so no per-block heap allocation happens
+/// on the hot path; `blk` doubles as the gather/scatter staging area for
+/// the caller.
 #[derive(Debug, Clone)]
 pub struct BlockScratch {
     /// Block values: the encoder reads its input from here and the
@@ -244,12 +244,12 @@ pub fn decode_block_scratch(
 }
 
 /// Embedded coding of negabinary coefficients, `maxprec` planes from the
-/// top. Word-level: the 4^d × 64-bit coefficient matrix is transposed
-/// once into per-plane masks by sparse bit scatter, each plane's
-/// verbatim prefix goes out in one `write_bits` call, and the
-/// significant-prefix length is a running OR + `leading_zeros` instead
-/// of an O(size) rescan per plane. Bit-for-bit identical to
-/// [`crate::reference::encode_ints_ref`].
+/// top. Word-level: the coded planes of the 4^d × 64-bit coefficient
+/// matrix are transposed once into per-plane masks by sparse bit
+/// scatter, each plane's verbatim prefix goes out in one `write_bits`
+/// call, and the significant-prefix length is a running OR +
+/// `leading_zeros` instead of an O(size) rescan per plane. Bit-for-bit
+/// identical to [`crate::reference::encode_ints_ref`].
 #[doc(hidden)]
 pub fn encode_ints(uints: &[u64], maxprec: u32, out: &mut BitWriter) {
     let size = uints.len();
@@ -257,10 +257,13 @@ pub fn encode_ints(uints: &[u64], maxprec: u32, out: &mut BitWriter) {
     let kmin = INT_PREC.saturating_sub(maxprec);
     // Transpose: bit i of planes[k] = bit k of coefficient i. Negabinary
     // coefficients are sparse in the low planes, so scatter set bits
-    // instead of probing all 64 planes per coefficient.
+    // instead of probing all 64 planes per coefficient. Only planes
+    // kmin..64 are coded; the mask drops the bits below them, which at
+    // 16 or 8 planes are most of a coefficient's set bits.
+    let coded = u64::MAX.checked_shl(kmin).unwrap_or(0);
     let mut planes = [0u64; 64];
     for (i, &u) in uints.iter().enumerate() {
-        let mut u = u;
+        let mut u = u & coded;
         while u != 0 {
             let k = u.trailing_zeros() as usize;
             // lint:allow(no-index): k < 64 by trailing_zeros of a nonzero u64

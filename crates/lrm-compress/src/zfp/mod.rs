@@ -10,6 +10,11 @@
 //! original data, 8 bits for deltas, and an 8..=32 sweep for the Fig. 11
 //! rate-distortion comparison. That is the only mode implemented: every
 //! block encodes the same number of bit planes.
+//!
+//! Both directions run on the caller's thread, block after block, into
+//! and out of one bit stream. The codec starts no threads: the pipeline
+//! engine and the server own the parallelism, so their thread counts
+//! bound the threads ZFP runs on.
 
 pub mod block;
 pub mod codec;
@@ -48,35 +53,20 @@ impl Codec for Zfp {
         assert_eq!(data.len(), shape.len(), "zfp: data/shape mismatch");
         let ndims = shape.ndims();
         let bsize = 1usize << (2 * ndims);
-        let coords: Vec<[usize; 3]> = block::block_coords(shape).collect();
-
-        // Encode groups of blocks in parallel into private writers, then
-        // stitch the bitstreams (no alignment padding, so the output is
-        // byte-identical to a serial encode).
-        const GROUP: usize = 256;
-        let group_inputs: Vec<&[[usize; 3]]> = coords.chunks(GROUP).collect();
-        let groups: Vec<BitWriter> =
-            lrm_parallel::WorkerPool::auto().run(group_inputs, |_, chunk| {
-                let mut w = BitWriter::with_capacity_bits(chunk.len() * bsize * 20);
-                let mut scratch = codec::BlockScratch::new();
-                for &b in chunk {
-                    block::gather(data, shape, b, &mut scratch.blk[..bsize]);
-                    codec::encode_block_scratch(&mut scratch, ndims, self.precision, &mut w);
-                }
-                w
-            });
-
-        let total_bits: usize = groups.iter().map(|g| g.len_bits()).sum();
-        let mut stream = BitWriter::with_capacity_bits(total_bits);
-        for g in &groups {
-            stream.append(g);
+        let mut stream = BitWriter::with_capacity_bits(data.len() * 20);
+        let mut scratch = codec::BlockScratch::new();
+        for b in block::block_coords(shape) {
+            block::gather(data, shape, b, &mut scratch.blk[..bsize]);
+            codec::encode_block_scratch(&mut scratch, ndims, self.precision, &mut stream);
         }
+        let total_bits = stream.len_bits();
         // Frame the stream with its exact bit length so the decoder can
         // tell a truncated stream apart from one whose tail planes are
         // legitimately zero (BitReader reads zeros past the end).
-        let mut out = Vec::new();
+        let payload = stream.into_bytes();
+        let mut out = Vec::with_capacity(payload.len() + 10);
         encode_uvarint(total_bits as u64, &mut out);
-        out.extend_from_slice(&stream.into_bytes());
+        out.extend_from_slice(&payload);
         out
     }
 
@@ -219,8 +209,8 @@ mod tests {
 
     #[test]
     fn parallel_group_stitching_roundtrips_across_group_boundaries() {
-        // 40³ = 1000 blocks: several parallel encode groups must stitch
-        // into one decodable stream.
+        // 40³ = 1000 blocks in one stream: the name is from when the
+        // encoder split blocks into groups of 256 and joined their bits.
         let shape = Shape::d3(40, 40, 40);
         let v: Vec<f64> = (0..shape.len())
             .map(|i| ((i % 977) as f64 * 0.13).sin() * 25.0 + (i / 1600) as f64)

@@ -61,33 +61,6 @@ fn bitstream_reader_matches_reference_on_1k_random_streams() {
     }
 }
 
-#[test]
-fn bitstream_append_matches_reference_stitching() {
-    // The ZFP compressor stitches parallel block groups with append();
-    // the joined stream must match bit-by-bit re-emission.
-    let mut rng = Rng64::new(0xB19);
-    for _ in 0..200 {
-        let mut parts: Vec<Vec<(u64, u32)>> = Vec::new();
-        for _ in 0..1 + rng.range_usize(4) {
-            let vals = (0..rng.range_usize(60))
-                .map(|_| (rng.next_u64(), 1 + rng.range_u64(64) as u32))
-                .collect();
-            parts.push(vals);
-        }
-        let mut stitched = BitWriter::new();
-        let mut flat = RefBitWriter::new();
-        for part in &parts {
-            let mut w = BitWriter::new();
-            for &(v, n) in part {
-                w.write_bits(v, n);
-                flat.write_bits(v, n);
-            }
-            stitched.append(&w);
-        }
-        assert_eq!(stitched.into_bytes(), flat.into_bytes());
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Huffman: encode bytes and decode results, fast vs scalar.
 // ---------------------------------------------------------------------------
@@ -154,6 +127,26 @@ fn lzss_matches_reference_on_1k_random_streams() {
         assert_eq!(fast, lzss_compress_ref(&data), "stream {i}");
         assert_eq!(lzss_decompress(&fast), lzss_decompress_ref(&fast));
         assert_eq!(lzss_decompress(&fast), Ok(data));
+    }
+}
+
+#[test]
+fn lzss_matches_reference_at_the_window_edge() {
+    // Noise with an 8- to 64-byte run copied exactly 65,536 bytes later:
+    // the only match for the copy lies one window length back, one byte
+    // past what a `u16` offset can name.
+    let mut rng = Rng64::new(0x18);
+    for len in [8usize, 9, 64] {
+        let mut data = rng.vec_u8(70_000);
+        data.copy_within(1_000..1_000 + len, 1_000 + (1 << 16));
+        let fast = lzss_compress(&data);
+        assert_eq!(fast, lzss_compress_ref(&data), "run of {len}");
+        assert_eq!(lzss_decompress(&fast), lzss_decompress_ref(&fast));
+        assert_eq!(
+            lzss_decompress(&fast).map(|d| d == data),
+            Ok(true),
+            "run of {len}"
+        );
     }
 }
 
