@@ -258,19 +258,76 @@ mod tests {
         Matrix::zeros(2, 3).matmul(&Matrix::zeros(2, 3));
     }
 
-    #[test]
-    fn parallel_matmul_matches_serial_reference() {
-        let a = Matrix::from_fn(17, 23, |r, c| ((r * 31 + c * 17) % 11) as f64 - 5.0);
-        let b = Matrix::from_fn(23, 9, |r, c| ((r * 7 + c * 3) % 13) as f64 - 6.0);
-        let c = a.matmul(&b);
-        for r in 0..17 {
-            for cc in 0..9 {
-                let mut s = 0.0;
-                for k in 0..23 {
-                    s += a.get(r, k) * b.get(k, cc);
+    /// The definition `matmul` must equal bit for bit: for each output
+    /// row, add `a·b` over the rhs rows in order, skipping every `a`
+    /// that compares equal to zero.
+    fn naive_ikj(a: &Matrix, b: &Matrix) -> Vec<f64> {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let mut out = vec![0.0f64; m * n];
+        for r in 0..m {
+            for i in 0..k {
+                let x = a.get(r, i);
+                if x == 0.0 {
+                    continue;
                 }
-                assert!((c.get(r, cc) - s).abs() < 1e-9);
+                for c in 0..n {
+                    out[r * n + c] += x * b.get(i, c);
+                }
             }
         }
+        out
+    }
+
+    /// Mostly random values, with ±0.0, subnormals, ±inf and NaN mixed
+    /// in.
+    fn mixed(rows: usize, cols: usize, rng: &mut lrm_rng::Rng64) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| match rng.range_u64(64) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(1 + rng.range_u64(1 << 52)),
+            3 => -f64::from_bits(1 + rng.range_u64(1 << 52)),
+            4 => f64::INFINITY,
+            5 => f64::NEG_INFINITY,
+            6 => f64::NAN,
+            7..=15 => 0.0,
+            _ => rng.range_f64(-1e3, 1e3),
+        })
+    }
+
+    #[test]
+    fn matmul_equals_naive_ikj_bit_for_bit() {
+        let mut rng = lrm_rng::Rng64::new(0x6e44);
+        for (m, k, n) in [
+            (0, 3, 4),
+            (3, 0, 4),
+            (3, 4, 0),
+            (1, 1, 1),
+            (2304, 5, 48),
+            (5, 2304, 3),
+        ] {
+            let a = mixed(m, k, &mut rng);
+            let b = mixed(k, n, &mut rng);
+            let got = a.matmul(&b);
+            assert_eq!((got.rows(), got.cols()), (m, n));
+            let want = naive_ikj(&a, &b);
+            for (idx, (g, w)) in got.as_slice().iter().zip(&want).enumerate() {
+                // Rust leaves the sign and payload of a NaN result
+                // unspecified (a sum of two NaNs may return either), so a
+                // NaN only has to meet a NaN.
+                assert!(
+                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                    "{m}x{k}·{k}x{n} at {idx}: {g:e} ({:#x}) vs {w:e} ({:#x})",
+                    g.to_bits(),
+                    w.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_skips_zero_lhs_so_zero_times_inf_never_reaches_a_sum() {
+        let a = Matrix::from_vec(2, 2, vec![0.0, 2.0, -0.0, 1.0]);
+        let b = Matrix::from_vec(2, 2, vec![f64::INFINITY, f64::NAN, 3.0, -0.5]);
+        assert_eq!(a.matmul(&b).as_slice(), &[6.0, -1.0, 3.0, -0.5]);
     }
 }

@@ -225,6 +225,95 @@ mod tests {
         fwd_1d(&mut [0.0; 12]);
     }
 
+    /// The definition `fwd_2d` must equal bit for bit: `fwd_1d` on every
+    /// row, then on every column gathered into a vector of its own.
+    fn fwd_2d_by_rows_then_columns(data: &mut [f64], rows: usize, cols: usize) {
+        for row in data.chunks_mut(cols) {
+            fwd_1d(row);
+        }
+        for c in 0..cols {
+            let mut col: Vec<f64> = (0..rows).map(|r| data[r * cols + c]).collect();
+            fwd_1d(&mut col);
+            for (r, v) in col.into_iter().enumerate() {
+                data[r * cols + c] = v;
+            }
+        }
+    }
+
+    /// The definition of `inv_2d`: `inv_1d` on every gathered column, then
+    /// on every row.
+    fn inv_2d_by_columns_then_rows(data: &mut [f64], rows: usize, cols: usize) {
+        for c in 0..cols {
+            let mut col: Vec<f64> = (0..rows).map(|r| data[r * cols + c]).collect();
+            inv_1d(&mut col);
+            for (r, v) in col.into_iter().enumerate() {
+                data[r * cols + c] = v;
+            }
+        }
+        for row in data.chunks_mut(cols) {
+            inv_1d(row);
+        }
+    }
+
+    /// Equal bits, except that a NaN only has to meet a NaN: Rust leaves
+    /// the sign and payload of a NaN result unspecified.
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what} at {i}: {g:e} ({:#x}) vs {w:e} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn transforms_2d_equal_row_then_column_1d_passes_bit_for_bit() {
+        let mut rng = lrm_rng::Rng64::new(0x4aa2);
+        for (rows, cols) in [
+            (1, 1),
+            (1, 64),
+            (64, 1),
+            (2, 2),
+            (8, 128),
+            (128, 8),
+            (4096, 64),
+        ] {
+            // Mostly random values, with ±0.0, subnormals and NaN mixed in.
+            let orig: Vec<f64> = (0..rows * cols)
+                .map(|_| match rng.range_u64(32) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f64::from_bits(1 + rng.range_u64(1 << 52)),
+                    3 => -f64::from_bits(1 + rng.range_u64(1 << 52)),
+                    4 => f64::NAN,
+                    _ => rng.range_f64(-1e3, 1e3),
+                })
+                .collect();
+            let what = format!("{rows}x{cols}");
+
+            let mut got = orig.clone();
+            let mut want = orig.clone();
+            fwd_2d(&mut got, rows, cols);
+            fwd_2d_by_rows_then_columns(&mut want, rows, cols);
+            assert_same_bits(&got, &want, &format!("fwd {what}"));
+
+            let mut got = orig.clone();
+            let mut want = orig;
+            inv_2d(&mut got, rows, cols);
+            inv_2d_by_columns_then_rows(&mut want, rows, cols);
+            assert_same_bits(&got, &want, &format!("inv {what}"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "haar: length must be a power of two")]
+    fn inv_2d_rejects_non_pow2_extent() {
+        inv_2d(&mut [0.0; 96], 12, 8);
+    }
+
     #[test]
     fn prop_1d_roundtrip_randomized() {
         // Property: fwd_1d / inv_1d are inverses for any signal length
