@@ -2,7 +2,8 @@
 //!
 //! The paper's PCA and SVD reduced models (Section V) need:
 //!
-//! * a dense [`Matrix`] with parallel products,
+//! * a dense [`Matrix`] whose products run on the caller's thread (no
+//!   call in this crate starts a thread),
 //! * a symmetric eigensolver ([`eigen::symmetric_eigen`], cyclic Jacobi
 //!   with a tolerance relative to `‖a‖_F`, so PCA does not depend on the
 //!   data's units) for PCA's covariance matrices,

@@ -1,6 +1,6 @@
 //! Dense row-major matrices with the operations the reduction pipeline
-//! needs: products (row-parallel on the workspace worker pool),
-//! transposition, norms, and column-block extraction.
+//! needs: products (on the caller's thread), transposition, norms, and
+//! column-block extraction.
 
 /// Dense row-major `f64` matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,8 +101,13 @@ impl Matrix {
         t
     }
 
-    /// Matrix product `self * rhs`, parallelized over output rows on the
-    /// workspace worker pool.
+    /// Matrix product `self * rhs`, on the caller's thread.
+    ///
+    /// Each output row adds `a·b_row` over the rhs rows in order (ikj, so
+    /// every access is contiguous) and skips an `a` that equals zero, so a
+    /// zero never meets an infinity in the sum. The products the pipeline
+    /// forms (`scores·basisᵀ`, `U·Σ·Vᵀ`) have a small inner dimension,
+    /// where a thread pool costs more than the arithmetic.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
@@ -110,10 +115,8 @@ impl Matrix {
         assert_eq!(self.cols, rhs.rows, "matmul: inner dimension mismatch");
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         let mut out = vec![0.0f64; m * n];
-        let rows: Vec<&mut [f64]> = out.chunks_mut(n.max(1)).collect();
-        lrm_parallel::WorkerPool::auto().run(rows, |r, out_row| {
+        for (r, out_row) in out.chunks_mut(n.max(1)).enumerate() {
             let a_row = &self.data[r * k..(r + 1) * k];
-            // ikj order over the rhs rows keeps access contiguous.
             for (i, &a) in a_row.iter().enumerate() {
                 if a == 0.0 {
                     continue;
@@ -123,7 +126,7 @@ impl Matrix {
                     *o += a * b;
                 }
             }
-        });
+        }
         Matrix {
             rows: m,
             cols: n,

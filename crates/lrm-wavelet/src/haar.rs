@@ -7,16 +7,17 @@
 //! (`1/√2`) keeps coefficient magnitudes comparable across levels so a
 //! single threshold is meaningful.
 
+use std::f64::consts::FRAC_1_SQRT_2;
+
 /// One forward Haar level over `data[..n]`: writes n/2 smooth (sum)
 /// coefficients followed by n/2 detail (difference) coefficients.
 fn fwd_step(data: &mut [f64], n: usize, scratch: &mut [f64]) {
     let half = n / 2;
-    let inv_sqrt2 = std::f64::consts::FRAC_1_SQRT_2;
     for i in 0..half {
         let a = data[2 * i];
         let b = data[2 * i + 1];
-        scratch[i] = (a + b) * inv_sqrt2;
-        scratch[half + i] = (a - b) * inv_sqrt2;
+        scratch[i] = (a + b) * FRAC_1_SQRT_2;
+        scratch[half + i] = (a - b) * FRAC_1_SQRT_2;
     }
     data[..n].copy_from_slice(&scratch[..n]);
 }
@@ -24,14 +25,71 @@ fn fwd_step(data: &mut [f64], n: usize, scratch: &mut [f64]) {
 /// One inverse Haar level over `data[..n]`.
 fn inv_step(data: &mut [f64], n: usize, scratch: &mut [f64]) {
     let half = n / 2;
-    let inv_sqrt2 = std::f64::consts::FRAC_1_SQRT_2;
     for i in 0..half {
         let s = data[i];
         let d = data[half + i];
-        scratch[2 * i] = (s + d) * inv_sqrt2;
-        scratch[2 * i + 1] = (s - d) * inv_sqrt2;
+        scratch[2 * i] = (s + d) * FRAC_1_SQRT_2;
+        scratch[2 * i + 1] = (s - d) * FRAC_1_SQRT_2;
     }
     data[..n].copy_from_slice(&scratch[..n]);
+}
+
+/// [`fwd_step`] on every column of the first `n` rows of a row-major
+/// grid `cols` wide, a whole row at a time: rows `2i` and `2i + 1` give
+/// smooth row `i` and detail row `n/2 + i`. Every value sees the same
+/// two operations it sees in a gathered column, and no column is
+/// gathered.
+fn fwd_rows_step(data: &mut [f64], n: usize, cols: usize, scratch: &mut [f64]) {
+    let (smooth, detail) = scratch[..n * cols].split_at_mut(n / 2 * cols);
+    for ((pair, s_row), d_row) in data[..n * cols]
+        .chunks_exact(2 * cols)
+        .zip(smooth.chunks_exact_mut(cols))
+        .zip(detail.chunks_exact_mut(cols))
+    {
+        let (a_row, b_row) = pair.split_at(cols);
+        for (((&a, &b), s), d) in a_row.iter().zip(b_row).zip(s_row).zip(d_row) {
+            *s = (a + b) * FRAC_1_SQRT_2;
+            *d = (a - b) * FRAC_1_SQRT_2;
+        }
+    }
+    data[..n * cols].copy_from_slice(&scratch[..n * cols]);
+}
+
+/// [`inv_step`] on every column of the first `n` rows, a whole row at a
+/// time: smooth row `i` and detail row `n/2 + i` give rows `2i` and
+/// `2i + 1`.
+fn inv_rows_step(data: &mut [f64], n: usize, cols: usize, scratch: &mut [f64]) {
+    let (smooth, detail) = data[..n * cols].split_at(n / 2 * cols);
+    for ((s_row, d_row), pair) in smooth
+        .chunks_exact(cols)
+        .zip(detail.chunks_exact(cols))
+        .zip(scratch[..n * cols].chunks_exact_mut(2 * cols))
+    {
+        let (a_row, b_row) = pair.split_at_mut(cols);
+        for (((&s, &d), a), b) in s_row.iter().zip(d_row).zip(a_row).zip(b_row) {
+            *a = (s + d) * FRAC_1_SQRT_2;
+            *b = (s - d) * FRAC_1_SQRT_2;
+        }
+    }
+    data[..n * cols].copy_from_slice(&scratch[..n * cols]);
+}
+
+/// Every forward level of a power-of-two `data`, finest first.
+fn fwd_levels(data: &mut [f64], scratch: &mut [f64]) {
+    let mut n = data.len();
+    while n >= 2 {
+        fwd_step(data, n, scratch);
+        n /= 2;
+    }
+}
+
+/// Every inverse level of a power-of-two `data`, coarsest first.
+fn inv_levels(data: &mut [f64], scratch: &mut [f64]) {
+    let mut n = 2;
+    while n <= data.len() {
+        inv_step(data, n, scratch);
+        n *= 2;
+    }
 }
 
 /// Full multi-level forward 1-D Haar transform in place.
@@ -41,65 +99,58 @@ fn inv_step(data: &mut [f64], n: usize, scratch: &mut [f64]) {
 pub fn fwd_1d(data: &mut [f64]) {
     let len = data.len();
     assert!(len.is_power_of_two(), "haar: length must be a power of two");
-    let mut scratch = vec![0.0; len];
-    let mut n = len;
-    while n >= 2 {
-        fwd_step(data, n, &mut scratch);
-        n /= 2;
-    }
+    fwd_levels(data, &mut vec![0.0; len]);
 }
 
 /// Full multi-level inverse 1-D Haar transform in place.
 pub fn inv_1d(data: &mut [f64]) {
     let len = data.len();
     assert!(len.is_power_of_two(), "haar: length must be a power of two");
-    let mut scratch = vec![0.0; len];
-    let mut n = 2;
-    while n <= len {
-        inv_step(data, n, &mut scratch);
-        n *= 2;
-    }
+    inv_levels(data, &mut vec![0.0; len]);
 }
 
 /// Full 2-D forward transform of a row-major `rows × cols` matrix:
 /// multi-level over every row, then multi-level over every column
-/// (the paper's Step 1 then Step 2).
+/// (the paper's Step 1 then Step 2). The column levels run a whole row
+/// at a time, and one scratch grid serves every level.
 pub fn fwd_2d(data: &mut [f64], rows: usize, cols: usize) {
     assert_eq!(data.len(), rows * cols, "haar: buffer mismatch");
     assert!(
         rows.is_power_of_two() && cols.is_power_of_two(),
         "haar: extents must be powers of two"
     );
-    for r in 0..rows {
-        fwd_1d(&mut data[r * cols..(r + 1) * cols]);
+    let mut scratch = vec![0.0; data.len()];
+    for row in data.chunks_exact_mut(cols) {
+        fwd_levels(row, &mut scratch);
     }
-    let mut col = vec![0.0; rows];
-    for c in 0..cols {
-        for r in 0..rows {
-            col[r] = data[r * cols + c];
-        }
-        fwd_1d(&mut col);
-        for r in 0..rows {
-            data[r * cols + c] = col[r];
-        }
+    let mut n = rows;
+    while n >= 2 {
+        fwd_rows_step(data, n, cols, &mut scratch);
+        n /= 2;
     }
 }
 
-/// Inverse of [`fwd_2d`].
+/// Inverse of [`fwd_2d`]: multi-level over every column, then over
+/// every row.
+///
+/// # Panics
+/// Panics unless both extents are powers of two (or the grid is 0 × 0).
 pub fn inv_2d(data: &mut [f64], rows: usize, cols: usize) {
     assert_eq!(data.len(), rows * cols, "haar: buffer mismatch");
-    let mut col = vec![0.0; rows];
-    for c in 0..cols {
-        for r in 0..rows {
-            col[r] = data[r * cols + c];
-        }
-        inv_1d(&mut col);
-        for r in 0..rows {
-            data[r * cols + c] = col[r];
-        }
+    // The message and the 0 × 0 exemption of running `inv_1d` on every
+    // column, then on every row.
+    assert!(
+        (cols == 0 || rows.is_power_of_two()) && (rows == 0 || cols.is_power_of_two()),
+        "haar: length must be a power of two"
+    );
+    let mut scratch = vec![0.0; data.len()];
+    let mut n = 2;
+    while n <= rows {
+        inv_rows_step(data, n, cols, &mut scratch);
+        n *= 2;
     }
-    for r in 0..rows {
-        inv_1d(&mut data[r * cols..(r + 1) * cols]);
+    for row in data.chunks_exact_mut(cols.max(1)) {
+        inv_levels(row, &mut scratch);
     }
 }
 
