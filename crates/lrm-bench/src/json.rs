@@ -50,7 +50,8 @@ impl Json {
     }
 
     /// Pretty-prints with two-space indentation and a trailing newline
-    /// (the committed `BENCH_*.json` format).
+    /// (the committed `BENCH_*.json` format). An array that holds no
+    /// array or object stays on one line.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);
@@ -65,8 +66,18 @@ impl Json {
             Json::Num(n) => write_num(*n, out),
             Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
+                if items
+                    .iter()
+                    .all(|i| !matches!(i, Json::Arr(_) | Json::Obj(_)))
+                {
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push_str(", ");
+                        }
+                        item.write(out, indent);
+                    }
+                    out.push(']');
                     return;
                 }
                 out.push('[');
@@ -352,6 +363,16 @@ mod tests {
         ]);
         let text = doc.pretty();
         assert_eq!(parse_json(&text), Ok(doc));
+    }
+
+    #[test]
+    fn scalar_arrays_stay_on_one_line() {
+        let doc = Json::Obj(vec![(
+            "a".into(),
+            Json::Arr(vec![Json::Num(1.5), Json::Null, Json::Str("x".into())]),
+        )]);
+        assert_eq!(doc.pretty(), "{\n  \"a\": [1.5, null, \"x\"]\n}\n");
+        assert_eq!(Json::Arr(vec![]).pretty(), "[]\n");
     }
 
     #[test]

@@ -8,8 +8,13 @@
 //!
 //! Everything here is std-only: timing via `std::time::Instant`, JSON
 //! via the hand-rolled writer/parser in [`json`].
+//!
+//! [`record`] turns paired runs of the repository benchmark (`perfbench/`)
+//! into an `lrm-bench/v2` record: per workload and metric, each side's
+//! median and quartiles and the wins of each side.
 
 pub mod json;
+pub mod record;
 
 use lrm_compress::{Codec, Fpc, Sz, Zfp};
 use lrm_datasets::{generate, DatasetKind, SizeClass};
@@ -301,9 +306,9 @@ mod tests {
         }
     }
 
-    /// Every committed record still parses, including the serve rows of
-    /// `BENCH_before_pr6.json` and `BENCH_pr6.json` that no harness
-    /// writes any more.
+    /// Every committed record still parses: the v1 rows, including the
+    /// serve rows of `BENCH_before_pr6.json` and `BENCH_pr6.json` that no
+    /// harness writes any more, and the v2 paired records.
     #[test]
     fn committed_records_load() {
         for (name, rows) in [
@@ -324,6 +329,24 @@ mod tests {
                     r.encode_mbps > 0.0 && r.decode_mbps > 0.0 && r.ratio > 0.0,
                     "{name}: {r:?}"
                 );
+            }
+        }
+        for (name, workloads) in [("BENCH_pr25.json", 3)] {
+            let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            let rec = record::Record::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(rec.workloads.len(), workloads, "{name}");
+            for w in &rec.workloads {
+                assert!(w.pairs > 0 && !w.metrics.is_empty(), "{name}: {}", w.name);
+                for m in &w.metrics {
+                    let what = format!("{name}: {} {}", w.name, m.spec.name);
+                    assert!(m.pairs <= w.pairs, "{what}");
+                    assert!(m.change_wins + m.parent_wins <= m.pairs, "{what}");
+                    for side in [&m.parent, &m.change] {
+                        assert_eq!(side.runs.len(), m.pairs, "{what}");
+                        assert!(side.q1 <= side.median && side.median <= side.q3, "{what}");
+                    }
+                }
             }
         }
     }

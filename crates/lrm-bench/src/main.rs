@@ -9,7 +9,18 @@
 //! results as JSON (`--out`), and optionally gates against a committed
 //! baseline (`--check`), exiting nonzero if any matching (codec,
 //! dataset) pair regressed by more than `--tolerance` (default 0.30).
+//!
+//! ```text
+//! lrm-bench record [--benchmark PATH] --out PATH
+//!                  --pair WORKLOAD PARENT_RUN CHANGE_RUN [--pair ...]
+//! ```
+//!
+//! Writes an `lrm-bench/v2` record of paired perfbench runs: each
+//! `PARENT_RUN`/`CHANGE_RUN` file holds one run's standard output, and
+//! units, directions and bounds come from `BENCHMARK.json` (default
+//! path `BENCHMARK.json`).
 
+use lrm_bench::record::{build_record, parse_benchmark, parse_run, render_record, Pair};
 use lrm_bench::{from_json, regressions, render_table, run, to_json, BenchConfig};
 use lrm_datasets::SizeClass;
 
@@ -73,7 +84,83 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+const RECORD_USAGE: &str = "usage: lrm-bench record [--benchmark PATH] --out PATH\n\
+     \x20                       --pair WORKLOAD PARENT_RUN CHANGE_RUN [--pair ...]";
+
+struct RecordArgs {
+    benchmark: String,
+    out: String,
+    /// (workload, parent run file, change run file).
+    pairs: Vec<(String, String, String)>,
+}
+
+fn parse_record_args(args: &[String]) -> Result<RecordArgs, String> {
+    let (mut benchmark, mut out, mut pairs) = ("BENCHMARK.json".to_string(), None, Vec::new());
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = |flag: &str| it.next().cloned().ok_or(format!("{flag} needs a value"));
+        match arg.as_str() {
+            "--benchmark" => benchmark = value("--benchmark")?,
+            "--out" => out = Some(value("--out")?),
+            "--pair" => pairs.push((value("--pair")?, value("--pair")?, value("--pair")?)),
+            "--help" | "-h" => {
+                println!("{RECORD_USAGE}");
+                std::process::exit(0);
+            }
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    let out = out.ok_or("--out is required")?;
+    if pairs.is_empty() {
+        return Err("at least one --pair is required".into());
+    }
+    Ok(RecordArgs {
+        benchmark,
+        out,
+        pairs,
+    })
+}
+
+/// `lrm-bench record`: reads the runs, writes the record, prints its
+/// table. Exits 2 on a usage, read or parse error.
+fn record_main(args: &[String]) {
+    let fail = |e: String| -> ! {
+        eprintln!("lrm-bench record: {e}");
+        std::process::exit(2);
+    };
+    let args = parse_record_args(args).unwrap_or_else(|e| fail(format!("{e}\n{RECORD_USAGE}")));
+    let read = |path: &str| std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"));
+    let bench = read(&args.benchmark)
+        .and_then(|text| parse_benchmark(&text))
+        .unwrap_or_else(|e| fail(e));
+    let run_at =
+        |path: &str| read(path).and_then(|t| parse_run(&t).map_err(|e| format!("{path}: {e}")));
+    let pairs: Vec<Pair> = args
+        .pairs
+        .iter()
+        .map(|(workload, parent, change)| {
+            Ok(Pair {
+                workload: workload.clone(),
+                parent: run_at(parent)?,
+                change: run_at(change)?,
+            })
+        })
+        .collect::<Result<_, String>>()
+        .unwrap_or_else(|e| fail(e));
+    let record = build_record(&bench, &pairs).unwrap_or_else(|e| fail(e));
+    print!("{}", render_record(&record));
+    if let Err(e) = std::fs::write(&args.out, record.to_json()) {
+        fail(format!("writing {}: {e}", args.out));
+    }
+    println!("wrote {}", args.out);
+}
+
 fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.first().is_some_and(|a| a == "record") {
+        record_main(&argv[1..]);
+        return;
+    }
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {

@@ -137,8 +137,9 @@ pub fn fwd_2d(data: &mut [f64], rows: usize, cols: usize) {
 /// Panics unless both extents are powers of two (or the grid is 0 × 0).
 pub fn inv_2d(data: &mut [f64], rows: usize, cols: usize) {
     assert_eq!(data.len(), rows * cols, "haar: buffer mismatch");
-    // The message and the 0 × 0 exemption of running `inv_1d` on every
-    // column, then on every row.
+    // Panics where `inv_1d` on every column and then on every row would:
+    // on an extent that is not a power of two, unless the other extent
+    // is 0 and no 1-D pass of that length runs.
     assert!(
         (cols == 0 || rows.is_power_of_two()) && (rows == 0 || cols.is_power_of_two()),
         "haar: length must be a power of two"
