@@ -1,19 +1,27 @@
-//! Golden-artifact manifest: whole pipeline runs pinned by hash.
+//! Golden-artifact manifests: whole pipeline runs pinned by hash.
 //!
-//! Every Tiny dataset goes through every configuration of the grid below
+//! Every dataset goes through every configuration of the grid below
 //! (model × the paper's SZ, ZFP and FPC settings × `scan_1d` off and on ×
 //! one chunk on one thread, or four chunks on two threads), and each run
-//! becomes one line of `golden_artifacts.manifest`: the FNV-64 of the
-//! input's bits, the FNV-64 and length of the artifact, and the FNV-64 of
-//! the reconstruction (or the decode error). The input hash tells a
-//! platform difference in the dataset solvers apart from a pipeline
-//! change. The test fails when any line differs from the committed
-//! manifest, and it prints the lines that moved.
+//! becomes one manifest line: the FNV-64 of the input's bits, the FNV-64
+//! and length of the artifact, and the FNV-64 of the reconstruction (or
+//! the decode error). The input hash tells a platform difference in the
+//! dataset solvers apart from a pipeline change. A test fails when any
+//! line differs from its committed manifest, and it prints the lines
+//! that moved.
 //!
-//! A change that moves bytes on purpose regenerates the manifest with
+//! The Tiny grid (`golden_artifacts.manifest`) runs with plain
+//! `cargo test`. The Small grid (`golden_artifacts_small.manifest`) takes
+//! seconds only in a release build, so it is `#[ignore]`d and run with
 //!
 //! ```text
-//! LRM_BLESS_GOLDEN=1 cargo test --test golden_artifacts
+//! cargo test --release --test golden_artifacts -- --include-ignored
+//! ```
+//!
+//! A change that moves bytes on purpose regenerates the manifests with
+//!
+//! ```text
+//! LRM_BLESS_GOLDEN=1 cargo test --release --test golden_artifacts -- --include-ignored
 //! ```
 //!
 //! and gives a reason for every moved line. Regenerating must never be
@@ -24,9 +32,14 @@ use lrm::core::{
 };
 use lrm::datasets::{generate, DatasetKind, SizeClass};
 
-const MANIFEST: &str = concat!(
+const TINY_MANIFEST: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden_artifacts.manifest"
+);
+
+const SMALL_MANIFEST: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden_artifacts_small.manifest"
 );
 
 /// FNV-1a, 64-bit.
@@ -42,7 +55,7 @@ fn fnv64_f64s(values: &[f64]) -> u64 {
 }
 
 /// The models every field goes through; the projection models need a
-/// 3-D field.
+/// field of at least two dimensions.
 fn models(ndims: usize) -> Vec<ReducedModelKind> {
     let mut out = vec![
         ReducedModelKind::Direct,
@@ -52,7 +65,7 @@ fn models(ndims: usize) -> Vec<ReducedModelKind> {
         ReducedModelKind::PcaBlocked(4),
         ReducedModelKind::SvdBlocked(4),
     ];
-    if ndims == 3 {
+    if ndims >= 2 {
         out.extend([ReducedModelKind::OneBase, ReducedModelKind::MultiBase(4)]);
     }
     out
@@ -69,10 +82,10 @@ fn codecs() -> [(&'static str, LossyCodec, LossyCodec); 3] {
     ]
 }
 
-fn manifest() -> String {
+fn manifest(size: SizeClass) -> String {
     let mut text = String::new();
     for kind in DatasetKind::ALL {
-        let field = generate(kind, SizeClass::Tiny).full;
+        let field = generate(kind, size).full;
         let input = fnv64_f64s(&field.data);
         for model in models(field.shape.ndims()) {
             for (cname, orig, delta) in codecs() {
@@ -108,14 +121,15 @@ fn manifest() -> String {
     text
 }
 
-#[test]
-fn pipeline_artifacts_match_the_golden_manifest() {
-    let got = manifest();
+/// Compares the grid on `size` with the manifest at `path`, or rewrites
+/// the manifest under `LRM_BLESS_GOLDEN`.
+fn check_manifest(size: SizeClass, path: &str) {
+    let got = manifest(size);
     if std::env::var_os("LRM_BLESS_GOLDEN").is_some() {
-        std::fs::write(MANIFEST, &got).unwrap_or_else(|e| panic!("{MANIFEST}: {e}"));
+        std::fs::write(path, &got).unwrap_or_else(|e| panic!("{path}: {e}"));
         return;
     }
-    let want = std::fs::read_to_string(MANIFEST).unwrap_or_else(|e| panic!("{MANIFEST}: {e}"));
+    let want = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
     let moved: Vec<String> = want
         .lines()
         .zip(got.lines())
@@ -130,4 +144,15 @@ fn pipeline_artifacts_match_the_golden_manifest() {
         want.lines().count(),
         moved.join("\n")
     );
+}
+
+#[test]
+fn pipeline_artifacts_match_the_golden_manifest() {
+    check_manifest(SizeClass::Tiny, TINY_MANIFEST);
+}
+
+#[test]
+#[ignore = "the Small grid takes seconds only in a release build"]
+fn small_pipeline_artifacts_match_the_golden_manifest() {
+    check_manifest(SizeClass::Small, SMALL_MANIFEST);
 }
