@@ -27,21 +27,12 @@
 //! not exceed `n` (PCA) or `min(m, n)` (SVD).
 
 use crate::codec::LossyCodec;
+use crate::pipeline::Reduction;
 use lrm_compress::{ByteReader, DecodeError, DecodeResult, Shape};
 use lrm_datasets::Field;
 use lrm_linalg::svd::{rank_for_energy, svd_truncated};
 use lrm_linalg::{Matrix, Pca};
 use lrm_wavelet::WaveletModel;
-
-/// Output of a dimension-reduction preconditioner.
-pub struct DimRedOutput {
-    /// Serialized reduced representation (self-contained).
-    pub rep_bytes: Vec<u8>,
-    /// Delta of the original against the representation reconstruction.
-    pub delta: Vec<f64>,
-    /// Number of retained components (k), 0 for wavelet.
-    pub k: usize,
-}
 
 pub(crate) fn put_u32(out: &mut Vec<u8>, v: usize) {
     out.extend_from_slice(&(v as u32).to_le_bytes());
@@ -203,15 +194,16 @@ fn svd_base(mut u: Vec<f64>, m: usize, sigma: &[f64], v: &Matrix) -> Vec<f64> {
 }
 
 /// Writes the whole-field layout — `m, n`, then the body — and the delta.
-fn whole_field(field: &Field, fit: Factors) -> DimRedOutput {
+fn whole_field(field: &Field, fit: Factors) -> Reduction {
     let (m, n) = field.matrix_dims();
     let mut rep = Vec::with_capacity(8 + fit.body.len());
     put_u32(&mut rep, m);
     put_u32(&mut rep, n);
     rep.extend_from_slice(&fit.body);
-    DimRedOutput {
+    Reduction {
         rep_bytes: rep,
         delta: minus(&field.data, &fit.approx),
+        rep_shape: Shape::d1(0),
         k: fit.k,
     }
 }
@@ -227,7 +219,7 @@ pub fn pca_precondition(
     field: &Field,
     variance_fraction: f64,
     orig_codec: &LossyCodec,
-) -> DimRedOutput {
+) -> Reduction {
     let fit = fit_pca(&field_matrix(field), variance_fraction, orig_codec);
     whole_field(field, fit)
 }
@@ -246,11 +238,7 @@ pub fn pca_reconstruct(
 
 /// SVD preconditioning: keep the top-k singular triplets by the 95 %
 /// singular-value-sum rule; `U_k` is lossy-compressed.
-pub fn svd_precondition(
-    field: &Field,
-    energy_fraction: f64,
-    orig_codec: &LossyCodec,
-) -> DimRedOutput {
+pub fn svd_precondition(field: &Field, energy_fraction: f64, orig_codec: &LossyCodec) -> Reduction {
     let fit = fit_svd(&field_matrix(field), energy_fraction, orig_codec);
     whole_field(field, fit)
 }
@@ -269,16 +257,17 @@ pub fn svd_reconstruct(
 
 /// Wavelet preconditioning with threshold θ = `theta_fraction` × max
 /// coefficient (paper: 0.05). The sparse representation is lossless.
-pub fn wavelet_precondition(field: &Field, theta_fraction: f64) -> DimRedOutput {
+pub fn wavelet_precondition(field: &Field, theta_fraction: f64) -> Reduction {
     let (m, n) = field.matrix_dims();
     let model = WaveletModel::fit(&field.data, m, n, theta_fraction);
     let mut rep = Vec::new();
     put_u32(&mut rep, m);
     put_u32(&mut rep, n);
     put_stream(&mut rep, &model.coeffs.to_bytes());
-    DimRedOutput {
+    Reduction {
         rep_bytes: rep,
         delta: minus(&field.data, &model.reconstruct()),
+        rep_shape: Shape::d1(0),
         k: 0,
     }
 }

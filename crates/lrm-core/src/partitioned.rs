@@ -21,10 +21,9 @@
 //! the framing around the blocks.
 
 use crate::codec::LossyCodec;
-use crate::dimred::{
-    fit_pca, fit_svd, plus, put_u32, rebuild_pca, rebuild_svd, DimRedOutput, Factors,
-};
-use lrm_compress::{ByteReader, DecodeError, DecodeResult};
+use crate::dimred::{fit_pca, fit_svd, plus, put_u32, rebuild_pca, rebuild_svd, Factors};
+use crate::pipeline::Reduction;
+use lrm_compress::{ByteReader, DecodeError, DecodeResult, Shape};
 use lrm_datasets::Field;
 use lrm_linalg::Matrix;
 use lrm_parallel::WorkerPool;
@@ -52,7 +51,7 @@ pub fn partitioned_precondition(
     blocks: usize,
     variance_fraction: f64,
     codec: &LossyCodec,
-) -> DimRedOutput {
+) -> Reduction {
     let (m, n) = field.matrix_dims();
     let ranges = row_blocks(m, blocks);
 
@@ -82,9 +81,10 @@ pub fn partitioned_precondition(
     let approx = fits.iter().flat_map(|f| &f.approx);
     let delta: Vec<f64> = field.data.iter().zip(approx).map(|(a, b)| a - b).collect();
     let k_max = fits.iter().map(|f| f.k).max().unwrap_or(0);
-    DimRedOutput {
+    Reduction {
         rep_bytes: rep,
         delta,
+        rep_shape: Shape::d1(0),
         k: k_max,
     }
 }
@@ -136,7 +136,6 @@ pub fn partitioned_reconstruct(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrm_compress::Shape;
 
     fn test_field() -> Field {
         let (m, n) = (64, 24);

@@ -66,24 +66,6 @@ impl Field {
         self.data[self.shape.idx(x, y, z)]
     }
 
-    /// Extracts the horizontal plane `z = k` of a 3-D field as a 2-D
-    /// field (used by the *one-base*/*multi-base* reduced models).
-    pub fn plane_z(&self, k: usize) -> Field {
-        let [nx, ny, nz] = self.shape.dims;
-        assert!(k < nz, "plane_z: index out of range");
-        let mut data = Vec::with_capacity(nx * ny);
-        for y in 0..ny {
-            for x in 0..nx {
-                data.push(self.at(x, y, k));
-            }
-        }
-        Field::new(
-            format!("{}/plane_z={k}", self.name),
-            data,
-            Shape::d2(nx, ny),
-        )
-    }
-
     /// Minimum and maximum sample values (0,0 for an empty field).
     pub fn min_max(&self) -> (f64, f64) {
         if self.data.is_empty() {
@@ -116,16 +98,6 @@ mod tests {
         // Non-square composite folds to the nearest divisor.
         let i = Field::new("t", vec![0.0; 1470], Shape::d1(1470));
         assert_eq!(i.matrix_dims(), (42, 35));
-    }
-
-    #[test]
-    fn plane_extraction() {
-        let shape = Shape::d3(2, 2, 2);
-        let data: Vec<f64> = (0..8).map(|i| i as f64).collect();
-        let f = Field::new("t", data, shape);
-        let p = f.plane_z(1);
-        assert_eq!(p.shape, Shape::d2(2, 2));
-        assert_eq!(p.data, vec![4.0, 5.0, 6.0, 7.0]);
     }
 
     #[test]

@@ -441,7 +441,12 @@ mod tests {
             ..Default::default()
         };
         let f3 = full.solve();
-        let mid = f3.plane_z(12);
+        let plane = 24 * 24;
+        let mid = Field::new(
+            "mid",
+            f3.data[12 * plane..13 * plane].to_vec(),
+            Shape::d2(24, 24),
+        );
         let f2 = full.projected().solve();
         let (lo3, hi3) = mid.min_max();
         let (lo2, hi2) = f2.min_max();

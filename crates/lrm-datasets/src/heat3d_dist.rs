@@ -40,16 +40,7 @@ pub fn solve_distributed(cfg: &Heat3d, ranks: usize) -> Field {
     // Initial global state comes from the same initializer the serial
     // solver uses (rank 0 could scatter it; sharing it read-only is the
     // in-process equivalent).
-    let init = {
-        // Build via a 1-step-less serial run: Heat3d::init is private, so
-        // reproduce through snapshots(1) with steps=0 is impossible;
-        // instead run 0 steps by solving with steps.min(0)... Heat3d
-        // requires steps >= 0; we reconstruct the initial condition by
-        // running the serial path for 0 steps.
-        let mut c = *cfg;
-        c.steps = 0;
-        c.solve_initial()
-    };
+    let init = cfg.solve_initial();
 
     // Split interior planes [1, n-1) into contiguous slabs.
     let z_range = |r: usize| -> (usize, usize) {
