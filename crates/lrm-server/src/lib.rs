@@ -11,8 +11,8 @@
 //! * [`poll`] — a zero-dependency readiness shim over the platform's
 //!   `poll(2)` used by the event loop.
 //! * [`server`] — a nonblocking readiness event loop owning every
-//!   socket, dispatching codec work onto the `lrm-parallel`
-//!   [`WorkerPool`] and marrying the two with a completion queue.
+//!   socket, dispatching codec work to a fixed set of worker threads
+//!   through a job queue, and marrying the two with a completion queue.
 //!   Connections persist across requests with explicit per-request
 //!   backpressure: max in-flight requests (global and per-connection),
 //!   max payload size, and a per-request deadline, each mapped to a
@@ -25,9 +25,8 @@
 //!
 //! The server is a consumer of the workspace layers: `lrm-compress`
 //! codecs, the `lrm-core` pipeline (which writes the `lrm-io` artifact
-//! containers) and model selector, and the `lrm-parallel` pool.
-//!
-//! [`WorkerPool`]: lrm_parallel::WorkerPool
+//! containers) and model selector, and `lrm-parallel`'s count of
+//! available cores, which `threads: 0` resolves to.
 
 pub mod client;
 pub mod poll;

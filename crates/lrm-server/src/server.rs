@@ -1,7 +1,7 @@
 //! Event-driven TCP service: readiness loop, pipelining, worker dispatch.
 //!
 //! ```text
-//!        event loop (serve thread)                 WorkerPool
+//!        event loop (serve thread)                 worker threads
 //!   poll(listener, wake, conns…)                  ┌──────────┐
 //!        │ readable                               │ worker 0 │
 //!        ├── accept → Conn (persistent)    jobs ─►│ worker 1 │
@@ -48,7 +48,6 @@ use lrm_core::{
     default_candidates, selection::SelectionOptions, Pipeline, PipelineConfig, ReducedModelKind,
 };
 use lrm_datasets::Field;
-use lrm_parallel::WorkerPool;
 use lrm_stats::{byte_entropy, bytes_of, Summary};
 
 use crate::poll::{fd_of, poll, PollFd};
@@ -127,19 +126,18 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Runs the event loop and worker pool until a `Shutdown` request
+    /// Runs the event loop and the workers until a `Shutdown` request
     /// arrives, then drains in-flight requests and returns counters.
     ///
-    /// The event loop runs on the calling thread; workers run on the
-    /// `lrm-parallel` [`WorkerPool`] inside a [`std::thread::scope`], so
-    /// every thread is joined before this returns.
+    /// The event loop runs on the calling thread. Each of the
+    /// [`ServerConfig::threads`] workers is a thread of its own, spawned
+    /// in a [`std::thread::scope`] and joined before this returns.
     pub fn serve(self) -> std::io::Result<ServerStats> {
         let threads = if self.config.threads == 0 {
             lrm_parallel::available_threads()
         } else {
             self.config.threads
         };
-        let pool = WorkerPool::new(threads);
         let config = self.config;
         self.listener.set_nonblocking(true)?;
 
@@ -155,11 +153,9 @@ impl Server {
         };
 
         std::thread::scope(|s| {
-            let workers = s.spawn(|| {
-                pool.run((0..threads).collect::<Vec<_>>(), |_, _| {
-                    worker_loop(&shared, &config)
-                })
-            });
+            let workers: Vec<_> = (0..threads)
+                .map(|_| s.spawn(|| worker_loop(&shared, &config)))
+                .collect();
             let mut ev = EventLoop {
                 config,
                 shared: &shared,
@@ -177,7 +173,11 @@ impl Server {
             let result = ev.run();
             shared.stop.store(true, Ordering::SeqCst);
             shared.available.notify_all();
-            let _ = workers.join();
+            // A request's panic is caught inside the worker; one that
+            // escapes it ends only that worker.
+            for worker in workers {
+                let _ = worker.join();
+            }
             result
         })
     }
@@ -200,7 +200,7 @@ fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
 // Worker side: jobs, completions
 // ---------------------------------------------------------------------------
 
-/// One decoded request dispatched to the pool.
+/// One decoded request dispatched to the workers.
 struct Job {
     conn: u64,
     request_id: u64,
@@ -286,7 +286,7 @@ fn worker_loop(shared: &Shared, config: &ServerConfig) {
 
 /// The pipeline a compress request runs, with a chunk count of `0`
 /// meaning the server default. Parallelism lives across requests (the
-/// worker pool), so each pipeline runs single-threaded.
+/// workers), so each pipeline runs single-threaded.
 fn compress_pipeline(c: &CompressRequest, config: &ServerConfig) -> Pipeline {
     let chunks = if c.chunks == 0 {
         config.default_chunks

@@ -10,9 +10,15 @@
 //! * `Abs(e)` — `|v' - v| <= e` at every point.
 //! * `BlockRel(r)` — `|v' - v| <= r * max|block|` per scan-order block
 //!   of `BLOCK_LEN` points; all-zero blocks are exact.
+//!
+//! FPC is lossless, so through the pipeline it promises what the
+//! pipeline's arithmetic keeps: the field itself under Direct, and under
+//! a reduced model the field to one rounding of the delta and one of
+//! the decoder's addition.
 
 use lrm::compress::sz::BLOCK_LEN;
 use lrm::compress::{Codec, Sz};
+use lrm::core::{fpc_paper_codec, Pipeline, ReducedModelKind};
 use lrm::datasets::{generate, DatasetKind, SizeClass};
 use lrm::stats::error::StatsError;
 use lrm::stats::{Bound, BoundReport, ErrorReport};
@@ -84,6 +90,63 @@ fn block_relative_bound_holds_per_block_on_every_dataset() {
                     "{kind:?} rel {rel:e} block {bi}: worst utilization {}",
                     report.worst_utilization
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn fpc_is_bit_exact_direct_and_within_two_roundings_through_a_reduced_model() {
+    // Direct stores the field, so FPC gives it back bit for bit. A
+    // reduced model stores the delta x - b exactly, but the decoder's
+    // b + (x - b) is rounded in f64: one rounding in the subtraction and
+    // one in the addition, so each point is within 2^-51 * max|x|.
+    let fpc = fpc_paper_codec();
+    for kind in DatasetKind::ALL {
+        let pair = generate(kind, SizeClass::Tiny);
+        let field = &pair.full;
+        let max = field.data.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let tol = max * 2f64.powi(-51);
+        let mut models = vec![
+            ReducedModelKind::Direct,
+            ReducedModelKind::DuoModel,
+            ReducedModelKind::Pca,
+            ReducedModelKind::Svd,
+            ReducedModelKind::Wavelet,
+            ReducedModelKind::PcaBlocked(4),
+            ReducedModelKind::SvdBlocked(4),
+        ];
+        if field.shape.ndims() >= 2 {
+            models.extend([ReducedModelKind::OneBase, ReducedModelKind::MultiBase(4)]);
+        }
+        for model in models {
+            for chunks in [1, 4] {
+                let pipeline = Pipeline::builder()
+                    .model(model)
+                    .codec(fpc)
+                    .delta_codec(fpc)
+                    .chunks(chunks)
+                    .min_chunk_len(0)
+                    .build();
+                let art = if model == ReducedModelKind::DuoModel {
+                    pipeline.compress_with_aux(field, &pair.reduced)
+                } else {
+                    pipeline.compress(field)
+                };
+                let (rec, shape) = pipeline
+                    .reconstruct(&art.bytes)
+                    .expect("own output decodes");
+                assert_eq!(shape, field.shape, "{kind:?} {model:?}");
+                for (i, (x, y)) in field.data.iter().zip(&rec).enumerate() {
+                    if model == ReducedModelKind::Direct {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{kind:?} Direct at {i}");
+                    } else {
+                        assert!(
+                            (x - y).abs() <= tol,
+                            "{kind:?} {model:?} chunks {chunks} at {i}: {x} vs {y}, tolerance {tol:e}"
+                        );
+                    }
+                }
             }
         }
     }
