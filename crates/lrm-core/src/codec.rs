@@ -29,6 +29,10 @@ pub enum LossyCodec {
     /// ZFP in fixed-precision mode.
     ZfpPrecision(u32),
     /// FPC lossless compression at the given table level (4..=24).
+    /// Through a reduced model the delta is exact, but the field is
+    /// exact only to the f64 rounding of the model's subtraction and the
+    /// decoder's addition (`|x − x̂| ≤ 2⁻⁵¹ · max|x|`); Direct is
+    /// bit-exact.
     FpcLossless(u32),
 }
 

@@ -1,4 +1,4 @@
-//! Loopback integration tests: real sockets, real worker pool.
+//! Loopback integration tests: real sockets, real worker threads.
 //!
 //! Covers the acceptance criteria for the serving layer: ≥ 4 concurrent
 //! client threads round-tripping Heat3d/Laplace fields within the
