@@ -1,10 +1,13 @@
-//! Symmetric eigendecomposition by the cyclic Jacobi method.
+//! Symmetric eigendecomposition by the cyclic Jacobi method: the
+//! reference PCA is tested against.
 //!
-//! PCA needs the eigenpairs of an `n × n` covariance matrix where `n` is a
-//! grid extent (tens to a few hundred), well inside Jacobi's sweet spot.
-//! The method applies Givens rotations to annihilate off-diagonal entries
-//! until the off-diagonal Frobenius norm is negligible; it is
-//! unconditionally stable for symmetric input.
+//! [`crate::pca::Pca::fit`] takes its eigenpairs from the SVD's one-sided
+//! Jacobi kernel, so no pipeline path runs this solver. The property
+//! tests compare PCA's variances, ranks and leading subspaces with it,
+//! and the SVD's `σ²` with its eigenvalues of `AᵀA`. It applies Givens
+//! rotations to annihilate off-diagonal entries until the off-diagonal
+//! Frobenius norm is negligible; it is unconditionally stable for
+//! symmetric input.
 
 use crate::matrix::Matrix;
 

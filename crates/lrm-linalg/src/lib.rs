@@ -4,16 +4,18 @@
 //!
 //! * a dense [`Matrix`] whose products run on the caller's thread (no
 //!   call in this crate starts a thread),
-//! * a symmetric eigensolver ([`eigen::symmetric_eigen`], cyclic Jacobi
-//!   with a tolerance relative to `‖a‖_F`, so PCA does not depend on the
-//!   data's units) for PCA's covariance matrices,
 //! * a singular value decomposition ([`svd::svd`], Householder QR, then
 //!   one-sided Jacobi on R) for the SVD preconditioner. Columns of R at
 //!   or below `ε·‖A‖_F` are dropped from the sweeps and reported as
 //!   `σ = 0`, and [`svd::svd_truncated`] forms only the `k` columns of
 //!   `U` and `V` that the caller's rank rule keeps,
-//! * [`pca::Pca`] tying them together with the 95 %-variance component
+//! * [`pca::Pca`], whose eigenpairs come from the same one-sided Jacobi
+//!   kernel run on the covariance, with the 95 %-variance component
 //!   rule the paper uses to select `k`.
+//!
+//! [`eigen::symmetric_eigen`] (cyclic Jacobi, with a tolerance relative
+//! to `‖a‖_F`) runs on no pipeline path; it is the reference the tests
+//! compare PCA and the SVD against.
 
 pub mod eigen;
 pub mod matrix;

@@ -6,9 +6,18 @@
 //! whose cumulative variance proportion reaches 95 %), and the data are
 //! projected onto them. The *reduced representation* is the score matrix
 //! (m × k) plus the eigenvector matrix (n × k) plus the column means.
+//!
+//! The eigenpairs come from the SVD's one-sided Jacobi kernel
+//! ([`mod@crate::svd`]) run on the covariance `C` itself: `C` is symmetric
+//! positive semidefinite, so once the columns of `C·V` are orthogonal,
+//! `C·V = V·diag(λ)`. The variances are those columns' norms and the
+//! components are the accumulated rotations `V`. A column at or below
+//! `n·ε·‖C‖_F`, the rounding level of `C` itself, is a zero variance.
+//! [`crate::eigen::symmetric_eigen`] is the reference the tests compare
+//! against.
 
-use crate::eigen::symmetric_eigen;
 use crate::matrix::Matrix;
+use crate::svd::orthogonalize_columns;
 
 /// A fitted PCA model: projection basis, per-component variances, and the
 /// column means removed before projection.
@@ -26,7 +35,9 @@ impl Pca {
     /// Fits a PCA on the rows of `data` (m observations × n variables).
     ///
     /// # Panics
-    /// Panics when `data` has no rows or no columns.
+    /// Panics when `data` has no rows or no columns, and when its
+    /// covariance is not finite (the data hold a NaN or an infinity, or
+    /// their products overflow).
     pub fn fit(data: &Matrix) -> Self {
         let (m, n) = (data.rows(), data.cols());
         assert!(m > 0 && n > 0, "pca: empty data");
@@ -57,13 +68,31 @@ impl Pca {
                 cov.set(j, i, v);
             }
         }
-        let e = symmetric_eigen(&cov);
-        // Covariance eigenvalues are >= 0 up to round-off.
-        let variances = e.values.iter().map(|&l| l.max(0.0)).collect();
+        // Refuse what the kernel would carry silently: a NaN or an
+        // infinity in C makes every rotated column non-finite.
+        assert!(
+            cov.as_slice().iter().all(|x| x.is_finite()),
+            "pca: covariance is not finite (the data hold a NaN or an infinity, or overflow)"
+        );
+        // C's row-major data is its column-major copy.
+        let tiny = n as f64 * f64::EPSILON * cov.fro_norm();
+        let mut w = cov.into_vec();
+        let mut v = Matrix::identity(n).into_vec();
+        let live = orthogonalize_columns(&mut w, &mut v, n, tiny * tiny);
+        let mut pairs: Vec<(f64, usize)> = w
+            .chunks_exact(n)
+            .zip(&live)
+            .enumerate()
+            .map(|(c, (col, &live))| {
+                let lambda = col.iter().map(|x| x * x).sum::<f64>().sqrt();
+                (if live && lambda > tiny { lambda } else { 0.0 }, c)
+            })
+            .collect();
+        pairs.sort_by(|a, b| b.0.total_cmp(&a.0));
         Self {
             means,
-            components: e.vectors,
-            variances,
+            components: Matrix::from_fn(n, n, |r, c| v[pairs[c].1 * n + r]),
+            variances: pairs.iter().map(|&(l, _)| l).collect(),
         }
     }
 

@@ -1,6 +1,7 @@
 //! Property-based tests of the linear-algebra invariants the
 //! preconditioners rely on.
 
+use lrm_datasets::{generate, DatasetKind, SizeClass};
 use lrm_linalg::svd::svd_truncated;
 use lrm_linalg::{svd, symmetric_eigen, Matrix, Pca};
 use lrm_rng::Rng64;
@@ -321,5 +322,109 @@ fn eigen_with_transposed_rotations_matches_column_accumulation_bit_for_bit() {
                 "{what}: eigenvectors"
             );
         }
+    }
+}
+
+#[test]
+fn svd_of_near_duplicate_columns_keeps_its_contract() {
+    // A rotation of a near-duplicate pair leaves one column of norm
+    // about δ·‖x‖, a cancellation the cached norms must not carry.
+    for seed in 0..CASES {
+        let mut rng = Rng64::new(seed);
+        let base = tall_matrix(&mut rng);
+        let (m, n) = (base.rows(), base.cols());
+        let j = rng.range_usize(n - 1);
+        let noise = rng.vec_f64(-1.0, 1.0, m);
+        for delta in [1e-9, 1e-13] {
+            let a = Matrix::from_fn(m, n, |r, c| {
+                let x = base.get(r, if c == n - 1 { j } else { c });
+                if c == n - 1 {
+                    x * (1.0 + delta * noise[r])
+                } else {
+                    x
+                }
+            });
+            let d = svd(&a);
+            let what = format!("seed {seed}, {m}x{n}, column {j} duplicated to {delta:e}");
+            let err = a.sub(&d.reconstruct(n)).fro_norm();
+            assert!(
+                err <= 1e-12 * a.fro_norm(),
+                "{what}: reconstruction {err:e}"
+            );
+            let live = d.sigma.iter().filter(|&&s| s > 0.0).count();
+            let u_live = d.u.take_cols(live);
+            let err = u_live
+                .transpose()
+                .matmul(&u_live)
+                .sub(&Matrix::identity(live));
+            assert!(err.fro_norm() < 1e-12, "{what}: UᵀU {:e}", err.fro_norm());
+            let err = d.v.transpose().matmul(&d.v).sub(&Matrix::identity(n));
+            assert!(err.fro_norm() < 1e-12, "{what}: VᵀV {:e}", err.fro_norm());
+        }
+    }
+}
+
+/// `a`'s column covariance `Xcᵀ·Xc / (m − 1)`, formed apart from
+/// `Pca::fit`.
+fn covariance(a: &Matrix) -> Matrix {
+    let (m, n) = (a.rows(), a.cols());
+    let means: Vec<f64> = (0..n)
+        .map(|c| (0..m).map(|r| a.get(r, c)).sum::<f64>() / m as f64)
+        .collect();
+    let centered = Matrix::from_fn(m, n, |r, c| a.get(r, c) - means[c]);
+    let denom = (m.max(2) - 1) as f64;
+    centered.transpose().matmul(&centered).scale(1.0 / denom)
+}
+
+/// `Pca::fit(a)` against `symmetric_eigen` of `a`'s covariance: the
+/// variances within `1e-12·λ₁`, the same 95 % rank `k`, and the
+/// projectors onto the leading `k` components within `1e-9`.
+fn assert_pca_matches_eigen(what: &str, a: &Matrix) {
+    let pca = Pca::fit(a);
+    let eig = symmetric_eigen(&covariance(a));
+    let reference = Pca {
+        means: pca.means.clone(),
+        variances: eig.values.iter().map(|&l| l.max(0.0)).collect(),
+        components: eig.vectors,
+    };
+    let top = reference.variances[0];
+    for (i, (v, l)) in pca.variances.iter().zip(&reference.variances).enumerate() {
+        assert!(
+            (v - l).abs() <= 1e-12 * top,
+            "{what}: variance {i} is {v:e}, eigenvalue {l:e}"
+        );
+    }
+    let k = pca.components_for_variance(0.95);
+    assert_eq!(k, reference.components_for_variance(0.95), "{what}: k");
+    let projector = |p: &Pca| {
+        let basis = p.components.take_cols(k);
+        basis.matmul(&basis.transpose())
+    };
+    let diff = projector(&pca).sub(&projector(&reference));
+    let worst = diff.as_slice().iter().fold(0.0f64, |m, x| m.max(x.abs()));
+    assert!(
+        worst <= 1e-9,
+        "{what}: leading-{k} projectors differ by {worst:e}"
+    );
+}
+
+#[test]
+fn pca_agrees_with_the_symmetric_eigensolver() {
+    for seed in 0..CASES {
+        let mut rng = Rng64::new(seed);
+        let tall = tall_matrix(&mut rng);
+        let (m, n) = (tall.rows(), tall.cols());
+        let j = 1 + rng.range_usize(n - 1);
+        let left = Matrix::from_vec(m, j, rng.vec_f64(-10.0, 10.0, m * j));
+        let right = Matrix::from_vec(j, n, rng.vec_f64(-10.0, 10.0, j * n));
+        assert_pca_matches_eigen(&format!("seed {seed}, tall {m}x{n}"), &tall);
+        let low_rank = left.matmul(&right);
+        assert_pca_matches_eigen(&format!("seed {seed}, rank {j} {m}x{n}"), &low_rank);
+    }
+    for kind in DatasetKind::ALL {
+        let field = generate(kind, SizeClass::Tiny).full;
+        let (m, n) = field.matrix_dims();
+        let a = Matrix::from_vec(m, n, field.data);
+        assert_pca_matches_eigen(&format!("Tiny {} {m}x{n}", kind.name()), &a);
     }
 }

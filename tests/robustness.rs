@@ -150,6 +150,51 @@ fn nan_inputs_do_not_poison_neighbors() {
     }
 }
 
+#[test]
+fn pca_and_svd_refuse_or_contain_a_non_finite_value() {
+    // One NaN or infinity must not turn the rest of the field non-finite:
+    // the compress may refuse the input (panic), or its reconstruction
+    // must be finite wherever the input is.
+    let models = [
+        ReducedModelKind::Pca,
+        ReducedModelKind::PcaBlocked(4),
+        ReducedModelKind::Svd,
+        ReducedModelKind::SvdBlocked(4),
+    ];
+    for kind in DatasetKind::ALL {
+        let clean = generate(kind, SizeClass::Tiny).full;
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut data = clean.data.clone();
+            let at = data.len() / 2;
+            data[at] = bad;
+            let field = Field::new(kind.name(), data, clean.shape);
+            for model in models {
+                for cfg in [PipelineConfig::sz(model), PipelineConfig::zfp(model)] {
+                    let run = std::panic::catch_unwind(|| compress(&field, &cfg));
+                    let Ok(art) = run else {
+                        continue;
+                    };
+                    let (rec, _) = reconstruct(&art.bytes);
+                    let spread = field
+                        .data
+                        .iter()
+                        .zip(&rec)
+                        .filter(|(x, y)| x.is_finite() && !y.is_finite())
+                        .count();
+                    assert_eq!(
+                        spread,
+                        0,
+                        "{} with {bad} under {} {:?}: finite inputs came back non-finite",
+                        kind.name(),
+                        model.name(),
+                        cfg.orig
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// `bytes` with its section `name` replaced by `replacement`.
 fn with_section(bytes: &[u8], name: &str, replacement: &[u8]) -> Vec<u8> {
     let parsed = Artifact::from_bytes(bytes).expect("parse");
