@@ -17,6 +17,15 @@
 //! Each side's attempted and failed op counts are summed per workload.
 //! Quartiles interpolate linearly between order statistics, so the
 //! median of an even count is the mean of the middle two.
+//!
+//! [`render_check`] applies the bounds to a record. A metric whose
+//! median is worse than the parent's by more than its bound is
+//! [`Verdict::Worse`]; one within its bound, but whose parent runs
+//! spread wider than the bound (interquartile range over median), is
+//! [`Verdict::Unresolved`]. [`MetricRecord::claim_holds`] is the rule a
+//! claimed gain must meet: the change wins at least nine pairs, and nine
+//! in ten, and the medians differ by more than the parent's
+//! interquartile range.
 
 use crate::json::{self, Json};
 
@@ -215,6 +224,77 @@ pub struct MetricRecord {
     pub parent: SideStats,
     /// The change's values.
     pub change: SideStats,
+}
+
+/// A bounded metric's standing in a record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The median is within its bound, and the parent's runs spread
+    /// less than the bound.
+    Held,
+    /// The median is within its bound, but the parent's runs spread
+    /// wider than the bound, so the pairs cannot tell.
+    Unresolved,
+    /// The median is worse than the parent's by more than the bound.
+    Worse,
+}
+
+impl MetricRecord {
+    /// The change's median against the parent's, as a fraction of the
+    /// parent's; positive when the change is better in the metric's
+    /// direction. Equal medians are 0, and a change from 0 is infinite.
+    pub fn gain(&self) -> f64 {
+        let (p, c) = (self.parent.median, self.change.median);
+        let rel = if c == p {
+            0.0
+        } else if p == 0.0 {
+            (c - p).signum() * f64::INFINITY
+        } else {
+            (c - p) / p.abs()
+        };
+        if self.spec.higher_is_better {
+            rel
+        } else {
+            -rel
+        }
+    }
+
+    /// The parent's interquartile range as a fraction of its median.
+    pub fn parent_spread(&self) -> f64 {
+        let iqr = self.parent.q3 - self.parent.q1;
+        if iqr == 0.0 {
+            0.0
+        } else {
+            iqr / self.parent.median.abs()
+        }
+    }
+
+    /// The metric's verdict under its bound; `None` without a bound.
+    pub fn verdict(&self) -> Option<Verdict> {
+        let bound = self.spec.bound?;
+        Some(if self.gain() < -bound {
+            Verdict::Worse
+        } else if self.parent_spread() > bound {
+            Verdict::Unresolved
+        } else {
+            Verdict::Held
+        })
+    }
+
+    /// Whether a claimed gain holds: the change wins at least nine pairs,
+    /// and at least nine of every ten (a tie counts for neither side), so
+    /// fewer than nine pairs never carry a claim; and its median is better
+    /// than the parent's by more than the parent's interquartile range.
+    pub fn claim_holds(&self) -> bool {
+        let gap = if self.spec.higher_is_better {
+            self.change.median - self.parent.median
+        } else {
+            self.parent.median - self.change.median
+        };
+        self.change_wins >= 9
+            && 10 * self.change_wins >= 9 * self.pairs
+            && gap > self.parent.q3 - self.parent.q1
+    }
 }
 
 /// Op counts of one side, summed over a workload's runs.
@@ -513,6 +593,58 @@ pub fn render_record(record: &Record) -> String {
     )
 }
 
+/// Renders `record --check`'s table: per workload and metric, both
+/// medians, the change in percent, the bound, the parent's interquartile
+/// range in percent of its median, the wins and the [`Verdict`] (`-` for
+/// a metric without a bound).
+pub fn render_check(record: &Record) -> String {
+    let pct = |x: f64| format!("{:.1}%", x * 100.0);
+    let rows: Vec<Vec<String>> = record
+        .workloads
+        .iter()
+        .flat_map(|w| {
+            w.metrics.iter().map(move |m| {
+                let change = (m.change.median - m.parent.median) / m.parent.median.abs();
+                vec![
+                    w.name.clone(),
+                    m.spec.name.clone(),
+                    lrm_cli::table::f(m.parent.median),
+                    lrm_cli::table::f(m.change.median),
+                    if change.is_finite() {
+                        format!("{:+.1}%", change * 100.0)
+                    } else {
+                        "-".into()
+                    },
+                    m.spec.bound.map_or("-".into(), |b| format!("±{}", pct(b))),
+                    pct(m.parent_spread()),
+                    format!("{}/{}/{}", m.change_wins, m.parent_wins, m.pairs),
+                    match m.verdict() {
+                        None => "-",
+                        Some(Verdict::Held) => "held",
+                        Some(Verdict::Unresolved) => "unresolved",
+                        Some(Verdict::Worse) => "WORSE",
+                    }
+                    .into(),
+                ]
+            })
+        })
+        .collect();
+    lrm_cli::table::render(
+        &[
+            "workload",
+            "metric",
+            "parent",
+            "change",
+            "change %",
+            "bound",
+            "parent IQR",
+            "wins c/p/n",
+            "verdict",
+        ],
+        &rows,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,6 +747,111 @@ mod tests {
             ..pairs[0].clone()
         };
         assert!(build_record(&bench, &[unknown]).is_err());
+    }
+
+    /// A record of one metric from paired `(parent, change)` values.
+    fn one_metric(name: &str, values: &[(f64, f64)]) -> MetricRecord {
+        let bench = parse_benchmark(BENCH).expect("parse");
+        let pairs: Vec<Pair> = values
+            .iter()
+            .map(|&(p, c)| Pair {
+                workload: "w1".into(),
+                parent: run(1, 0, &[(name, p)]),
+                change: run(1, 0, &[(name, c)]),
+            })
+            .collect();
+        let rec = build_record(&bench, &pairs).expect("record");
+        rec.workloads[0].metrics[0].clone()
+    }
+
+    #[test]
+    fn check_applies_the_bound_in_the_metrics_direction() {
+        let steady = [100.0, 101.0, 99.0, 100.5, 99.5];
+        let scaled = |f: f64| -> Vec<(f64, f64)> { steady.iter().map(|&p| (p, p * f)).collect() };
+        // mbps: higher is better, bound 25 %.
+        let m = one_metric("mbps", &scaled(0.80));
+        assert!((m.gain() + 0.2).abs() < 1e-12);
+        assert_eq!(m.verdict(), Some(Verdict::Held));
+        assert_eq!(
+            one_metric("mbps", &scaled(0.70)).verdict(),
+            Some(Verdict::Worse)
+        );
+        assert_eq!(
+            one_metric("mbps", &scaled(1.5)).verdict(),
+            Some(Verdict::Held)
+        );
+        // p50_ms: lower is better, so a rise is the loss.
+        assert_eq!(
+            one_metric("p50_ms", &scaled(1.30)).verdict(),
+            Some(Verdict::Worse)
+        );
+        assert_eq!(
+            one_metric("p50_ms", &scaled(0.5)).verdict(),
+            Some(Verdict::Held)
+        );
+        // layer_s has no bound: reported, never judged.
+        assert_eq!(one_metric("layer_s", &scaled(9.0)).verdict(), None);
+        // A parent spread wider than the bound cannot resolve a small
+        // change, but a loss past the bound is still a loss.
+        let wide = [
+            (40.0, 40.0),
+            (60.0, 60.0),
+            (100.0, 100.0),
+            (140.0, 140.0),
+            (160.0, 160.0),
+        ];
+        let m = one_metric("mbps", &wide);
+        assert!(
+            (m.parent_spread() - 0.8).abs() < 1e-12,
+            "{}",
+            m.parent_spread()
+        );
+        assert_eq!(m.verdict(), Some(Verdict::Unresolved));
+        let lost: Vec<(f64, f64)> = wide.iter().map(|&(p, _)| (p, p * 0.5)).collect();
+        assert_eq!(one_metric("mbps", &lost).verdict(), Some(Verdict::Worse));
+        let table = render_check(
+            &build_record(
+                &parse_benchmark(BENCH).expect("parse"),
+                &[Pair {
+                    workload: "w1".into(),
+                    parent: run(1, 0, &[("mbps", 100.0), ("layer_s", 1.0)]),
+                    change: run(1, 0, &[("mbps", 60.0), ("layer_s", 2.0)]),
+                }],
+            )
+            .expect("record"),
+        );
+        assert!(
+            table.contains("WORSE") && table.contains("±25.0%"),
+            "{table}"
+        );
+    }
+
+    #[test]
+    fn a_claim_needs_nine_wins_in_ten_and_a_gap_past_the_parents_iqr() {
+        let parent = [80.0, 82.0, 84.0, 86.0, 88.0, 81.0, 83.0, 85.0, 87.0, 84.5];
+        let with = |change: &dyn Fn(usize, f64) -> f64| -> Vec<(f64, f64)> {
+            parent
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| (p, change(i, p)))
+                .collect()
+        };
+        // 10/10 wins, gap 30 against an IQR of 3.75.
+        assert!(one_metric("mbps", &with(&|_, p| p + 30.0)).claim_holds());
+        // 9/10 wins (one tie) still holds.
+        let nine = with(&|i, p| if i == 0 { p } else { p + 30.0 });
+        assert!(one_metric("mbps", &nine).claim_holds());
+        // 8/10 wins does not.
+        let eight = with(&|i, p| if i < 2 { p - 1.0 } else { p + 30.0 });
+        assert!(!one_metric("mbps", &eight).claim_holds());
+        // Five pairs, all won by far: too few to carry a claim.
+        let five: Vec<(f64, f64)> = with(&|_, p| p + 30.0).into_iter().take(5).collect();
+        assert!(!one_metric("mbps", &five).claim_holds());
+        // Every pair won, but by less than the parent's spread.
+        assert!(!one_metric("mbps", &with(&|_, p| p + 1.0)).claim_holds());
+        // Lower is better: the change must come in lower.
+        assert!(one_metric("p50_ms", &with(&|_, p| p - 30.0)).claim_holds());
+        assert!(!one_metric("p50_ms", &with(&|_, p| p + 30.0)).claim_holds());
     }
 
     #[test]

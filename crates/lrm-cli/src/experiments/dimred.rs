@@ -2,6 +2,7 @@
 //! proportions), Fig. 8 (SVD singular-value proportions), Fig. 9
 //! (reduced-representation sizes) and Fig. 10 (RMSE comparison).
 
+use crate::table::{f, render};
 use lrm_core::{Pipeline, PipelineConfig, ReducedModelKind};
 use lrm_datasets::{generate, DatasetKind, Field, SizeClass};
 use lrm_linalg::{svd, Matrix, Pca};
@@ -86,6 +87,26 @@ pub struct SpectrumRow {
     pub proportions: Vec<f64>,
     /// Components needed to reach 95 % cumulative share.
     pub k95: usize,
+}
+
+/// The Fig. 7/8 table `lrm-cli` prints: each dataset's five leading
+/// proportions and k(95%).
+pub fn spectrum_table(rows: &[SpectrumRow]) -> String {
+    let rows: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            let mut row = vec![r.dataset.to_string()];
+            for i in 0..5 {
+                row.push(r.proportions.get(i).map(|&p| f(p)).unwrap_or_default());
+            }
+            row.push(r.k95.to_string());
+            row
+        })
+        .collect();
+    render(
+        &["dataset", "1st", "2nd", "3rd", "4th", "5th", "k(95%)"],
+        &rows,
+    )
 }
 
 /// Fig. 7: PCA proportion of variance per dataset.

@@ -239,25 +239,8 @@ fn dimred_table(size: SizeClass, metric: &str) {
 }
 
 fn run_spectrum(rows: Vec<dimred::SpectrumRow>, label: &str) {
-    let table_rows: Vec<Vec<String>> = rows
-        .into_iter()
-        .map(|r| {
-            let mut row = vec![r.dataset.to_string()];
-            for i in 0..5 {
-                row.push(r.proportions.get(i).map(|&p| f(p)).unwrap_or_default());
-            }
-            row.push(r.k95.to_string());
-            row
-        })
-        .collect();
     println!("== {label} ==");
-    println!(
-        "{}",
-        render(
-            &["dataset", "1st", "2nd", "3rd", "4th", "5th", "k(95%)"],
-            &table_rows
-        )
-    );
+    println!("{}", dimred::spectrum_table(&rows));
 }
 
 fn run_fig11(size: SizeClass) {

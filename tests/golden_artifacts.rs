@@ -26,11 +26,17 @@
 //!
 //! and gives a reason for every moved line. Regenerating must never be
 //! the way to make an unexplained difference pass.
+//!
+//! `fig7_fig8_small.txt` pins the Fig. 7 and Fig. 8 tables that
+//! `lrm-cli fig7 --size small` and `fig8 --size small` print (the leading
+//! PCA and SVD proportions to printed precision, and k(95%)); it is
+//! ignored and blessed with the Small grid.
 
 use lrm::core::{
     fpc_paper_codec, sz_paper_bounds, zfp_paper_bounds, LossyCodec, Pipeline, ReducedModelKind,
 };
 use lrm::datasets::{generate, DatasetKind, SizeClass};
+use lrm_cli::experiments::dimred::{fig7, fig8, spectrum_table};
 
 const TINY_MANIFEST: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -41,6 +47,8 @@ const SMALL_MANIFEST: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden_artifacts_small.manifest"
 );
+
+const SMALL_SPECTRA: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fig7_fig8_small.txt");
 
 /// FNV-1a, 64-bit.
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -121,10 +129,9 @@ fn manifest(size: SizeClass) -> String {
     text
 }
 
-/// Compares the grid on `size` with the manifest at `path`, or rewrites
-/// the manifest under `LRM_BLESS_GOLDEN`.
-fn check_manifest(size: SizeClass, path: &str) {
-    let got = manifest(size);
+/// Compares `got` with the file at `path` line by line, or rewrites the
+/// file under `LRM_BLESS_GOLDEN`.
+fn check_lines(path: &str, got: String) {
     if std::env::var_os("LRM_BLESS_GOLDEN").is_some() {
         std::fs::write(path, &got).unwrap_or_else(|e| panic!("{path}: {e}"));
         return;
@@ -138,7 +145,7 @@ fn check_manifest(size: SizeClass, path: &str) {
         .collect();
     assert!(
         moved.is_empty() && want.lines().count() == got.lines().count(),
-        "{} of {} manifest lines moved ({} lines committed):\n{}",
+        "{} of {} lines moved ({} lines committed):\n{}",
         moved.len(),
         got.lines().count(),
         want.lines().count(),
@@ -148,11 +155,18 @@ fn check_manifest(size: SizeClass, path: &str) {
 
 #[test]
 fn pipeline_artifacts_match_the_golden_manifest() {
-    check_manifest(SizeClass::Tiny, TINY_MANIFEST);
+    check_lines(TINY_MANIFEST, manifest(SizeClass::Tiny));
 }
 
 #[test]
 #[ignore = "the Small grid takes seconds only in a release build"]
 fn small_pipeline_artifacts_match_the_golden_manifest() {
-    check_manifest(SizeClass::Small, SMALL_MANIFEST);
+    check_lines(SMALL_MANIFEST, manifest(SizeClass::Small));
+}
+
+#[test]
+#[ignore = "the Small fits take seconds only in a release build"]
+fn small_fig7_and_fig8_print_the_pinned_proportions() {
+    let got = spectrum_table(&fig7(SizeClass::Small)) + &spectrum_table(&fig8(SizeClass::Small));
+    check_lines(SMALL_SPECTRA, got);
 }
