@@ -331,7 +331,11 @@ mod tests {
                 );
             }
         }
-        for (name, workloads) in [("BENCH_pr25.json", 3), ("BENCH_pr26.json", 3)] {
+        for (name, workloads) in [
+            ("BENCH_pr25.json", 3),
+            ("BENCH_pr26.json", 3),
+            ("BENCH_pr27.json", 3),
+        ] {
             let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
             let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
             let rec = record::Record::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
