@@ -450,7 +450,7 @@ fn run_verify(size: SizeClass) -> bool {
     for kind in DatasetKind::ALL {
         let field = generate(kind, size).full;
         for model in [ReducedModelKind::Direct, ReducedModelKind::OneBase] {
-            if model == ReducedModelKind::OneBase && field.shape.ndims() < 2 {
+            if !model.applies_to(field.shape) {
                 continue;
             }
             let cfg = PipelineConfig::sz(model).with_scan_1d(true);

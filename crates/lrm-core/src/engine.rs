@@ -5,7 +5,7 @@
 //! 512 Titan ranks) a snapshot is far too large for that: this engine
 //! decomposes the field into **z-slabs** via `lrm_parallel::domain`, runs
 //! the precondition + dual-bound compression independently per slab on a
-//! work-stealing worker pool, and merges the per-slab outputs into one
+//! worker pool, and merges the per-slab outputs into one
 //! multi-chunk [`ChunkedArtifact`] container. Reconstruction is
 //! symmetric: chunks decode in parallel and are joined in directory
 //! order, once the directory is checked to tile the field.

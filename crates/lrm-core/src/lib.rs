@@ -24,7 +24,7 @@
 //! (precondition → dual-bound compress → self-describing artifact →
 //! reconstruct); [`engine`] is the public entry point — a builder-style
 //! [`Pipeline`] that decomposes large fields into z-slab chunks and
-//! runs the workflow chunk-parallel on a work-stealing pool.
+//! runs the workflow chunk-parallel on a worker pool.
 //! [`selection`] adds the paper's future-work model selector and
 //! [`parallel_one_base`] runs Algorithm 1 over the rank simulator of
 //! `lrm-parallel`.

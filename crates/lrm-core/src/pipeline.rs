@@ -87,6 +87,17 @@ impl ReducedModelKind {
         }
     }
 
+    /// Whether this model can precondition a field of `shape` on its
+    /// own: one-base and multi-base need at least two dimensions, and
+    /// DuoModel needs its auxiliary coarse field.
+    pub fn applies_to(self, shape: Shape) -> bool {
+        match self {
+            ReducedModelKind::OneBase | ReducedModelKind::MultiBase(_) => shape.ndims() >= 2,
+            ReducedModelKind::DuoModel => false,
+            _ => true,
+        }
+    }
+
     /// Inverse of [`ReducedModelKind::tag`]; a block or plane count of 0
     /// reads as 1.
     pub fn from_tag(tag: u8, param: u32) -> DecodeResult<Self> {

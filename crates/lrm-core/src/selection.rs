@@ -79,14 +79,7 @@ pub fn select_best_model_with(
     let mut results: Vec<CandidateResult> = Vec::new();
     for &model in candidates {
         // Skip inapplicable combinations rather than panic.
-        let applicable = match model {
-            ReducedModelKind::OneBase | ReducedModelKind::MultiBase(_) => {
-                subject.shape.ndims() >= 2
-            }
-            ReducedModelKind::DuoModel => false, // needs an aux field
-            _ => true,
-        };
-        if !applicable {
+        if !model.applies_to(subject.shape) {
             continue;
         }
         let cfg = PipelineConfig { model, ..*base };

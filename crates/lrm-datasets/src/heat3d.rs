@@ -2,10 +2,9 @@
 //!
 //! `∂u/∂t = κ ∇²u` on the unit cube with Dirichlet boundaries, central
 //! differences in space and forward Euler in time (the Heat3d code of the
-//! paper's case study, Section IV-A). The solver is data-parallel over z
-//! slabs on the workspace worker pool — the in-process analogue of the
-//! paper's MPI decomposition (the rank-level communication pattern is exercised
-//! separately in `lrm-parallel`).
+//! paper's case study, Section IV-A). The solve runs on the caller's
+//! thread; the paper's MPI decomposition of the same solve is
+//! [`crate::heat3d_dist`], on `lrm-parallel`'s thread ranks.
 //!
 //! Three model variants mirror the paper:
 //! * **full** — the 3-D solve ([`Heat3d::solve`]).
@@ -67,6 +66,27 @@ fn texture_at(fx: f64, fy: f64) -> f64 {
         + 0.8 * (fx * 31.4 + 1.3).sin() * (fy * 27.2 + 0.7).sin()
         + 0.6 * (fx * 52.9 + 2.1).cos() * (fy * 47.1 + 1.9).sin()
         + 0.4 * (fx * 78.5 + 0.4).sin() * (fy * 71.3 + 2.6).cos()
+}
+
+/// One forward-Euler step over the interior points of every n×n plane of
+/// `u` but the first and the last, written into `next`; `coef` is
+/// `κ·dt/h²`. Nothing writes the x and y side walls, so they keep the
+/// Dirichlet `t_hot` of the initial condition; the z faces are left to
+/// the caller. The serial and the distributed solver both step through
+/// here, so they agree bit for bit.
+pub(crate) fn step_interior(u: &[f64], next: &mut [f64], n: usize, coef: f64) {
+    let plane = n * n;
+    for z in 1..(u.len() / plane).saturating_sub(1) {
+        for y in 1..n - 1 {
+            for x in 1..n - 1 {
+                let i = z * plane + y * n + x;
+                let c = u[i];
+                let lap = u[i + 1] + u[i - 1] + u[i + n] + u[i - n] + u[i + plane] + u[i - plane]
+                    - 6.0 * c;
+                next[i] = c + coef * lap;
+            }
+        }
+    }
 }
 
 impl Heat3d {
@@ -174,45 +194,13 @@ impl Heat3d {
         let plane = n * n;
 
         for step in 1..=self.steps {
-            {
-                let u_ref = &u;
-                // Interior z-slabs update in parallel; boundary faces stay
-                // Dirichlet-fixed.
-                let slabs: Vec<&mut [f64]> =
-                    next[plane..(n - 1) * plane].chunks_mut(plane).collect();
-                lrm_parallel::WorkerPool::auto().run(slabs, |zi, slab| {
-                    let z = zi + 1;
-                    for y in 1..n - 1 {
-                        for x in 1..n - 1 {
-                            let i = shape.idx(x, y, z);
-                            let c = u_ref[i];
-                            let lap = u_ref[i + 1]
-                                + u_ref[i - 1]
-                                + u_ref[i + n]
-                                + u_ref[i - n]
-                                + u_ref[i + plane]
-                                + u_ref[i - plane]
-                                - 6.0 * c;
-                            slab[y * n + x] = c + coef * lap;
-                        }
-                    }
-                });
-            }
+            step_interior(&u, &mut next, n, coef);
             // Adiabatic (Neumann) z faces: copy the adjacent interior plane.
             let (lo, rest) = next.split_at_mut(plane);
             lo.copy_from_slice(&rest[..plane]);
             let start_top = (n - 2) * plane;
             let (body, top) = next.split_at_mut((n - 1) * plane);
             top.copy_from_slice(&body[start_top..start_top + plane]);
-            // Side walls stay Dirichlet-hot.
-            for z in [0usize, n - 1] {
-                for k in 0..n {
-                    next[shape.idx(0, k, z)] = self.t_hot;
-                    next[shape.idx(n - 1, k, z)] = self.t_hot;
-                    next[shape.idx(k, 0, z)] = self.t_hot;
-                    next[shape.idx(k, n - 1, z)] = self.t_hot;
-                }
-            }
             std::mem::swap(&mut u, &mut next);
             // Snapshot on the uniform schedule (always include the end).
             let due = step * count / self.steps;

@@ -8,7 +8,7 @@
 //! solver bit-for-bit (same arithmetic, same order within each plane).
 
 use crate::field::Field;
-use crate::heat3d::Heat3d;
+use crate::heat3d::{step_interior, Heat3d};
 use lrm_compress::Shape;
 use lrm_parallel::run_ranks;
 
@@ -35,7 +35,6 @@ pub fn solve_distributed(cfg: &Heat3d, ranks: usize) -> Field {
     let h = 1.0 / (n.max(2) - 1) as f64;
     let dt = cfg.dt();
     let coef = cfg.kappa * dt / (h * h);
-    let t_hot = cfg.t_hot;
 
     // Initial global state comes from the same initializer the serial
     // solver uses (rank 0 could scatter it; sharing it read-only is the
@@ -61,32 +60,8 @@ pub fn solve_distributed(cfg: &Heat3d, ranks: usize) -> Field {
         let mut next = local.clone();
 
         for _step in 0..cfg.steps {
-            // Interior update over owned planes.
-            for zl in 1..=nz_local {
-                for y in 1..n - 1 {
-                    for x in 1..n - 1 {
-                        let i = zl * plane + y * n + x;
-                        let c = local[i];
-                        let lap = local[i + 1]
-                            + local[i - 1]
-                            + local[i + n]
-                            + local[i - n]
-                            + local[i + plane]
-                            + local[i - plane]
-                            - 6.0 * c;
-                        next[i] = c + coef * lap;
-                    }
-                }
-            }
-            // Side walls stay hot within owned planes.
-            for zl in 1..=nz_local {
-                for k in 0..n {
-                    next[zl * plane + k] = t_hot; // y = 0 row
-                    next[zl * plane + (n - 1) * n + k] = t_hot; // y = n-1 row
-                    next[zl * plane + k * n] = t_hot; // x = 0 column
-                    next[zl * plane + k * n + (n - 1)] = t_hot; // x = n-1
-                }
-            }
+            // Interior update over owned planes, between the ghosts.
+            step_interior(&local, &mut next, n, coef);
             std::mem::swap(&mut local, &mut next);
 
             // Halo exchange: send boundary planes, receive ghosts.

@@ -47,16 +47,19 @@ impl Pca {
         // Covariance = Xcᵀ Xc / (m - 1)   (population form for m == 1).
         let denom = (m.max(2) - 1) as f64;
         let mut upper = vec![0.0; n * n];
+        let mut centred = vec![0.0; n];
         for r in 0..m {
-            let row = data.row(r);
+            for ((d, &x), &mu) in centred.iter_mut().zip(data.row(r)).zip(&means) {
+                *d = x - mu;
+            }
             for i in 0..n {
-                let di = row[i] - means[i];
+                let di = centred[i];
                 if di == 0.0 {
                     continue;
                 }
                 let acc = &mut upper[i * n + i..(i + 1) * n];
-                for ((a, &x), &mu) in acc.iter_mut().zip(&row[i..]).zip(&means[i..]) {
-                    *a += di * (x - mu);
+                for (a, &dj) in acc.iter_mut().zip(&centred[i..]) {
+                    *a += di * dj;
                 }
             }
         }

@@ -364,6 +364,55 @@ fn svd_of_near_duplicate_columns_keeps_its_contract() {
     }
 }
 
+#[test]
+fn svd_of_a_rank_deficient_wide_matrix_keeps_its_contract() {
+    // An m×r times r×n product with r < m < n. The wide path decomposes
+    // the transpose, so V is the transpose's U: zero where σ = 0. Not
+    // every one of the m − r zero singular values need read 0; one can
+    // stay at rounding level above the floor.
+    let mut shapes = vec![(6, 10, 3), (8, 64, 1)];
+    let mut rng = Rng64::new(0);
+    for _ in 0..CASES {
+        let m = 3 + rng.range_usize(10);
+        let n = m + 1 + rng.range_usize(60);
+        let r = 1 + rng.range_usize(m - 1);
+        shapes.push((m, n, r));
+    }
+    for (case, &(m, n, r)) in shapes.iter().enumerate() {
+        let mut rng = Rng64::new(case as u64);
+        let left = Matrix::from_vec(m, r, rng.vec_f64(-10.0, 10.0, m * r));
+        let right = Matrix::from_vec(r, n, rng.vec_f64(-10.0, 10.0, r * n));
+        let a = left.matmul(&right);
+        let d = svd(&a);
+        let what = format!("case {case}, {m}x{n} of rank {r}, σ {:?}", d.sigma);
+        let floor = f64::EPSILON * a.fro_norm();
+        assert!(
+            d.sigma.iter().all(|&s| s == 0.0 || s > floor),
+            "{what}: a σ in (0, {floor:e}]"
+        );
+        let live = d.sigma.iter().filter(|&&s| s > 0.0).count();
+        assert!(live < m, "{what}: no σ is zero");
+        for c in live..m {
+            assert!(d.u.col(c).iter().all(|&x| x == 0.0), "{what}: U col {c}");
+            assert!(d.v.col(c).iter().all(|&x| x == 0.0), "{what}: V col {c}");
+        }
+        for (name, f) in [("U", &d.u), ("V", &d.v)] {
+            let f_live = f.take_cols(live);
+            let err = f_live
+                .transpose()
+                .matmul(&f_live)
+                .sub(&Matrix::identity(live))
+                .fro_norm();
+            assert!(err < 1e-12, "{what}: {name}ᵀ{name} {err:e}");
+        }
+        let err = a.sub(&d.reconstruct(m)).fro_norm();
+        assert!(
+            err <= 1e-12 * a.fro_norm(),
+            "{what}: reconstruction {err:e}"
+        );
+    }
+}
+
 /// `a`'s column covariance `Xcᵀ·Xc / (m − 1)`, formed apart from
 /// `Pca::fit`.
 fn covariance(a: &Matrix) -> Matrix {

@@ -4,9 +4,9 @@
 //! of Algorithm 1: the rank owning the mid-plane **broadcasts** it, every
 //! rank computes its local deltas, and the deltas are **gathered**. This
 //! module runs N "ranks" as threads connected by std mpsc channels and
-//! provides `broadcast` / `gather` / `allreduce` / point-to-point with
-//! the same semantics, so the algorithm can be exercised and tested
-//! in-process without an MPI launcher.
+//! provides `broadcast` / `gather` / point-to-point with the same
+//! semantics, so the algorithm can be exercised and tested in-process
+//! without an MPI launcher.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -95,27 +95,6 @@ impl RankCtx {
             None
         }
     }
-
-    /// Sum-allreduce of equal-length vectors across all ranks.
-    pub fn allreduce_sum(&mut self, data: Vec<f64>) -> Vec<f64> {
-        // Gather at 0 then broadcast — O(P) but fine for a simulator.
-        let gathered = self.gather(0, data);
-        let summed = gathered.map(|parts| {
-            let mut acc = vec![0.0; parts[0].len()];
-            for p in &parts {
-                for (a, v) in acc.iter_mut().zip(p) {
-                    *a += v;
-                }
-            }
-            acc
-        });
-        self.broadcast(0, summed.unwrap_or_default())
-    }
-
-    /// Barrier: every rank blocks until all ranks arrive.
-    pub fn barrier(&mut self) {
-        let _ = self.allreduce_sum(vec![0.0]);
-    }
 }
 
 /// Runs `f` on `size` ranks (one thread each) and returns their results
@@ -138,7 +117,6 @@ where
     }
     let senders = Arc::new(senders);
 
-    let mut out: Vec<Option<T>> = (0..size).map(|_| None).collect();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(size);
         for (rank, receiver) in receivers.into_iter().enumerate() {
@@ -155,14 +133,12 @@ where
                 f(&mut ctx)
             }));
         }
-        for (rank, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(v) => out[rank] = Some(v),
-                Err(e) => std::panic::resume_unwind(e),
-            }
-        }
-    });
-    out.into_iter().map(|v| v.expect("joined")).collect()
+        // Joined in rank order; a rank's panic resumes with its payload.
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -198,14 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_sums_across_ranks() {
-        let results = run_ranks(5, |ctx| ctx.allreduce_sum(vec![1.0, ctx.rank() as f64]));
-        for r in results {
-            assert_eq!(r, vec![5.0, 10.0]); // 0+1+2+3+4 = 10
-        }
-    }
-
-    #[test]
     fn point_to_point_roundtrip() {
         let results = run_ranks(2, |ctx| {
             if ctx.rank() == 0 {
@@ -236,15 +204,6 @@ mod tests {
             }
         });
         assert_eq!(results[1], vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn barrier_completes() {
-        let results = run_ranks(4, |ctx| {
-            ctx.barrier();
-            ctx.rank()
-        });
-        assert_eq!(results, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Maps a global grid onto a `px × py × pz` rank grid, giving each rank a
 //! contiguous subdomain (the layout Heat3d uses on 8×8×8 processors in
-//! the paper's Table II). Used by the *one-base* scheme to find which
-//! rank owns the global mid-plane and by *multi-base* to extract each
-//! rank's local mid-plane.
+//! the paper's Table II). The distributed *one-base* scheme uses it to
+//! find the ranks that hold the global mid-plane, and the chunk engine
+//! to cut a field into z-slabs.
 
 /// A rank's axis-aligned subdomain: half-open index ranges per dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,11 +83,6 @@ impl Decomposition {
         ]
     }
 
-    /// Inverse of [`Decomposition::rank_coords`].
-    pub fn coords_rank(&self, c: [usize; 3]) -> usize {
-        (c[2] * self.grid[1] + c[1]) * self.grid[0] + c[0]
-    }
-
     /// 1-D split of `n` cells over `p` ranks: rank `i` gets
     /// `[i*n/p, (i+1)*n/p)` (balanced to within one cell).
     fn split(n: usize, p: usize, i: usize) -> (usize, usize) {
@@ -102,14 +97,6 @@ impl Decomposition {
             y: Self::split(self.global[1], self.grid[1], c[1]),
             z: Self::split(self.global[2], self.grid[2], c[2]),
         }
-    }
-
-    /// Ranks whose subdomain contains the global plane `z = k` (the
-    /// owners that broadcast the mid-plane in *one-base*).
-    pub fn ranks_owning_z(&self, k: usize) -> Vec<usize> {
-        (0..self.num_ranks())
-            .filter(|&r| self.subdomain(r).contains_z(k))
-            .collect()
     }
 
     /// Extracts `rank`'s subdomain from a global row-major field.
@@ -162,23 +149,6 @@ mod tests {
         let sizes: Vec<usize> = (0..3).map(|r| d.subdomain(r).dims()[0]).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 10);
         assert!(sizes.iter().all(|&s| s == 3 || s == 4));
-    }
-
-    #[test]
-    fn rank_coords_roundtrip() {
-        let d = Decomposition::new([8, 8, 8], [2, 2, 2]);
-        for r in 0..8 {
-            assert_eq!(d.coords_rank(d.rank_coords(r)), r);
-        }
-    }
-
-    #[test]
-    fn mid_plane_owners() {
-        let d = Decomposition::new([8, 8, 8], [2, 2, 2]);
-        let owners = d.ranks_owning_z(4);
-        // Plane z=4 lives in the upper half: ranks with cz = 1.
-        assert_eq!(owners, vec![4, 5, 6, 7]);
-        assert_eq!(d.ranks_owning_z(0), vec![0, 1, 2, 3]);
     }
 
     #[test]

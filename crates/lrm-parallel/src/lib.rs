@@ -7,15 +7,11 @@
 //! can be executed and verified on one machine:
 //!
 //! * [`comm`] — rank communicator over std mpsc channels with
-//!   `broadcast` / `gather` / `allreduce_sum` / point-to-point.
+//!   `broadcast` / `gather` / point-to-point.
 //! * [`domain`] — 3-D block decomposition, plane ownership, sub-domain
 //!   extraction.
-//! * [`pool`] — a work-stealing worker pool used by the chunk-parallel
-//!   compression engine and the numeric kernels.
-
-// Index-symmetric loops read more clearly than iterator chains in
-// numerical kernels; silence the pedantic lint crate-wide.
-#![allow(clippy::needless_range_loop)]
+//! * [`pool`] — a worker pool over one shared queue, used by the
+//!   chunk-parallel compression engine and the partitioned models.
 
 pub mod comm;
 pub mod domain;
@@ -24,83 +20,3 @@ pub mod pool;
 pub use comm::{run_ranks, RankCtx};
 pub use domain::{Decomposition, SubDomain};
 pub use pool::{available_threads, WorkerPool};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn one_base_communication_pattern_end_to_end() {
-        // Algorithm 1 of the paper over a real decomposition: the owner
-        // ranks of the global mid-plane contribute their piece; rank 0
-        // assembles and broadcasts it; every rank subtracts the plane from
-        // each of its local planes; the deltas are gathered at rank 0 and
-        // must equal the directly-computed global delta.
-        let global = [8usize, 8, 8];
-        let d = Decomposition::new(global, [2, 2, 2]);
-        let field: Vec<f64> = (0..512).map(|i| (i as f64 * 0.1).sin()).collect();
-        let mid_z = global[2] / 2;
-
-        let results = run_ranks(d.num_ranks(), |ctx| {
-            let local = d.extract(ctx.rank(), &field);
-            let sd = d.subdomain(ctx.rank());
-            let [lx, ly, _lz] = sd.dims();
-            let patch: Vec<f64> = if sd.contains_z(mid_z) {
-                let zl = mid_z - sd.z.0;
-                local[zl * lx * ly..(zl + 1) * lx * ly].to_vec()
-            } else {
-                Vec::new()
-            };
-            let gathered = ctx.gather(0, patch);
-            let plane = if ctx.rank() == 0 {
-                let mut plane = vec![0.0; global[0] * global[1]];
-                let parts = gathered.expect("root");
-                for (r, part) in parts.iter().enumerate() {
-                    if part.is_empty() {
-                        continue;
-                    }
-                    let psd = d.subdomain(r);
-                    let mut i = 0;
-                    for y in psd.y.0..psd.y.1 {
-                        for x in psd.x.0..psd.x.1 {
-                            plane[y * global[0] + x] = part[i];
-                            i += 1;
-                        }
-                    }
-                }
-                plane
-            } else {
-                Vec::new()
-            };
-            let plane = ctx.broadcast(0, plane);
-            // Local delta: subtract the broadcast plane per z level.
-            let mut delta = Vec::with_capacity(local.len());
-            let mut i = 0;
-            for _z in sd.z.0..sd.z.1 {
-                for y in sd.y.0..sd.y.1 {
-                    for x in sd.x.0..sd.x.1 {
-                        delta.push(local[i] - plane[y * global[0] + x]);
-                        i += 1;
-                    }
-                }
-            }
-            ctx.gather(0, delta)
-        });
-
-        // Rank 0's gathered deltas reassemble into the global delta.
-        let parts = results[0].as_ref().expect("root gathered");
-        let mut rebuilt = vec![0.0; 512];
-        for (r, part) in parts.iter().enumerate() {
-            d.insert(r, part, &mut rebuilt);
-        }
-        for z in 0..8 {
-            for y in 0..8 {
-                for x in 0..8 {
-                    let i = (z * 8 + y) * 8 + x;
-                    let want = field[i] - field[(mid_z * 8 + y) * 8 + x];
-                    assert!((rebuilt[i] - want).abs() < 1e-12);
-                }
-            }
-        }
-    }
-}

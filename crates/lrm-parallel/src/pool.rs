@@ -1,23 +1,20 @@
-//! Work-stealing worker pool for chunk-parallel compression.
+//! Worker pool for chunk-parallel compression.
 //!
 //! The chunk engine in `lrm-core` decomposes a field into z-slabs and
 //! compresses each slab independently; slabs compress at very different
 //! speeds (PCA on a near-constant slab converges in one sweep, a
-//! turbulent slab needs many), so a static round-robin split wastes
-//! cores. This pool pre-distributes tasks round-robin into per-worker
-//! deques; a worker drains its own deque from the front and, when empty,
-//! steals from the back of its siblings' deques. Results are returned in
-//! submission order, so callers get deterministic output regardless of
-//! how the work was scheduled.
+//! turbulent slab needs many), so a static split wastes cores. Workers
+//! instead take the next item from one shared queue as they free up.
+//! Results are returned in submission order, so callers get
+//! deterministic output regardless of how the work was scheduled.
 //!
-//! Implemented on `std` primitives only (scoped threads + mutex-guarded
-//! deques) — task granularity here is a whole z-slab or matrix block, so
-//! queue synchronization cost is noise.
+//! Implemented on `std` primitives only (scoped threads and one
+//! mutex-guarded iterator) — task granularity here is a whole z-slab or
+//! matrix block, so queue synchronization cost is noise.
 
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// A fixed-size pool of worker threads with work-stealing scheduling.
+/// A fixed-size pool of worker threads fed from one queue.
 ///
 /// The pool is a lightweight handle: threads are scoped to each
 /// [`WorkerPool::run`] call, so a pool can be stored in a config struct
@@ -51,10 +48,10 @@ impl WorkerPool {
         self.threads
     }
 
-    /// Applies `f` to every item, scheduling items across the pool's
-    /// workers with work stealing, and returns the results **in the
-    /// order the items were given** (index-stable, so output is
-    /// deterministic for any thread count).
+    /// Applies `f` to every item, each worker taking the next item as
+    /// it frees up, and returns the results **in the order the items
+    /// were given** (index-stable, so output is deterministic for any
+    /// thread count).
     ///
     /// `f` receives the item's index and the item. With one worker (or
     /// one item) everything runs inline on the calling thread — no
@@ -62,7 +59,7 @@ impl WorkerPool {
     /// bitwise identical to plain serial execution.
     ///
     /// # Panics
-    /// Propagates a panic from any worker.
+    /// Propagates a panic from any worker with its original payload.
     pub fn run<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -79,71 +76,35 @@ impl WorkerPool {
                 .collect();
         }
 
-        // Round-robin pre-distribution seeds locality; stealing fixes
-        // whatever imbalance the costs introduce.
-        let mut seeded: Vec<VecDeque<(usize, T)>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (i, item) in items.into_iter().enumerate() {
-            seeded[i % workers].push_back((i, item));
-        }
-        let queues: Vec<Mutex<VecDeque<(usize, T)>>> = seeded.into_iter().map(Mutex::new).collect();
-
-        let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-        std::thread::scope(|scope| {
+        let queue = Mutex::new(items.into_iter().enumerate());
+        let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let queues = &queues;
-                    let results = &results;
-                    let f = &f;
-                    scope.spawn(move || {
-                        while let Some((i, item)) = find_task(w, queues) {
-                            let r = f(i, item);
-                            let mut slots = results.lock().expect("pool: result store poisoned");
-                            debug_assert!(
-                                slots[i].is_none(),
-                                "pool: result slot {i} written twice"
-                            );
-                            slots[i] = Some(r);
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut mine = Vec::new();
+                        while let Some((i, item)) = next_item(&queue) {
+                            mine.push((i, f(i, item)));
                         }
+                        mine
                     })
                 })
                 .collect();
-            for h in handles {
-                // Join explicitly so a worker panic surfaces with its
-                // original payload instead of scope's generic message.
-                if let Err(payload) = h.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
+            // Join explicitly so a worker panic surfaces with its
+            // original payload instead of scope's generic message.
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
         });
-
-        results
-            .into_inner()
-            .expect("pool: result store poisoned")
-            .into_iter()
-            .map(|r| r.expect("pool: missing result"))
-            .collect()
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 }
 
-/// Next task for worker `w`: own deque front first, then steal from the
-/// back of the other workers' deques. Returns `None` when every deque is
-/// empty (remaining tasks are already executing elsewhere).
-fn find_task<T>(w: usize, queues: &[Mutex<VecDeque<(usize, T)>>]) -> Option<(usize, T)> {
-    if let Some(task) = queues[w].lock().expect("pool: queue poisoned").pop_front() {
-        return Some(task);
-    }
-    let len = queues.len();
-    for offset in 1..len {
-        let victim = (w + offset) % len;
-        if let Some(task) = queues[victim]
-            .lock()
-            .expect("pool: queue poisoned")
-            .pop_back()
-        {
-            return Some(task);
-        }
-    }
-    None
+/// The next `(index, item)` from the shared queue, or `None` when it is
+/// empty. The lock is released before the caller runs the item.
+fn next_item<I: Iterator>(queue: &Mutex<I>) -> Option<I::Item> {
+    queue.lock().expect("pool: queue poisoned").next()
 }
 
 /// Number of hardware threads, with a safe fallback of 1.
@@ -184,7 +145,7 @@ mod tests {
     #[test]
     fn uneven_task_costs_are_balanced() {
         // Tasks with wildly different costs still all complete and stay
-        // ordered; this exercises the stealing path.
+        // ordered; this exercises the shared queue's balancing.
         let pool = WorkerPool::new(4);
         let out = pool.run((0..32).collect(), |_, v: u64| {
             let spins = if v.is_multiple_of(7) { 200_000 } else { 10 };

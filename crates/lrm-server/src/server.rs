@@ -12,8 +12,9 @@
 //!        └── flush out-buffer  ◄── responses ── completion queue
 //! ```
 //!
-//! The loop owns every socket; workers own every piece of codec work;
-//! the completion queue (plus a loopback wake byte) marries them. A
+//! The loop owns every socket; workers own every piece of codec work.
+//! Jobs go out over one channel the workers share, and results come
+//! back through the completion queue (plus a loopback wake byte). A
 //! connection stays alive across requests: frames carry a request id,
 //! many requests may be in flight per connection, and responses are
 //! written in completion order — out of order relative to submission.
@@ -36,12 +37,12 @@
 //! including a request whose frame was already arriving — completes and
 //! flushes before [`Server::serve`] returns.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown as NetShutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use lrm_core::{
@@ -144,21 +145,18 @@ impl Server {
         // Self-connected loopback pair: workers write one byte to nudge
         // the poll loop when a completion lands.
         let (wake_tx, wake_rx) = wake_pair()?;
-        let shared = Shared {
-            jobs: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            done: Mutex::new(Vec::new()),
-            stop: AtomicBool::new(false),
-            wake_tx,
-        };
+        let (job_tx, job_rx) = channel();
+        let jobs = Mutex::new(job_rx);
+        let done = Mutex::new(Vec::new());
 
         std::thread::scope(|s| {
             let workers: Vec<_> = (0..threads)
-                .map(|_| s.spawn(|| worker_loop(&shared, &config)))
+                .map(|_| s.spawn(|| worker_loop(&jobs, &done, &wake_tx, &config)))
                 .collect();
             let mut ev = EventLoop {
                 config,
-                shared: &shared,
+                jobs: job_tx,
+                done: &done,
                 listener: Some(self.listener),
                 wake_rx,
                 conns: HashMap::new(),
@@ -171,8 +169,9 @@ impl Server {
                 processing_id: 0,
             };
             let result = ev.run();
-            shared.stop.store(true, Ordering::SeqCst);
-            shared.available.notify_all();
+            // The loop holds the only sender: dropping it ends each
+            // worker once the queue is empty.
+            drop(ev);
             // A request's panic is caught inside the worker; one that
             // escapes it ends only that worker.
             for worker in workers {
@@ -216,49 +215,21 @@ struct Done {
     response: Response,
 }
 
-/// Queues + flags shared between the event loop and the workers.
-struct Shared {
-    jobs: Mutex<VecDeque<Job>>,
-    available: Condvar,
-    done: Mutex<Vec<Done>>,
-    stop: AtomicBool,
-    wake_tx: TcpStream,
+/// The next job, or `None` once the event loop has dropped its sender
+/// and the queue is empty. The lock is released before the job runs.
+fn next_job(jobs: &Mutex<Receiver<Job>>) -> Option<Job> {
+    jobs.lock().expect("job queue poisoned").recv().ok()
 }
 
-impl Shared {
-    /// Enqueues a job and wakes one worker.
-    fn dispatch(&self, job: Job) {
-        let mut q = self.jobs.lock().expect("job queue poisoned");
-        q.push_back(job);
-        drop(q);
-        self.available.notify_one();
-    }
-}
-
-/// One worker: pop jobs until the stop flag, execute each, push the
-/// completion, nudge the poll loop.
-fn worker_loop(shared: &Shared, config: &ServerConfig) {
-    loop {
-        let job = {
-            let mut q = shared.jobs.lock().expect("job queue poisoned");
-            loop {
-                if let Some(j) = q.pop_front() {
-                    break Some(j);
-                }
-                if shared.stop.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (guard, _) = shared
-                    .available
-                    .wait_timeout(q, Duration::from_millis(20))
-                    .expect("job queue poisoned");
-                q = guard;
-            }
-            // Guard drops here: jobs never execute under the queue lock.
-        };
-        let Some(job) = job else {
-            return;
-        };
+/// One worker: take jobs until the queue closes, execute each, push the
+/// completion onto `done`, nudge the poll loop through `wake_tx`.
+fn worker_loop(
+    jobs: &Mutex<Receiver<Job>>,
+    done: &Mutex<Vec<Done>>,
+    mut wake_tx: &TcpStream,
+    config: &ServerConfig,
+) {
+    while let Some(job) = next_job(jobs) {
         // Model/codec execution walks real numerical kernels; a panic
         // there must kill one request, not a worker thread.
         let response =
@@ -269,18 +240,14 @@ fn worker_loop(shared: &Shared, config: &ServerConfig) {
                     message: "request execution panicked".to_owned(),
                 },
             };
-        let done = Done {
+        done.lock().expect("completion queue poisoned").push(Done {
             conn: job.conn,
             request_id: job.request_id,
             accepted: job.accepted,
             response,
-        };
-        {
-            let mut d = shared.done.lock().expect("completion queue poisoned");
-            d.push(done);
-        }
+        });
         // Nonblocking: a full pipe means a wake is already pending.
-        let _ = (&shared.wake_tx).write(&[1]);
+        let _ = wake_tx.write(&[1]);
     }
 }
 
@@ -310,6 +277,13 @@ fn execute(request: &Request, config: &ServerConfig) -> Response {
         Request::Compress(c) => {
             if c.shape.is_empty() {
                 return malformed_response("compress request carries an empty field".to_owned());
+            }
+            if !c.model.applies_to(c.shape) {
+                return malformed_response(format!(
+                    "model {} does not apply to a field of shape {:?}",
+                    c.model.name(),
+                    c.shape.dims
+                ));
             }
             let field = Field::new("wire", c.data.clone(), c.shape);
             let artifact = compress_pipeline(c, config).compress(&field);
@@ -479,7 +453,10 @@ enum Token {
 
 struct EventLoop<'a> {
     config: ServerConfig,
-    shared: &'a Shared,
+    /// The only sender of the workers' job queue.
+    jobs: Sender<Job>,
+    /// Completions the workers push; drained after each poll.
+    done: &'a Mutex<Vec<Done>>,
     listener: Option<TcpListener>,
     wake_rx: TcpStream,
     conns: HashMap<u64, Conn>,
@@ -855,12 +832,14 @@ impl EventLoop<'_> {
                 }
             }
             request => {
-                self.shared.dispatch(Job {
-                    conn: self.processing_id,
-                    request_id: id,
-                    accepted: acc.at,
-                    request,
-                });
+                self.jobs
+                    .send(Job {
+                        conn: self.processing_id,
+                        request_id: id,
+                        accepted: acc.at,
+                        request,
+                    })
+                    .expect("workers' job queue outlives the event loop");
             }
         }
     }
@@ -869,7 +848,7 @@ impl EventLoop<'_> {
 
     fn process_completions(&mut self) {
         let done = {
-            let mut d = self.shared.done.lock().expect("completion queue poisoned");
+            let mut d = self.done.lock().expect("completion queue poisoned");
             std::mem::take(&mut *d)
         };
         let now = Instant::now();

@@ -270,6 +270,43 @@ fn projection_model_on_a_field_below_2d_gets_typed_malformed() {
 }
 
 #[test]
+fn projection_model_compress_of_a_1d_field_gets_typed_malformed() {
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+
+    // One-base and multi-base need a field of at least two dimensions.
+    // Building either pipeline on the 1-D Wave field trips the
+    // projection's assert, and a panicking worker answers `Internal`,
+    // not `Malformed`.
+    let field = generate(DatasetKind::Wave, SizeClass::Tiny).full;
+    assert_eq!(field.shape.ndims(), 1);
+    let mut conn = Connection::open(addr).expect("open");
+    for model in [ReducedModelKind::OneBase, ReducedModelKind::MultiBase(2)] {
+        let request = CompressRequest {
+            model,
+            orig: LossyCodec::SzRel(1e-5),
+            delta: LossyCodec::SzRel(1e-3),
+            scan_1d: false,
+            chunks: 1,
+            shape: field.shape,
+            data: field.data.clone(),
+        };
+        match conn.compress(request) {
+            Err(ClientError::Server {
+                kind: ServerErrorKind::Malformed,
+                message,
+            }) => assert!(message.contains(model.name()), "{model:?}: {message}"),
+            other => panic!("{model:?}: expected Malformed frame, got {other:?}"),
+        }
+    }
+    assert_eq!(conn.ping(b"alive").expect("ping"), b"alive");
+    conn.shutdown().expect("shutdown");
+    handle.join().expect("join");
+}
+
+#[test]
 fn svd_rep_declaring_a_huge_matrix_gets_typed_malformed() {
     let (addr, handle) = start(ServerConfig {
         threads: 1,

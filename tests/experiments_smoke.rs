@@ -1,8 +1,9 @@
 //! Integration smoke test: every experiment driver that regenerates a
 //! paper table or figure runs end to end at Tiny scale and produces
 //! structurally sane output. (Quantitative shape assertions live in the
-//! drivers' own unit tests; paper-vs-measured numbers are recorded by the
-//! bench harness into EXPERIMENTS.md.)
+//! drivers' own unit tests. EXPERIMENTS.md's paper-vs-measured numbers
+//! were copied from past runs by hand; nothing here or in the bench
+//! harness writes them.)
 
 use lrm_cli::experiments::*;
 use lrm_datasets::SizeClass;

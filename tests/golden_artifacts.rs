@@ -31,11 +31,18 @@
 //! `lrm-cli fig7 --size small` and `fig8 --size small` print (the leading
 //! PCA and SVD proportions to printed precision, and k(95%)); it is
 //! ignored and blessed with the Small grid.
+//!
+//! `tests/artifacts/` holds committed Tiny Heat3d artifacts of every
+//! container the decoder accepts: a version-0 stream (`LRM1`), a chunked
+//! container (`LRMC`) and an SVD artifact whose meta carries tag 9, the
+//! retired randomized SVD. Their reconstructions are pinned by hash
+//! below; nothing blesses them, so an encoder change cannot move them.
 
 use lrm::core::{
     fpc_paper_codec, sz_paper_bounds, zfp_paper_bounds, LossyCodec, Pipeline, ReducedModelKind,
 };
 use lrm::datasets::{generate, DatasetKind, SizeClass};
+use lrm::io::Artifact;
 use lrm_cli::experiments::dimred::{fig7, fig8, spectrum_table};
 
 const TINY_MANIFEST: &str = concat!(
@@ -49,6 +56,8 @@ const SMALL_MANIFEST: &str = concat!(
 );
 
 const SMALL_SPECTRA: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fig7_fig8_small.txt");
+
+const PINNED_ARTIFACTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/artifacts");
 
 /// FNV-1a, 64-bit.
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -169,4 +178,42 @@ fn small_pipeline_artifacts_match_the_golden_manifest() {
 fn small_fig7_and_fig8_print_the_pinned_proportions() {
     let got = spectrum_table(&fig7(SizeClass::Small)) + &spectrum_table(&fig8(SizeClass::Small));
     check_lines(SMALL_SPECTRA, got);
+}
+
+#[test]
+fn committed_artifacts_of_every_container_reconstruct_to_pinned_bits() {
+    // (file, magic, FNV-64 of the reconstruction's bits)
+    let pins = [
+        (
+            "heat3d_tiny_one_base_sz.lrm1",
+            b"LRM1",
+            0xdb0f_7ed2_4d45_8118u64,
+        ),
+        (
+            "heat3d_tiny_multi_base2_zfp_4chunks.lrmc",
+            b"LRMC",
+            0x7f6b_b487_fd2e_c3a8,
+        ),
+        (
+            "heat3d_tiny_svd_sz_tag9.lrm1",
+            b"LRM1",
+            0xf52a_d065_5509_5166,
+        ),
+    ];
+    for (name, magic, want) in pins {
+        let path = format!("{PINNED_ARTIFACTS}/{name}");
+        let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert_eq!(bytes.get(..4), Some(&magic[..]), "{name}: container magic");
+        let (rec, shape) = Pipeline::builder()
+            .build()
+            .reconstruct(&bytes)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(shape.dims, [16, 16, 16], "{name}: shape");
+        assert_eq!(fnv64_f64s(&rec), want, "{name}: reconstruction bits");
+    }
+    // The tag-9 pin still names the retired model in its meta.
+    let bytes = std::fs::read(format!("{PINNED_ARTIFACTS}/heat3d_tiny_svd_sz_tag9.lrm1"))
+        .expect("tag-9 artifact");
+    let artifact = Artifact::from_bytes(&bytes).expect("tag-9 artifact parses");
+    assert_eq!(artifact.get("meta").and_then(|m| m.first()), Some(&9));
 }
